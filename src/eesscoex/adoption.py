@@ -7,7 +7,6 @@ index the parameters were fitted against.  Growth-rate sensitivity
 scenarios rescale b3 and re-apply the anchor.
 """
 
-import csv
 from dataclasses import dataclass, replace
 from math import exp, log
 
@@ -101,17 +100,6 @@ class PenetrationSeries:
     def __len__(self):
         return len(self.years)
 
-    @classmethod
-    def from_csv(cls, path) -> "PenetrationSeries":
-        years, values = [], []
-        with open(path, newline="", encoding="utf-8") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].strip().lower() in ("year", ""):
-                    continue
-                years.append(float(row[0]))
-                values.append(float(row[1]))
-        return cls(years=tuple(years), values=tuple(values))
-
 
 @dataclass(frozen=True)
 class GompertzFit:
@@ -119,8 +107,6 @@ class GompertzFit:
     residual_norm: float
     success: bool
     at_boundary: bool
-    message: str
-    n_evaluations: int
 
 
 _B3_LOWER = 1e-6
@@ -165,8 +151,6 @@ def fit_gompertz(series: PenetrationSeries, init: AdoptionModel,
         residual_norm=float(np.linalg.norm(result.fun)),
         success=bool(result.success) and not at_boundary,
         at_boundary=at_boundary,
-        message=str(result.message),
-        n_evaluations=int(result.nfev),
     )
 
 

@@ -11,7 +11,6 @@ are derived from (master seed, trial index) so serial and parallel runs
 agree draw for draw.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,6 @@ __all__ = [
     "path_loss",
     "generate_channel",
     "trial_rng",
-    "dump_trace",
 ]
 
 BOLTZMANN_J_PER_K = 1.380649e-23
@@ -49,7 +47,6 @@ class CellConfig:
     r_min_m: float = 10.0
     r_cell_m: float = 150.0
     carrier_ghz: float = 7.275
-    bandwidth_hz: float = 250e6
     bs_height_m: float = 10.0
     ut_height_m: float = 1.5
     tx_gain_users_db: float = 15.0
@@ -69,12 +66,8 @@ class CellConfig:
             raise ValueError(f"unknown distance mode {self.distance_mode!r}")
         if self.los_mode not in ("model", "los", "nlos"):
             raise ValueError(f"unknown LOS mode {self.los_mode!r}")
-        if self.carrier_ghz <= 0 or self.bandwidth_hz <= 0 or self.noise_temp_k <= 0:
-            raise ValueError("carrier, bandwidth and noise temperature must be positive")
-
-    @property
-    def noise_power_w(self) -> float:
-        return noise_power_w(self.noise_temp_k, self.bandwidth_hz)
+        if self.carrier_ghz <= 0 or self.noise_temp_k <= 0:
+            raise ValueError("carrier and noise temperature must be positive")
 
 
 @dataclass(frozen=True)
@@ -84,8 +77,6 @@ class ChannelRealization:
     h: np.ndarray          # (K, N) unit-variance circular complex Gaussian rows
     g: np.ndarray          # (K,) large-scale linear power gains
     los: np.ndarray        # (K,) LOS flags
-    distances_m: np.ndarray
-    noise_w: float
 
 
 def noise_power_w(temp_k: float, bandwidth_hz: float) -> float:
@@ -180,7 +171,7 @@ def path_loss(d2d_m, los, cfg: CellConfig, rng: np.random.Generator = None):
 
 
 def generate_channel(cfg: CellConfig, rng: np.random.Generator) -> ChannelRealization:
-    """Draw one full realization: positions -> LOS -> g -> h, plus noise power.
+    """Draw one full realization: positions -> LOS -> g -> h.
 
     Draw order is fixed (positions, LOS uniforms, shadowing normals,
     fading) so a given substream always yields the same realization.
@@ -194,21 +185,4 @@ def generate_channel(cfg: CellConfig, rng: np.random.Generator) -> ChannelRealiz
     g = path_loss(distances, los, cfg, rng)
     h = (rng.standard_normal((cfg.n_users, cfg.n_antennas))
          + 1j * rng.standard_normal((cfg.n_users, cfg.n_antennas))) / np.sqrt(2.0)
-    return ChannelRealization(h=h, g=np.atleast_1d(g), los=los,
-                              distances_m=distances, noise_w=cfg.noise_power_w)
-
-
-def dump_trace(realizations, path, seed=None):
-    """Write a replayable large-scale trace (per trial/user) as CSV."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["# seed", "" if seed is None else seed])
-        writer.writerow(["trial", "user", "distance_m", "los", "g_db"])
-        for trial, real in enumerate(realizations):
-            for k in range(len(real.g)):
-                writer.writerow([
-                    trial, k,
-                    f"{real.distances_m[k]:.6f}",
-                    int(bool(real.los[k])),
-                    f"{10.0 * np.log10(real.g[k]):.6f}",
-                ])
+    return ChannelRealization(h=h, g=np.atleast_1d(g), los=los)

@@ -3,7 +3,7 @@
 Subcommands mirror the pipeline stages: link-budget, leakage, adoption,
 deploy, simulate, sweep-guard, compliance.  A JSON config file
 (--config) can pre-load any ScenarioConfig / CellConfig field; explicit
-flags win.  All commands exit nonzero on error.
+flags win.  Bad input exits 2 with a one-line message.
 """
 
 import argparse
@@ -16,7 +16,7 @@ from .airlink import CellConfig
 from .deployment import build_snapshot, ingest_counties, load_bundled_counties
 from .filterbank import edge_psd_margin, leaked_psd_dbm_per_mhz
 from .linkbudget import build_link_budget, load_sensor_catalog
-from .reports import emit_guard_sweep, emit_leakage_table, emit_report, emit_rows
+from .reports import _json_safe, emit_guard_sweep, emit_leakage_table, emit_report, emit_rows
 from .scenario import (
     CANONICAL_YEARS,
     ScenarioConfig,
@@ -26,29 +26,82 @@ from .scenario import (
 )
 
 
+# JSON value accepted for each config field type: (description, check).
+_FIELD_CHECKS = {
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    tuple: ("a list of strings",
+            lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
+}
+_SECTIONS = {"scenario": ScenarioConfig, "cell": CellConfig}
+
+
 def _load_config_file(path):
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: config must be a JSON object")
+    unknown = sorted(set(payload) - set(_SECTIONS))
+    if unknown:
+        raise ValueError(f"{path}: unknown config section {unknown[0]!r}")
     return payload
+
+
+def _section_kwargs(payload, section):
+    """Keyword arguments for one config section, each key checked against its field."""
+    values = payload.get(section, {})
+    if not isinstance(values, dict):
+        raise ValueError(f"config section {section!r} must be a JSON object")
+    types = {f.name: f.type for f in dataclasses.fields(_SECTIONS[section])}
+    kwargs = {}
+    for key, value in values.items():
+        if key not in types:
+            raise ValueError(f"config section {section!r}: unknown key {key!r}")
+        expected, check = _FIELD_CHECKS[types[key]]
+        if not check(value):
+            raise ValueError(f"config section {section!r}: key {key!r} must be "
+                             f"{expected}, got {json.dumps(value)}")
+        kwargs[key] = tuple(value) if types[key] is tuple else value
+    return kwargs
 
 
 def _build_configs(args, overrides):
     payload = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    scen_kwargs = dict(payload.get("scenario", {}))
-    cell_kwargs = dict(payload.get("cell", {}))
+    scen_kwargs = _section_kwargs(payload, "scenario")
     for key, value in overrides.items():
         if value is not None:
             scen_kwargs[key] = value
     if getattr(args, "seed", None) is not None:
         scen_kwargs["seed"] = args.seed
-    if "sensor_ids" in scen_kwargs:
-        scen_kwargs["sensor_ids"] = tuple(scen_kwargs["sensor_ids"])
-    cfg = ScenarioConfig(**scen_kwargs)
-    cell_kwargs.setdefault("bandwidth_hz", cfg.bandwidth_hz)
-    cell = CellConfig(**cell_kwargs)
-    return cfg, cell
+    return ScenarioConfig(**scen_kwargs), CellConfig(**_section_kwargs(payload, "cell"))
+
+
+def _print_json(payload):
+    """Stdout JSON with the report files' encoding of non-finite floats."""
+    print(json.dumps(_json_safe(payload), indent=2, sort_keys=True))
+
+
+def _guard_grid(spec, cfg):
+    """Guard widths of a lo:hi:step sweep, checked before any is generated."""
+    try:
+        lo, hi, step = (float(x) for x in spec.split(":"))
+    except ValueError:
+        raise ValueError(f"--guards must be lo:hi:step in MHz, got {spec!r}") from None
+    if not step >= 0.1:
+        raise ValueError(f"--guards step must be at least 0.1 MHz, the report's "
+                         f"guard precision; got {step:g}")
+    for guard in (lo, hi):
+        dataclasses.replace(cfg, guard_mhz=guard)  # range check by ScenarioConfig
+    if lo > hi:
+        raise ValueError(f"--guards range {spec!r} is empty")
+    guards = []
+    g = lo
+    while g <= hi + 1e-9:
+        guards.append(round(g, 6))
+        g += step
+    return guards
 
 
 def _counties(args):
@@ -69,7 +122,7 @@ def _cmd_link_budget(args):
         raise KeyError(f"unknown sensor {args.sensor!r}; have {sorted(catalog)}")
     budget = build_link_budget(catalog[args.sensor], g_tx_db=args.g_tx,
                                f_ghz=args.freq)
-    print(json.dumps(budget.to_dict(), indent=2, sort_keys=True))
+    _print_json(budget.to_dict())
     return 0
 
 
@@ -82,7 +135,7 @@ def _cmd_leakage(args):
     if args.out_dir:
         paths = emit_leakage_table(rows, args.out_dir,
                                    header={"ripple_db": args.ripple})
-        print(json.dumps(paths, indent=2, sort_keys=True))
+        _print_json(paths)
     else:
         for row in rows:
             print(f"{row['sensor_id']},{row['order']},{row['guard_mhz']:.1f},"
@@ -99,7 +152,7 @@ def _cmd_adoption(args):
         "penetration_per_100": scenario_penetration(args.year, factor),
         "curve_per_100": gompertz(model, args.year),
     }
-    print(json.dumps(out, indent=2, sort_keys=True))
+    _print_json(out)
     return 0
 
 
@@ -111,9 +164,12 @@ def _cmd_deploy(args):
         "rate_bps": args.rate,
     })
     records = _counties(args)
+    penetration = scenario_penetration(cfg.year, cfg.adoption_factor,
+                                       use_published=cfg.use_published_penetration)
     snapshot = build_snapshot(records, cfg.year, cfg.adoption_factor,
                               args.rate if args.rate is not None else cfg.max_demand_bps,
-                              cfg.eta_bps_per_hz, cfg.bandwidth_hz)
+                              cfg.eta_bps_per_hz, cfg.bandwidth_hz,
+                              penetration_per_100=penetration)
     by_fips = {r.fips: r for r in records}
     rows = [
         {
@@ -138,9 +194,9 @@ def _cmd_deploy(args):
         paths = emit_rows(rows, ["fips", "name", "state", "population",
                                  "land_area_km2", "n_bs"],
                           args.out_dir, "deployment", header=header)
-        print(json.dumps(paths, indent=2, sort_keys=True))
+        _print_json(paths)
     else:
-        print(json.dumps({"config": header, "rows": rows}, indent=2, sort_keys=True))
+        _print_json({"config": header, "rows": rows})
     return 0
 
 
@@ -156,24 +212,18 @@ def _cmd_simulate(args):
     report = simulate(cfg, cell=cell, counties=records, n_jobs=args.jobs)
     if args.out_dir:
         paths = emit_report(report, args.out_dir)
-        print(json.dumps(paths, indent=2, sort_keys=True))
+        _print_json(paths)
     else:
-        payload = {"config": report.config,
-                   "worst_sensor": report.worst_sensor_id,
-                   "rows": [dataclasses.asdict(r) for r in report.rows]}
-        print(json.dumps(payload, indent=2, sort_keys=True, default=str))
+        _print_json({"config": report.config,
+                     "worst_sensor": report.worst_sensor_id,
+                     "rows": [dataclasses.asdict(r) for r in report.rows]})
     return 0
 
 
 def _cmd_sweep_guard(args):
     cfg, cell = _build_configs(args, {"trials": args.trials})
     years = [int(y) for y in args.years.split(",")]
-    lo, hi, step = (float(x) for x in args.guards.split(":"))
-    guards = []
-    g = lo
-    while g <= hi + 1e-9:
-        guards.append(round(g, 6))
-        g += step
+    guards = _guard_grid(args.guards, cfg)
     records = _counties(args)
     rows = sweep_guard_bands(cfg, years=years, guards_mhz=guards, cell=cell,
                              counties=records, n_jobs=args.jobs)
@@ -182,7 +232,7 @@ def _cmd_sweep_guard(args):
     header.pop("rate_bps", None)
     if args.out_dir:
         paths = emit_guard_sweep(rows, args.out_dir, header=header)
-        print(json.dumps(paths, indent=2, sort_keys=True))
+        _print_json(paths)
     else:
         for row in rows:
             print(f"{row.year},{row.guard_mhz:.1f},{row.max_rate_mbps}")
@@ -207,7 +257,7 @@ def _cmd_compliance(args):
         "margin_db": margin,
         "compliant": margin >= 0,
     }
-    print(json.dumps(out, indent=2, sort_keys=True))
+    _print_json(out)
     return 0 if margin >= 0 else 3
 
 

@@ -3,8 +3,7 @@
 Subscriber demand per county converts to a BS count sized for the peak
 per-user demand; uniform BS density within the county then gives the
 expected number of stations inside a satellite footprint placed fully
-inside the county (worst case).  Multi-county footprints are only
-modeled through an explicit overlap fraction.
+inside the county (worst case).
 """
 
 import csv
@@ -52,10 +51,6 @@ class CountyRecord:
             raise ValueError(f"{self.fips}: land area must be positive")
         if not 1 <= self.rucc_code <= 9:
             raise ValueError(f"{self.fips}: RUCC code must lie in 1..9")
-
-    @property
-    def metro(self) -> bool:
-        return self.rucc_code in METRO_RUCC_CODES
 
 
 @dataclass(frozen=True)
@@ -167,28 +162,17 @@ def bs_count(county: CountyRecord, penetration_per_100: float, rate_bps: float,
     return ceil(demand / (eta_bps_per_hz * bandwidth_hz))
 
 
-def footprint_bs_count(n_bs: int, a_sat_km2: float, a_county_km2: float,
-                       overlap_fraction: float = None) -> int:
+def footprint_bs_count(n_bs: int, a_sat_km2: float, a_county_km2: float) -> int:
     """Stations from one county inside a satellite footprint.
 
-    Uniform density: floor(overlap/A_county * N_BS).  Without an explicit
-    overlap the footprint is taken fully inside the county (worst case),
-    i.e. overlap = min(A_sat, A_county).
+    Uniform density with the footprint fully inside the county (worst
+    case): floor(min(A_sat, A_county)/A_county * N_BS).
     """
     if a_sat_km2 <= 0 or a_county_km2 <= 0:
         raise ValueError("areas must be positive")
     if n_bs < 0:
         raise ValueError(f"n_bs must be >= 0, got {n_bs}")
-    max_fraction = min(a_sat_km2, a_county_km2) / a_county_km2
-    if overlap_fraction is None:
-        fraction = max_fraction
-    else:
-        if not 0 <= overlap_fraction <= max_fraction + 1e-12:
-            raise ValueError(
-                f"overlap fraction {overlap_fraction} outside [0, {max_fraction:.6f}]"
-            )
-        fraction = overlap_fraction
-    return floor(fraction * n_bs)
+    return floor(min(a_sat_km2, a_county_km2) / a_county_km2 * n_bs)
 
 
 @dataclass(frozen=True)
@@ -206,14 +190,8 @@ class DeploymentSnapshot:
 
 def build_snapshot(records, year: int, adoption_factor: float, rate_bps: float,
                    eta_bps_per_hz: float, bandwidth_hz: float,
-                   penetration_per_100: float = None,
-                   use_published: bool = True) -> DeploymentSnapshot:
+                   penetration_per_100: float) -> DeploymentSnapshot:
     """Deterministic per-county BS counts for one configuration."""
-    from .adoption import scenario_penetration
-
-    if penetration_per_100 is None:
-        penetration_per_100 = scenario_penetration(year, adoption_factor,
-                                                   use_published=use_published)
     counts = {}
     for record in sorted(records, key=lambda r: r.fips):
         counts[record.fips] = bs_count(record, penetration_per_100, rate_bps,

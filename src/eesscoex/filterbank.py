@@ -7,7 +7,7 @@ BS-bandwidth-normalized integral of the power response over that window,
 so it reads directly as the fraction of transmit power emitted there.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,22 +64,6 @@ class FilterSpec:
     def bandwidth_mhz(self) -> float:
         return (self.passband_high_ghz - self.passband_low_ghz) * 1e3
 
-    @property
-    def ripple_floor(self) -> float:
-        """Minimum in-band power gain, 10^(-ripple/10)."""
-        return 10.0 ** (-self.ripple_db / 10.0)
-
-    def with_guard(self, guard_mhz: float, band_top_ghz: float = 7.400,
-                   allocation_edge_ghz: float = 7.125) -> "FilterSpec":
-        """Same design shifted to a passband starting `guard_mhz` above the allocation edge."""
-        if not 0 <= guard_mhz < (band_top_ghz - allocation_edge_ghz) * 1e3:
-            raise ValueError(f"guard band {guard_mhz} MHz leaves no usable passband")
-        return replace(
-            self,
-            passband_low_ghz=allocation_edge_ghz + guard_mhz / 1e3,
-            passband_high_ghz=band_top_ghz,
-        )
-
 
 @dataclass(frozen=True)
 class VictimWindow:
@@ -92,19 +76,12 @@ class VictimWindow:
         if not 0 < self.f_low_ghz < self.f_high_ghz:
             raise ValueError(f"degenerate window [{self.f_low_ghz}, {self.f_high_ghz}] GHz")
 
-    @property
-    def width_mhz(self) -> float:
-        return (self.f_high_ghz - self.f_low_ghz) * 1e3
-
 
 @dataclass(frozen=True)
 class LeakageProfile:
     """Power-leakage fraction of one filter design into one victim window."""
 
-    sensor_id: str
     delta: float
-    window: VictimWindow
-    bs_bandwidth_mhz: float
 
     def __post_init__(self):
         # Strictly positive for any Chebyshev response; 0 covers the
@@ -173,7 +150,7 @@ def worst_victim_window(sensor_span_ghz: tuple, ref_bw_mhz: float,
 
 
 def leakage_fraction(spec: FilterSpec, window: VictimWindow, bs_bandwidth_mhz: float,
-                     sensor_id: str = "", response=None) -> LeakageProfile:
+                     response=None) -> LeakageProfile:
     """Fraction of transmit power leaked into `window`.
 
     Trapezoidal integration of the power response over the window on the
@@ -198,28 +175,23 @@ def leakage_fraction(spec: FilterSpec, window: VictimWindow, bs_bandwidth_mhz: f
     freqs = np.linspace(window.f_low_ghz, window.f_high_ghz, n + 1)
     integral_ghz = np.trapezoid(response(freqs), freqs)
     delta = float(integral_ghz * 1e3 / bs_bandwidth_mhz)
-    return LeakageProfile(sensor_id=sensor_id, delta=delta, window=window,
-                          bs_bandwidth_mhz=bs_bandwidth_mhz)
+    return LeakageProfile(delta=delta)
 
 
-def leaked_psd_dbm_per_mhz(spec: FilterSpec, p_tx_dbw: float, f_ghz: float,
-                           bs_bandwidth_mhz: float = None) -> float:
+def leaked_psd_dbm_per_mhz(spec: FilterSpec, p_tx_dbw: float, f_ghz: float) -> float:
     """PSD of the leaked signal at `f_ghz` under a flat in-band PSD.
 
-    The total power is spread uniformly over the occupied bandwidth
-    (passband width unless overridden), then shaped by the response.
+    The total power is spread uniformly over the passband width, then
+    shaped by the response.
     """
     if not np.isfinite(p_tx_dbw):
         raise ValueError(f"transmit power must be finite, got {p_tx_dbw}")
-    if bs_bandwidth_mhz is None:
-        bs_bandwidth_mhz = spec.bandwidth_mhz
-    inband_psd = (p_tx_dbw + 30.0) - 10.0 * np.log10(bs_bandwidth_mhz)
+    inband_psd = (p_tx_dbw + 30.0) - 10.0 * np.log10(spec.bandwidth_mhz)
     return float(inband_psd + 10.0 * np.log10(power_response(spec, f_ghz)))
 
 
 def edge_psd_margin(spec: FilterSpec, p_tx_dbw: float, eval_f_ghz: float,
-                    limit_dbm_mhz: float = DEFAULT_SPURIOUS_LIMIT_DBM_MHZ,
-                    bs_bandwidth_mhz: float = None) -> float:
+                    limit_dbm_mhz: float = DEFAULT_SPURIOUS_LIMIT_DBM_MHZ) -> float:
     """Margin of the leaked PSD against an emission limit (positive = compliant)."""
-    psd = leaked_psd_dbm_per_mhz(spec, p_tx_dbw, eval_f_ghz, bs_bandwidth_mhz)
+    psd = leaked_psd_dbm_per_mhz(spec, p_tx_dbw, eval_f_ghz)
     return float(limit_dbm_mhz - psd)

@@ -19,12 +19,9 @@ import numpy as np
 __all__ = [
     "SinrTargets",
     "RfiBudget",
-    "PowerModel",
     "PrecodeSolution",
     "sinr_target",
     "solve_power_min",
-    "per_bs_rfi_w",
-    "total_consumed_power_w",
 ]
 
 
@@ -50,10 +47,6 @@ class SinrTargets:
     @classmethod
     def uniform(cls, gamma: float, n_users: int) -> "SinrTargets":
         return cls(gammas=(gamma,) * n_users)
-
-    @classmethod
-    def from_rates(cls, rates_bps, bandwidth_hz: float) -> "SinrTargets":
-        return cls(gammas=tuple(sinr_target(r, bandwidth_hz) for r in rates_bps))
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.gammas, dtype=float)
@@ -86,24 +79,6 @@ class RfiBudget:
     def p_sum_max_w(self) -> float:
         return min(self.p_bs_w, self.p_sat_max_w)
 
-    @property
-    def rfi_limited(self) -> bool:
-        return self.p_sat_max_w < self.p_bs_w
-
-
-@dataclass(frozen=True)
-class PowerModel:
-    """Consumed-power overhead coefficients: alpha(B) = a0 + a1*B, beta(l) = b0 + b1*l."""
-
-    alpha0: float = 0.0
-    alpha1_per_hz: float = 0.0
-    beta0: float = 0.0
-    beta1_per_stage: float = 0.0
-
-    def __post_init__(self):
-        if min(self.alpha0, self.alpha1_per_hz, self.beta0, self.beta1_per_stage) < 0:
-            raise ValueError("power-model coefficients must be >= 0")
-
 
 @dataclass(frozen=True)
 class PrecodeSolution:
@@ -116,20 +91,6 @@ class PrecodeSolution:
     converged: bool
     iterations: int
     duality_gap: float
-
-    def to_dict(self, include_beams: bool = False) -> dict:
-        out = {
-            "p_tx_w": self.p_tx_w,
-            "feasible": self.feasible,
-            "sinr": [float(s) for s in self.sinr],
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "duality_gap": self.duality_gap,
-        }
-        if include_beams:
-            out["w_real"] = self.w.real.tolist()
-            out["w_imag"] = self.w.imag.tolist()
-        return out
 
 
 def solve_power_min(h: np.ndarray, g: np.ndarray, targets: SinrTargets,
@@ -219,20 +180,3 @@ def solve_power_min(h: np.ndarray, g: np.ndarray, targets: SinrTargets,
     return PrecodeSolution(w=w, p_tx_w=p_tx, feasible=feasible, sinr=sinr,
                            converged=converged, iterations=iterations,
                            duality_gap=duality_gap)
-
-
-def per_bs_rfi_w(p_tx_w: float, delta: float, g_sat_linear: float) -> float:
-    """Received RFI at the sensor from one BS: g_sat * delta * P_tx."""
-    if min(p_tx_w, delta, g_sat_linear) < 0:
-        raise ValueError("arguments must be >= 0")
-    return g_sat_linear * delta * p_tx_w
-
-
-def total_consumed_power_w(p_tx_w: float, pm: PowerModel, bandwidth_hz: float,
-                           order: int, delta: float) -> float:
-    """Total consumed power P_tx (1 + alpha(B) + beta(l) + delta)."""
-    if p_tx_w < 0 or bandwidth_hz < 0 or order < 0 or delta < 0:
-        raise ValueError("arguments must be >= 0")
-    alpha = pm.alpha0 + pm.alpha1_per_hz * bandwidth_hz
-    beta = pm.beta0 + pm.beta1_per_stage * order
-    return p_tx_w * (1.0 + alpha + beta + delta)

@@ -63,31 +63,29 @@ def _open_out(out_dir, name):
         raise OSError(f"cannot write report to {os.path.join(out_dir, name)}: {exc}") from exc
 
 
-def emit_rows(rows, fieldnames, out_dir, basename, header=None, formats=("csv", "json")):
-    """Write dict rows as CSV (with a commented config header) and/or JSON."""
+def emit_rows(rows, fieldnames, out_dir, basename, header=None):
+    """Write dict rows as CSV (with a commented config header) and JSON."""
     if not rows:
         raise ValueError("nothing to emit: empty row set")
     paths = {}
     header = header or {}
-    if "csv" in formats:
-        with _open_out(out_dir, f"{basename}.csv") as fh:
-            for key in sorted(header):
-                fh.write(f"# {key}={_json_safe(header[key])}\n")
-            writer = csv.writer(fh)
-            writer.writerow(fieldnames)
-            for row in rows:
-                writer.writerow([_format_value(k, row[k]) for k in fieldnames])
-            paths["csv"] = fh.name
-    if "json" in formats:
-        with _open_out(out_dir, f"{basename}.json") as fh:
-            json.dump({"config": _json_safe(header), "rows": _json_safe(rows)},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
-            paths["json"] = fh.name
+    with _open_out(out_dir, f"{basename}.csv") as fh:
+        for key in sorted(header):
+            fh.write(f"# {key}={_json_safe(header[key])}\n")
+        writer = csv.writer(fh)
+        writer.writerow(fieldnames)
+        for row in rows:
+            writer.writerow([_format_value(k, row[k]) for k in fieldnames])
+        paths["csv"] = fh.name
+    with _open_out(out_dir, f"{basename}.json") as fh:
+        json.dump({"config": _json_safe(header), "rows": _json_safe(rows)},
+                  fh, indent=2, sort_keys=True)
+        fh.write("\n")
+        paths["json"] = fh.name
     return paths
 
 
-def emit_report(reports, out_dir, basename="rfi_report", formats=("csv", "json")):
+def emit_report(reports, out_dir, basename="rfi_report"):
     """Emit one or more RfiReports as a flat sensor-row table.
 
     All reports in one emission must share their configuration header
@@ -105,18 +103,15 @@ def emit_report(reports, out_dir, basename="rfi_report", formats=("csv", "json")
     header = dict(reports[0].config)
     for key in ("year", "rate_bps", "penetration_per_100"):
         header.pop(key, None)
-    return emit_rows(rows, _SENSOR_FIELDS, out_dir, basename, header=header,
-                     formats=formats)
+    return emit_rows(rows, _SENSOR_FIELDS, out_dir, basename, header=header)
 
 
-def emit_guard_sweep(rows, out_dir, basename="guard_sweep", header=None,
-                     formats=("csv", "json")):
+def emit_guard_sweep(rows, out_dir, basename="guard_sweep", header=None):
     dict_rows = [asdict(r) for r in rows]
     return emit_rows(dict_rows, ["year", "guard_mhz", "max_rate_mbps"], out_dir,
-                     basename, header=header, formats=formats)
+                     basename, header=header)
 
 
-def emit_leakage_table(rows, out_dir, basename="leakage", header=None,
-                       formats=("csv", "json")):
+def emit_leakage_table(rows, out_dir, basename="leakage", header=None):
     return emit_rows(rows, ["sensor_id", "order", "guard_mhz", "delta", "delta_db"],
-                     out_dir, basename, header=header, formats=formats)
+                     out_dir, basename, header=header)

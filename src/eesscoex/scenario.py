@@ -19,16 +19,16 @@ serial and parallel runs byte-identical.
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict, fields, replace
 
 import numpy as np
 
-from .adoption import scenario_penetration
+from .adoption import BASELINE_MODEL, scenario_penetration
 from .airlink import CellConfig, generate_channel, noise_power_w, trial_rng
 from .deployment import build_snapshot, load_bundled_counties, worst_case_footprint
 from .filterbank import FilterSpec, leakage_fraction, worst_victim_window
 from .linkbudget import load_sensor_catalog, net_gain_db
-from .precoder import RfiBudget, SinrTargets, solve_power_min
+from .precoder import RfiBudget, SinrTargets, sinr_target, solve_power_min
 
 __all__ = [
     "ALLOCATION_EDGE_GHZ",
@@ -82,6 +82,9 @@ class ScenarioConfig:
     calibration_db: float = 0.0         # additive alignment of reported RFI
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if not 0 <= self.guard_mhz <= 50:
             raise ValueError(f"guard band must lie in [0, 50] MHz, got {self.guard_mhz}")
         if self.trials < 1:
@@ -119,8 +122,6 @@ class ScenarioConfig:
 
     def header(self, cell: CellConfig) -> dict:
         """Reproducibility header echoed into every report."""
-        from .adoption import BASELINE_MODEL
-
         out = {k: v for k, v in asdict(self).items()}
         out["sensor_ids"] = list(self.sensor_ids)
         out["bandwidth_hz"] = self.bandwidth_hz
@@ -141,7 +142,6 @@ class MeanPowerResult:
     mean_p_w: float
     infeasibility_rate: float
     n_feasible: int
-    n_trials: int
     n_unconverged: int
 
     @property
@@ -217,7 +217,7 @@ def mean_bs_power(cfg: ScenarioConfig, cell: CellConfig, budget: RfiBudget = Non
     outcome is independent of `n_jobs`.  Precomputed `channels` (shared
     across sweep points) short-circuit the parallel path.
     """
-    gamma = _rate_gamma(cfg.rate_bps, cfg.bandwidth_hz)
+    gamma = sinr_target(cfg.rate_bps, cfg.bandwidth_hz)
     gammas = (gamma,) * cell.n_users
     noise_w = noise_power_w(cell.noise_temp_k, cfg.bandwidth_hz)
     if channels is not None:
@@ -245,13 +245,8 @@ def mean_bs_power(cfg: ScenarioConfig, cell: CellConfig, budget: RfiBudget = Non
         mean_p_w=mean_p,
         infeasibility_rate=1.0 - n_feasible / cfg.trials,
         n_feasible=n_feasible,
-        n_trials=cfg.trials,
         n_unconverged=int(np.count_nonzero(~converged)),
     )
-
-
-def _rate_gamma(rate_bps: float, bandwidth_hz: float) -> float:
-    return 2.0 ** (rate_bps / bandwidth_hz) - 1.0
 
 
 def aggregate_rfi_dbw(mean_p_tx_w: float, delta: float, net_gain_db: float,
@@ -286,7 +281,7 @@ def _sensor_geometries(cfg: ScenarioConfig, catalog: dict) -> list:
         sensor = catalog[sid]
         window = worst_victim_window(sensor.channel_span_ghz, cfg.ref_bandwidth_mhz,
                                      cfg.tn_band_ghz)
-        profile = leakage_fraction(spec, window, cfg.bandwidth_hz / 1e6, sensor_id=sid)
+        profile = leakage_fraction(spec, window, cfg.bandwidth_hz / 1e6)
         gain_db = net_gain_db(sensor, use_published=cfg.use_published_gain,
                               g_tx_db=cfg.g_tx_db)
         out.append(_SensorGeometry(
@@ -310,7 +305,7 @@ def simulate(cfg: ScenarioConfig, cell: CellConfig = None, counties: list = None
              channels: list = None, n_jobs: int = 1, catalog: dict = None,
              power: MeanPowerResult = None) -> RfiReport:
     """Aggregate RFI per sensor for one scenario grid point."""
-    cell = cell if cell is not None else CellConfig(bandwidth_hz=cfg.bandwidth_hz)
+    cell = cell if cell is not None else CellConfig()
     if counties is None:
         counties = load_bundled_counties().records
     if catalog is None:
@@ -365,7 +360,7 @@ def simulate_grid(cfg: ScenarioConfig, years=CANONICAL_YEARS,
                   counties: list = None, channels: list = None,
                   n_jobs: int = 1) -> list:
     """Reports over a (year x rate) grid at fixed guard; shares channel draws."""
-    cell = cell if cell is not None else CellConfig(bandwidth_hz=cfg.bandwidth_hz)
+    cell = cell if cell is not None else CellConfig()
     if channels is None:
         channels = draw_channels(cell, cfg.seed, cfg.trials)
     catalog = load_sensor_catalog()
@@ -398,7 +393,7 @@ def max_feasible_rate(cfg: ScenarioConfig, rate_grid_mbps=RATE_GRID_MBPS,
     optional `power_cache` shares batches across calls (e.g. across the
     years of a guard sweep).
     """
-    cell = cell if cell is not None else CellConfig(bandwidth_hz=cfg.bandwidth_hz)
+    cell = cell if cell is not None else CellConfig()
     if channels is None:
         channels = draw_channels(cell, cfg.seed, cfg.trials)
     if counties is None:
@@ -451,20 +446,25 @@ def sweep_guard_bands(cfg: ScenarioConfig, years=CANONICAL_YEARS,
 def leakage_table(orders=(3, 5, 7, 9), guards_mhz=tuple(range(0, 55, 5)),
                   sensor_ids=SENSOR_IDS, ripple_db: float = 0.2,
                   grid_step_mhz: float = 0.01, ref_bandwidth_mhz: float = 200.0) -> list:
-    """Leakage fractions across filter orders and guard widths, per sensor."""
+    """Leakage fractions across filter orders and guard widths, per sensor.
+
+    Each fraction is normalized by the passband width `spec.bandwidth_mhz`;
+    `cfg.bandwidth_hz / 1e6` is the same width but differs in the last bits,
+    which would change the table's digits.
+    """
     catalog = load_sensor_catalog()
     rows = []
     for sid in sensor_ids:
         sensor = catalog[sid]
         for order in orders:
             for guard in guards_mhz:
-                lo = ALLOCATION_EDGE_GHZ + guard / 1e3
-                spec = FilterSpec(order=order, ripple_db=ripple_db,
-                                  passband_low_ghz=lo, passband_high_ghz=BAND_TOP_GHZ,
-                                  grid_step_mhz=grid_step_mhz)
+                cfg = ScenarioConfig(guard_mhz=guard, filter_order=order, ripple_db=ripple_db,
+                                     grid_step_mhz=grid_step_mhz,
+                                     ref_bandwidth_mhz=ref_bandwidth_mhz)
+                spec = cfg.filter_spec
                 window = worst_victim_window(sensor.channel_span_ghz,
-                                             ref_bandwidth_mhz, (lo, BAND_TOP_GHZ))
-                profile = leakage_fraction(spec, window, spec.bandwidth_mhz, sensor_id=sid)
+                                             cfg.ref_bandwidth_mhz, cfg.tn_band_ghz)
+                profile = leakage_fraction(spec, window, spec.bandwidth_mhz)
                 rows.append({
                     "sensor_id": sid,
                     "order": order,

@@ -72,7 +72,7 @@ def base_cfg():
 
 @pytest.fixture(scope="module")
 def cell(base_cfg):
-    return CellConfig(bandwidth_hz=base_cfg.bandwidth_hz)
+    return CellConfig()
 
 
 @pytest.fixture(scope="module")
@@ -307,7 +307,7 @@ def test_criterion_8_headline_decisions(base_cfg, cell, channels, counties,
 
 def test_criterion_9_determinism(tmp_path, counties, announce):
     cfg = ScenarioConfig(trials=50, seed=31, rate_bps=500e6)
-    cell = CellConfig(bandwidth_hz=cfg.bandwidth_hz)
+    cell = CellConfig()
     serial = simulate(cfg, cell=cell, counties=counties, n_jobs=1)
     parallel = simulate(cfg, cell=cell, counties=counties, n_jobs=3)
     rerun = simulate(cfg, cell=cell, counties=counties, n_jobs=1)

@@ -164,13 +164,8 @@ def test_fit_requires_enough_points():
         fit_gompertz(series, BASELINE_MODEL)
 
 
-def test_series_validation_and_csv(tmp_path):
+def test_series_validation_and_csv():
     with pytest.raises(ValueError):
         PenetrationSeries(years=(2000, 2000), values=(1.0, 2.0))
     with pytest.raises(ValueError):
         PenetrationSeries(years=(2000, 2001), values=(1.0, 200.0))
-    path = tmp_path / "pen.csv"
-    path.write_text("year,per_100\n1998,0.5\n1999,1.2\n2000,2.5\n")
-    series = PenetrationSeries.from_csv(path)
-    assert len(series) == 3
-    assert series.values[-1] == 2.5

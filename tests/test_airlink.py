@@ -5,7 +5,6 @@ from scipy.integrate import quad
 from eesscoex.airlink import (
     BOLTZMANN_J_PER_K,
     CellConfig,
-    dump_trace,
     generate_channel,
     los_probability,
     noise_power_w,
@@ -150,7 +149,6 @@ def test_channel_fields():
     assert real.h.shape == (8, 256)
     assert real.g.shape == (8,)
     assert np.all(real.g > 0)
-    assert real.noise_w == pytest.approx(noise_power_w(290.0, 250e6))
 
 
 def test_los_fraction_matches_quadrature():
@@ -181,12 +179,3 @@ def test_config_validation():
         CellConfig(distance_mode="clustered")
     with pytest.raises(ValueError):
         CellConfig(los_mode="sometimes")
-
-
-def test_trace_dump(tmp_path):
-    reals = [generate_channel(CFG, trial_rng(1, t)) for t in range(3)]
-    path = tmp_path / "trace.csv"
-    dump_trace(reals, path, seed=1)
-    lines = path.read_text().strip().splitlines()
-    assert lines[1].split(",")[0] == "trial"
-    assert len(lines) == 2 + 3 * CFG.n_users

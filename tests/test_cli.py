@@ -123,3 +123,63 @@ def test_invalid_config_errors(tmp_path, capsys):
     path.write_text("[1, 2]")
     assert main(["--config", str(path), "simulate", "--year", "2030"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def _write_config(tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+@pytest.mark.parametrize("config, section, key", [
+    ({"scenario": {"yeer": 2040}}, "scenario", "yeer"),
+    ({"cell": {"bandwidth_hz": 1e6}}, "cell", "bandwidth_hz"),
+    ({"scenario": {"trials": "5"}}, "scenario", "trials"),
+])
+def test_config_key_errors(tmp_path, capsys, config, section, key):
+    path = _write_config(tmp_path, config)
+    assert main(["--config", path, "simulate", "--year", "2030", "--trials", "2"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert f"'{section}'" in err[0] and f"'{key}'" in err[0]
+
+
+def test_deploy_follows_config_penetration_flag(tmp_path, capsys):
+    path = _write_config(tmp_path, {"scenario": {"use_published_penetration": False}})
+    assert main(["--config", path, "deploy", "--year", "2035"]) == 0
+    deployed = json.loads(capsys.readouterr().out)["config"]["penetration_per_100"]
+    assert main(["--config", path, "simulate", "--year", "2035", "--trials", "2"]) == 0
+    simulated = json.loads(capsys.readouterr().out)["config"]["penetration_per_100"]
+    assert deployed == simulated == pytest.approx(9.0608, abs=1e-4)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-guard", "--guards", "0:50:0", "--trials", "2"],
+    ["sweep-guard", "--guards", "0:50:-5", "--trials", "2"],
+    ["simulate", "--rate", "nan", "--trials", "2"],
+    ["simulate", "--rate", "inf", "--trials", "2"],
+    ["leakage", "--guards", "60"],
+])
+def test_out_of_range_numbers_exit_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_simulate_stdout_is_strict_json(tmp_path, capsys):
+    counties = tmp_path / "c.csv"
+    counties.write_text("fips,name,state,rucc_code,population\n"
+                        "06037,Tiny,CA,1,100\n")
+    gaz = tmp_path / "g.csv"
+    gaz.write_text("fips,land_area_km2\n06037,20000.0\n")
+    assert main(["simulate", "--year", "2030", "--trials", "2",
+                 "--counties", str(counties), "--gazetteer", str(gaz)]) == 0
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert all(row["n_footprint"] == 0 for row in payload["rows"])
+    assert all(row["rfi_dbw"] == "-inf" for row in payload["rows"])

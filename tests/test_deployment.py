@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eesscoex.adoption import scenario_penetration
 from eesscoex.deployment import (
+    METRO_RUCC_CODES,
     CountyRecord,
     IngestError,
     bs_count,
@@ -116,14 +118,6 @@ def test_footprint_count_examples():
     assert footprint_bs_count(4000, 209.0, 10510.0) == 79
 
 
-def test_footprint_overlap_fraction():
-    assert footprint_bs_count(100, 209.0, 1000.0, overlap_fraction=0.1) == 10
-    with pytest.raises(ValueError):
-        footprint_bs_count(100, 209.0, 1000.0, overlap_fraction=0.5)  # > 209/1000
-    with pytest.raises(ValueError):
-        footprint_bs_count(100, 209.0, 1000.0, overlap_fraction=-0.1)
-
-
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(min_value=0, max_value=10**6),
        a_sat=st.floats(min_value=1.0, max_value=5e4),
@@ -133,16 +127,16 @@ def test_footprint_never_exceeds_bs_count(n, a_sat, a_county):
 
 
 def test_snapshot_deterministic(counties):
-    a = build_snapshot(counties, 2035, 1.0, 500e6, 50.0, 250e6)
-    b = build_snapshot(counties, 2035, 1.0, 500e6, 50.0, 250e6)
+    a = build_snapshot(counties, 2035, 1.0, 500e6, 50.0, 250e6, 10.0)
+    b = build_snapshot(counties, 2035, 1.0, 500e6, 50.0, 250e6, 10.0)
     assert a == b
     assert list(a.counts) == sorted(a.counts)
 
 
 def test_snapshot_monotone_in_year_rate_penetration(counties):
-    base = build_snapshot(counties, 2030, 1.0, 100e6, 50.0, 250e6)
-    later = build_snapshot(counties, 2035, 1.0, 100e6, 50.0, 250e6)
-    faster = build_snapshot(counties, 2030, 1.0, 500e6, 50.0, 250e6)
+    base = build_snapshot(counties, 2030, 1.0, 100e6, 50.0, 250e6, 1.0)
+    later = build_snapshot(counties, 2035, 1.0, 100e6, 50.0, 250e6, 10.0)
+    faster = build_snapshot(counties, 2030, 1.0, 500e6, 50.0, 250e6, 1.0)
     for fips in base.counts:
         assert later.counts[fips] >= base.counts[fips]
         assert faster.counts[fips] >= base.counts[fips]
@@ -151,7 +145,8 @@ def test_snapshot_monotone_in_year_rate_penetration(counties):
 def test_worst_case_footprint_is_la(counties, catalog):
     for year in (2030, 2035, 2040):
         for rate in (100e6, 200e6, 300e6, 400e6, 500e6):
-            snapshot = build_snapshot(counties, year, 1.0, rate, 50.0, 250e6)
+            snapshot = build_snapshot(counties, year, 1.0, rate, 50.0, 250e6,
+                                      scenario_penetration(year, 1.0))
             for sid in catalog:
                 county, count = worst_case_footprint(counties, snapshot, catalog[sid])
                 assert county.fips == "06037", (year, rate, sid)
@@ -159,7 +154,7 @@ def test_worst_case_footprint_is_la(counties, catalog):
 
 
 def test_worst_case_footprint_matches_argmax_oracle(counties, catalog):
-    snapshot = build_snapshot(counties, 2035, 1.0, 500e6, 50.0, 250e6)
+    snapshot = build_snapshot(counties, 2035, 1.0, 500e6, 50.0, 250e6, 10.0)
     sensor = catalog["B5"]
     county, count = worst_case_footprint(counties, snapshot, sensor)
     best = max(
@@ -175,7 +170,7 @@ def test_worst_case_footprint_matches_argmax_oracle(counties, catalog):
 
 def test_worst_case_single_county(catalog):
     records = [LA]
-    snapshot = build_snapshot(records, 2030, 1.0, 100e6, 50.0, 250e6)
+    snapshot = build_snapshot(records, 2030, 1.0, 100e6, 50.0, 250e6, 1.0)
     county, _ = worst_case_footprint(records, snapshot, catalog["B5"])
     assert county.fips == "06037"
 
@@ -186,20 +181,20 @@ def test_worst_case_tie_breaks_to_lower_fips(catalog):
     b = CountyRecord(fips="10001", name="B", state="DE", rucc_code=1,
                      population=500_000, land_area_km2=1000.0)
     records = [a, b]
-    snapshot = build_snapshot(records, 2030, 1.0, 100e6, 50.0, 250e6)
+    snapshot = build_snapshot(records, 2030, 1.0, 100e6, 50.0, 250e6, 1.0)
     county, _ = worst_case_footprint(records, snapshot, catalog["B1"])
     assert county.fips == "10001"
 
 
 def test_worst_case_empty_records(catalog):
-    snapshot = build_snapshot([], 2030, 1.0, 100e6, 50.0, 250e6)
+    snapshot = build_snapshot([], 2030, 1.0, 100e6, 50.0, 250e6, 1.0)
     with pytest.raises(ValueError):
         worst_case_footprint([], snapshot, catalog["B5"])
 
 
 def test_bundled_sample_sane():
     result = load_bundled_counties()
-    assert all(r.metro for r in result.records)
+    assert all(r.rucc_code in METRO_RUCC_CODES for r in result.records)
     assert "06037" in {r.fips for r in result.records}
     assert len(result.records) >= 20
     assert result.n_nonmetro >= 1  # sample carries non-metro rows to exercise the filter

@@ -37,12 +37,15 @@ def test_config_validation():
         ScenarioConfig(trials=0)
     with pytest.raises(ValueError):
         ScenarioConfig(sensor_ids=())
+    with pytest.raises(ValueError):
+        ScenarioConfig(rate_bps=float("inf"))
+    with pytest.raises(ValueError):
+        ScenarioConfig(threshold_dbw=float("nan"))
 
 
 def test_mean_power_single_user_closed_form():
     cfg = ScenarioConfig(trials=10, seed=7, rate_bps=100e6)
-    cell = CellConfig(n_users=1, n_antennas=16, shadowing=False, los_mode="los",
-                      bandwidth_hz=cfg.bandwidth_hz)
+    cell = CellConfig(n_users=1, n_antennas=16, shadowing=False, los_mode="los")
     channels = draw_channels(cell, cfg.seed, cfg.trials)
     gamma = 2 ** (cfg.rate_bps / cfg.bandwidth_hz) - 1
     noise = noise_power_w(cell.noise_temp_k, cfg.bandwidth_hz)
@@ -57,14 +60,14 @@ def test_mean_power_single_user_closed_form():
 
 def test_mean_power_same_seed_identical():
     cfg = ScenarioConfig(trials=5, seed=3)
-    cell = CellConfig(bandwidth_hz=cfg.bandwidth_hz)
+    cell = CellConfig()
     a = mean_bs_power(cfg, cell)
     b = mean_bs_power(cfg, cell)
     assert a == b
 
 
 def test_mean_power_strictly_increasing_in_rate():
-    cell = CellConfig(bandwidth_hz=ScenarioConfig().bandwidth_hz)
+    cell = CellConfig()
     channels = draw_channels(cell, 1, 20)
     means = []
     for rate in (100e6, 200e6, 400e6):
@@ -75,7 +78,7 @@ def test_mean_power_strictly_increasing_in_rate():
 
 def test_mean_power_parallel_identical():
     cfg = ScenarioConfig(trials=8, seed=5)
-    cell = CellConfig(bandwidth_hz=cfg.bandwidth_hz)
+    cell = CellConfig()
     serial = mean_bs_power(cfg, cell, n_jobs=1)
     parallel = mean_bs_power(cfg, cell, n_jobs=2)
     assert serial == parallel
@@ -120,7 +123,7 @@ def test_simulate_report_contents(counties):
 
 
 def test_simulate_calibration_shift(counties):
-    cell = CellConfig(bandwidth_hz=ScenarioConfig().bandwidth_hz)
+    cell = CellConfig()
     channels = draw_channels(cell, 2, 10)
     raw = simulate(ScenarioConfig(trials=10, seed=2), cell=cell,
                    counties=counties, channels=channels)
@@ -166,7 +169,7 @@ def test_leakage_table_rows():
 
 def test_emit_report_deterministic(tmp_path, counties):
     cfg = ScenarioConfig(trials=6, seed=9)
-    cell = CellConfig(bandwidth_hz=cfg.bandwidth_hz)
+    cell = CellConfig()
     rep1 = simulate(cfg, cell=cell, counties=counties, n_jobs=1)
     rep2 = simulate(cfg, cell=cell, counties=counties, n_jobs=2)
     paths1 = emit_report(rep1, tmp_path / "a")
