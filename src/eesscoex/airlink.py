@@ -11,7 +11,7 @@ are derived from (master seed, trial index) so serial and parallel runs
 agree draw for draw.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -56,6 +56,9 @@ class CellConfig:
     los_mode: str = "model"  # "model" | "los" | "nlos"
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type is float and not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if not 0 < self.r_min_m < self.r_cell_m:
             raise ValueError(f"need 0 < r_min < r_cell, got ({self.r_min_m}, {self.r_cell_m})")
         if self.n_antennas < self.n_users or self.n_users < 1:

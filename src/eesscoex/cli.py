@@ -9,6 +9,8 @@ flags win.  Bad input exits 2 with a one-line message.
 import argparse
 import dataclasses
 import json
+import math
+import os
 import sys
 
 from .adoption import BASELINE_MODEL, scale_scenario, gompertz, scenario_penetration
@@ -29,7 +31,8 @@ from .scenario import (
 # JSON value accepted for each config field type: (description, check).
 _FIELD_CHECKS = {
     int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    float: ("a finite number", lambda v: isinstance(v, (int, float))
+            and not isinstance(v, bool) and math.isfinite(v)),
     bool: ("true or false", lambda v: isinstance(v, bool)),
     str: ("a string", lambda v: isinstance(v, str)),
     tuple: ("a list of strings",
@@ -201,6 +204,9 @@ def _cmd_deploy(args):
 
 
 def _cmd_simulate(args):
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        raise ValueError(f"--jobs must lie in [1, {cpus}] (the CPU count), got {args.jobs}")
     cfg, cell = _build_configs(args, {
         "year": args.year,
         "adoption_factor": args.scenario / 100.0 if args.scenario is not None else None,
@@ -221,12 +227,14 @@ def _cmd_simulate(args):
 
 
 def _cmd_sweep_guard(args):
+    if args.jobs != 1:
+        raise ValueError(f"sweep-guard runs serially: --jobs must be 1, got {args.jobs}")
     cfg, cell = _build_configs(args, {"trials": args.trials})
     years = [int(y) for y in args.years.split(",")]
     guards = _guard_grid(args.guards, cfg)
     records = _counties(args)
     rows = sweep_guard_bands(cfg, years=years, guards_mhz=guards, cell=cell,
-                             counties=records, n_jobs=args.jobs)
+                             counties=records)
     header = cfg.header(cell)
     header.pop("year", None)
     header.pop("rate_bps", None)

@@ -11,15 +11,17 @@ the minimum-power precoder, the leakage fraction from the filter design
 at the configured guard band, the cataloged net link gain, and the
 worst-case county footprint count.
 
-Channel realizations depend only on the cell geometry, so sweeps share
-one set of draws across rates, guards and years (common random numbers);
-per-trial substreams come from (master seed, trial index), which keeps
-serial and parallel runs byte-identical.
+`rfi_grid` is the one sweep path; `max_feasible_rate` and
+`sweep_guard_bands` read their answers off it.  Channel realizations depend
+only on the cell geometry, so the grid shares one set of draws across rates,
+guards and years (common random numbers); per-trial substreams come from
+(master seed, trial index), which keeps serial and parallel runs identical.
 """
 
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict, fields, replace
+from itertools import islice
 
 import numpy as np
 
@@ -44,7 +46,7 @@ __all__ = [
     "mean_bs_power",
     "aggregate_rfi_dbw",
     "simulate",
-    "simulate_grid",
+    "rfi_grid",
     "max_feasible_rate",
     "sweep_guard_bands",
     "leakage_table",
@@ -188,24 +190,25 @@ class GuardSweepRow:
     max_rate_mbps: int
 
 
+def _channel_stream(cell: CellConfig, seed: int, lo: int, hi: int):
+    """Channels of trials lo..hi-1, drawn one at a time from their substreams."""
+    return (generate_channel(cell, trial_rng(seed, t)) for t in range(lo, hi))
+
+
 def draw_channels(cell: CellConfig, seed: int, trials: int) -> list:
     """Per-trial channel realizations from deterministic substreams."""
-    return [generate_channel(cell, trial_rng(seed, t)) for t in range(trials)]
+    return list(_channel_stream(cell, seed, 0, trials))
 
 
-def _solve_trial(channel, gammas: tuple, noise_w: float, budget: RfiBudget):
+def _solve_trials(channels, gammas: tuple, noise_w: float, budget: RfiBudget) -> list:
     targets = SinrTargets(gammas=gammas)
-    sol = solve_power_min(channel.h, channel.g, targets, noise_w, budget=budget)
-    return sol.p_tx_w, sol.feasible, sol.converged
+    sols = (solve_power_min(c.h, c.g, targets, noise_w, budget=budget) for c in channels)
+    return [(sol.p_tx_w, sol.feasible, sol.converged) for sol in sols]
 
 
 def _solve_trial_range(args):
     cell, seed, lo, hi, gammas, noise_w, budget = args
-    out = []
-    for t in range(lo, hi):
-        channel = generate_channel(cell, trial_rng(seed, t))
-        out.append(_solve_trial(channel, gammas, noise_w, budget))
-    return out
+    return _solve_trials(_channel_stream(cell, seed, lo, hi), gammas, noise_w, budget)
 
 
 def mean_bs_power(cfg: ScenarioConfig, cell: CellConfig, budget: RfiBudget = None,
@@ -214,30 +217,28 @@ def mean_bs_power(cfg: ScenarioConfig, cell: CellConfig, budget: RfiBudget = Non
 
     Deterministic given (seed, trials, cell): trial t always uses the
     substream (seed, t) and results are reduced in trial order, so the
-    outcome is independent of `n_jobs`.  Precomputed `channels` (shared
-    across sweep points) short-circuit the parallel path.
+    outcome is independent of `n_jobs`.  Shared precomputed `channels` are
+    solved serially; otherwise over min(n_jobs, trials) worker processes.
     """
     gamma = sinr_target(cfg.rate_bps, cfg.bandwidth_hz)
     gammas = (gamma,) * cell.n_users
     noise_w = noise_power_w(cell.noise_temp_k, cfg.bandwidth_hz)
-    if channels is not None:
-        if len(channels) < cfg.trials:
-            raise ValueError(f"need {cfg.trials} precomputed channels, got {len(channels)}")
-        results = [_solve_trial(channels[t], gammas, noise_w, budget)
-                   for t in range(cfg.trials)]
-    elif n_jobs <= 1:
-        results = _solve_trial_range((cell, cfg.seed, 0, cfg.trials, gammas, noise_w, budget))
-    else:
-        bounds = np.linspace(0, cfg.trials, n_jobs + 1).astype(int)
+    if channels is not None and len(channels) < cfg.trials:
+        raise ValueError(f"need {cfg.trials} precomputed channels, got {len(channels)}")
+    workers = min(n_jobs, cfg.trials)
+    if channels is None and workers > 1:
+        bounds = np.linspace(0, cfg.trials, workers + 1).astype(int)
         chunks = [(cell, cfg.seed, int(lo), int(hi), gammas, noise_w, budget)
-                  for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+                  for lo, hi in zip(bounds[:-1], bounds[1:])]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = [item for chunk in pool.map(_solve_trial_range, chunks)
                        for item in chunk]
+    else:
+        if channels is None:
+            channels = _channel_stream(cell, cfg.seed, 0, cfg.trials)
+        results = _solve_trials(islice(channels, cfg.trials), gammas, noise_w, budget)
 
-    powers = np.array([r[0] for r in results])
-    feasible = np.array([r[1] for r in results], dtype=bool)
-    converged = np.array([r[2] for r in results], dtype=bool)
+    powers, feasible, converged = (np.array(column) for column in zip(*results))
     usable = feasible & converged
     n_feasible = int(np.count_nonzero(usable))
     mean_p = float(powers[usable].sum() / n_feasible) if n_feasible else float("nan")
@@ -271,10 +272,11 @@ class _SensorGeometry:
     delta: float
     net_gain_db: float
     g_sat_linear: float
-    footprint_area_km2: float
 
 
-def _sensor_geometries(cfg: ScenarioConfig, catalog: dict) -> list:
+def _sensor_geometries(cfg: ScenarioConfig, catalog: dict) -> tuple:
+    """Per-sensor geometry at the config's guard, and the per-BS budget
+    binding at the most tightly coupled sensor."""
     spec = cfg.filter_spec
     out = []
     for sid in cfg.sensor_ids:
@@ -289,42 +291,36 @@ def _sensor_geometries(cfg: ScenarioConfig, catalog: dict) -> list:
             delta=profile.delta,
             net_gain_db=gain_db,
             g_sat_linear=10.0 ** (gain_db / 10.0),
-            footprint_area_km2=sensor.footprint_area_km2,
         ))
-    return out
+    worst = max(out, key=lambda s: s.g_sat_linear * s.delta)
+    return out, RfiBudget(p_bs_w=cfg.p_bs_w, i_sat_max_w=cfg.i_sat_max_w,
+                          g_sat_linear=worst.g_sat_linear, delta=worst.delta)
 
 
-def _budget_from_geometries(cfg: ScenarioConfig, geometries: list) -> RfiBudget:
-    """Per-BS budget binding at the most tightly coupled sensor."""
-    worst = max(geometries, key=lambda s: s.g_sat_linear * s.delta)
-    return RfiBudget(p_bs_w=cfg.p_bs_w, i_sat_max_w=cfg.i_sat_max_w,
-                     g_sat_linear=worst.g_sat_linear, delta=worst.delta)
+def _inputs(cell: CellConfig, counties: list, catalog: dict) -> tuple:
+    """The given cell, counties and catalog, or the default cell and bundled data."""
+    return (cell if cell is not None else CellConfig(),
+            counties if counties is not None else load_bundled_counties().records,
+            catalog if catalog is not None else load_sensor_catalog())
 
 
-def simulate(cfg: ScenarioConfig, cell: CellConfig = None, counties: list = None,
-             channels: list = None, n_jobs: int = 1, catalog: dict = None,
-             power: MeanPowerResult = None) -> RfiReport:
-    """Aggregate RFI per sensor for one scenario grid point."""
-    cell = cell if cell is not None else CellConfig()
-    if counties is None:
-        counties = load_bundled_counties().records
-    if catalog is None:
-        catalog = load_sensor_catalog()
-    geometries = _sensor_geometries(cfg, catalog)
-    if power is None:
-        budget = _budget_from_geometries(cfg, geometries)
-        power = mean_bs_power(cfg, cell, budget=budget, channels=channels, n_jobs=n_jobs)
-
+def _footprints(cfg: ScenarioConfig, counties: list, catalog: dict):
+    """Penetration and each sensor's worst-case (county, BS count); rate-free."""
     penetration = scenario_penetration(cfg.year, cfg.adoption_factor,
                                        use_published=cfg.use_published_penetration)
     snapshot = build_snapshot(counties, cfg.year, cfg.adoption_factor,
                               cfg.max_demand_bps, cfg.eta_bps_per_hz,
                               cfg.bandwidth_hz, penetration_per_100=penetration)
+    footprints = [worst_case_footprint(counties, snapshot, catalog[sid])
+                  for sid in cfg.sensor_ids]
+    return penetration, footprints
 
+
+def _compose_report(cfg: ScenarioConfig, cell: CellConfig, geometries: list,
+                    power: MeanPowerResult, penetration: float, footprints: list) -> RfiReport:
+    """One grid point's report from its power batch, geometry and footprints."""
     rows = []
-    for geom in geometries:
-        sensor = catalog[geom.sensor_id]
-        county, n_fp = worst_case_footprint(counties, snapshot, sensor)
+    for geom, (county, n_fp) in zip(geometries, footprints):
         if power.degenerate:
             rfi = float("nan")
         else:
@@ -355,24 +351,42 @@ def simulate(cfg: ScenarioConfig, cell: CellConfig = None, counties: list = None
     return RfiReport(config=header, rows=rows, worst_sensor_id=worst.sensor_id)
 
 
-def simulate_grid(cfg: ScenarioConfig, years=CANONICAL_YEARS,
-                  rates_mbps=RATE_GRID_MBPS, cell: CellConfig = None,
-                  counties: list = None, channels: list = None,
-                  n_jobs: int = 1) -> list:
-    """Reports over a (year x rate) grid at fixed guard; shares channel draws."""
-    cell = cell if cell is not None else CellConfig()
-    if channels is None:
-        channels = draw_channels(cell, cfg.seed, cfg.trials)
-    catalog = load_sensor_catalog()
-    if counties is None:
-        counties = load_bundled_counties().records
-    reports = []
-    for year in years:
-        for rate in rates_mbps:
-            point = replace(cfg, year=year, rate_bps=rate * 1e6)
-            reports.append(simulate(point, cell=cell, counties=counties,
-                                    channels=channels, n_jobs=n_jobs, catalog=catalog))
-    return reports
+def simulate(cfg: ScenarioConfig, cell: CellConfig = None, counties: list = None,
+             n_jobs: int = 1, catalog: dict = None, power: MeanPowerResult = None) -> RfiReport:
+    """Aggregate RFI per sensor for one scenario grid point; without a
+    `power` batch, one is run over `n_jobs` worker processes."""
+    cell, counties, catalog = _inputs(cell, counties, catalog)
+    geometries, budget = _sensor_geometries(cfg, catalog)
+    if power is None:
+        power = mean_bs_power(cfg, cell, budget=budget, n_jobs=n_jobs)
+    return _compose_report(cfg, cell, geometries, power,
+                           *_footprints(cfg, counties, catalog))
+
+
+def rfi_grid(cfg: ScenarioConfig, years, guards_mhz, rates_mbps, *,
+             cell: CellConfig = None, counties: list = None, catalog: dict = None,
+             channels: list = None, power_cache: dict = None) -> dict:
+    """Reports keyed (year, guard, rate).  Geometry and RFI budget are computed
+    per guard, deployment footprints per (year, guard), and one power batch per
+    (guard, rate) over shared channel draws, read from or filled into `power_cache`."""
+    cell, counties, catalog = _inputs(cell, counties, catalog)
+    power_cache = {} if power_cache is None else power_cache
+    grid = {}
+    for guard in guards_mhz:
+        at_guard = replace(cfg, guard_mhz=float(guard))
+        geometries, budget = _sensor_geometries(at_guard, catalog)
+        for year in years:
+            deployment = _footprints(replace(at_guard, year=year), counties, catalog)
+            for rate in rates_mbps:
+                point = replace(at_guard, year=year, rate_bps=rate * 1e6)
+                if (guard, rate) not in power_cache:
+                    if channels is None:
+                        channels = draw_channels(cell, cfg.seed, cfg.trials)
+                    power_cache[(guard, rate)] = mean_bs_power(point, cell, budget=budget,
+                                                               channels=channels)
+                grid[(year, guard, rate)] = _compose_report(
+                    point, cell, geometries, power_cache[(guard, rate)], *deployment)
+    return grid
 
 
 def _compliant(rfi_dbw: float, threshold_dbw: float) -> bool:
@@ -383,64 +397,38 @@ def _compliant(rfi_dbw: float, threshold_dbw: float) -> bool:
     return round(rfi_dbw, 1) <= threshold_dbw + 1e-9
 
 
+def _max_rates(grid: dict, threshold_dbw: float) -> dict:
+    """Largest grid rate per (year, guard) at which the worst sensor complies; 0 if none."""
+    best = {}
+    for (year, guard, rate), report in grid.items():
+        complies = _compliant(report.row(report.worst_sensor_id).rfi_dbw, threshold_dbw)
+        best[(year, guard)] = max(best.get((year, guard), 0), rate if complies else 0)
+    return best
+
+
 def max_feasible_rate(cfg: ScenarioConfig, rate_grid_mbps=RATE_GRID_MBPS,
                       cell: CellConfig = None, counties: list = None,
-                      channels: list = None, n_jobs: int = 1,
-                      catalog: dict = None, power_cache: dict = None) -> int:
-    """Largest grid rate keeping the worst sensor at or under threshold; 0 if none.
-
-    The Monte Carlo power batch depends on (guard, rate) only, so an
-    optional `power_cache` shares batches across calls (e.g. across the
-    years of a guard sweep).
-    """
-    cell = cell if cell is not None else CellConfig()
-    if channels is None:
-        channels = draw_channels(cell, cfg.seed, cfg.trials)
-    if counties is None:
-        counties = load_bundled_counties().records
-    if catalog is None:
-        catalog = load_sensor_catalog()
-    best = 0
-    for rate in sorted(rate_grid_mbps):
-        point = replace(cfg, rate_bps=rate * 1e6)
-        key = (point.guard_mhz, rate)
-        power = power_cache.get(key) if power_cache is not None else None
-        if power is None:
-            budget = _budget_from_geometries(point, _sensor_geometries(point, catalog))
-            power = mean_bs_power(point, cell, budget=budget, channels=channels,
-                                  n_jobs=n_jobs)
-            if power_cache is not None:
-                power_cache[key] = power
-        report = simulate(point, cell=cell, counties=counties, channels=channels,
-                          n_jobs=n_jobs, catalog=catalog, power=power)
-        worst_rfi = report.row(report.worst_sensor_id).rfi_dbw
-        if _compliant(worst_rfi, cfg.threshold_dbw):
-            best = rate
-    return best
+                      channels: list = None, catalog: dict = None,
+                      power_cache: dict = None) -> int:
+    """Largest grid rate keeping the worst sensor at or under threshold; 0 if
+    none.  A `power_cache` shares power batches across calls, as in `rfi_grid`."""
+    grid = rfi_grid(cfg, [cfg.year], [cfg.guard_mhz], rate_grid_mbps, cell=cell,
+                    counties=counties, catalog=catalog, channels=channels,
+                    power_cache=power_cache)
+    return _max_rates(grid, cfg.threshold_dbw).get((cfg.year, cfg.guard_mhz), 0)
 
 
 def sweep_guard_bands(cfg: ScenarioConfig, years=CANONICAL_YEARS,
                       guards_mhz=tuple(range(0, 55, 5)),
                       rate_grid_mbps=RATE_GRID_MBPS, cell: CellConfig = None,
-                      counties: list = None, n_jobs: int = 1) -> list:
+                      counties: list = None) -> list:
     """Max feasible rate per (year, guard); wider guards shrink both the
     leakage fraction and the usable bandwidth (raising BS counts)."""
-    cell = cell if cell is not None else CellConfig()
-    channels = draw_channels(cell, cfg.seed, cfg.trials)
-    counties = counties if counties is not None else load_bundled_counties().records
-    catalog = load_sensor_catalog()
-    power_cache = {}
-    rows = []
-    for year in years:
-        for guard in guards_mhz:
-            point = replace(cfg, year=year, guard_mhz=float(guard))
-            rate = max_feasible_rate(point, rate_grid_mbps=rate_grid_mbps, cell=cell,
-                                     counties=counties, channels=channels,
-                                     n_jobs=n_jobs, catalog=catalog,
-                                     power_cache=power_cache)
-            rows.append(GuardSweepRow(year=year, guard_mhz=float(guard),
-                                      max_rate_mbps=rate))
-    return rows
+    grid = rfi_grid(cfg, years, guards_mhz, rate_grid_mbps, cell=cell, counties=counties)
+    best = _max_rates(grid, cfg.threshold_dbw)
+    return [GuardSweepRow(year=year, guard_mhz=float(guard),
+                          max_rate_mbps=best.get((year, guard), 0))
+            for year in years for guard in guards_mhz]
 
 
 def leakage_table(orders=(3, 5, 7, 9), guards_mhz=tuple(range(0, 55, 5)),

@@ -30,14 +30,11 @@ from eesscoex.scenario import (
     RATE_GRID_MBPS,
     CANONICAL_YEARS,
     ScenarioConfig,
-    _budget_from_geometries,
     _compliant,
-    _sensor_geometries,
     draw_channels,
     max_feasible_rate,
-    mean_bs_power,
+    rfi_grid,
     simulate,
-    simulate_grid,
 )
 from oracles import min_power_bisection
 
@@ -81,8 +78,10 @@ def channels(cell):
 
 
 @pytest.fixture(scope="module")
-def grid_reports(base_cfg, cell, channels, counties):
-    return simulate_grid(base_cfg, cell=cell, counties=counties, channels=channels)
+def grid_reports(sweep_grid):
+    """The year x rate reports at the 25 MHz guard."""
+    table, _, _ = sweep_grid
+    return [table[(year, 25.0, rate)] for year in CANONICAL_YEARS for rate in RATE_GRID_MBPS]
 
 
 @pytest.fixture(scope="module")
@@ -97,22 +96,12 @@ def calibration_db(grid_reports):
 @pytest.fixture(scope="module")
 def sweep_grid(base_cfg, cell, channels, counties):
     """Worst-sensor and per-sensor RFI over the year x guard x rate grid,
-    sharing one power batch per (guard, rate); returns (table, elapsed_s)."""
-    catalog = load_sensor_catalog()
+    sharing one power batch per (guard, rate); returns (table, power_cache,
+    elapsed_s)."""
     t0 = time.perf_counter()
     power_cache = {}
-    table = {}
-    for guard in GUARD_GRID:
-        for rate in RATE_GRID_MBPS:
-            point = replace(base_cfg, guard_mhz=guard, rate_bps=rate * 1e6)
-            budget = _budget_from_geometries(point, _sensor_geometries(point, catalog))
-            power = mean_bs_power(point, cell, budget=budget, channels=channels)
-            power_cache[(guard, rate)] = power
-            for year in CANONICAL_YEARS:
-                cfg = replace(point, year=year)
-                report = simulate(cfg, cell=cell, counties=counties,
-                                  channels=channels, catalog=catalog, power=power)
-                table[(year, guard, rate)] = report
+    table = rfi_grid(base_cfg, CANONICAL_YEARS, GUARD_GRID, RATE_GRID_MBPS, cell=cell,
+                     counties=counties, channels=channels, power_cache=power_cache)
     return table, power_cache, time.perf_counter() - t0
 
 

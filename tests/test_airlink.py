@@ -179,3 +179,5 @@ def test_config_validation():
         CellConfig(distance_mode="clustered")
     with pytest.raises(ValueError):
         CellConfig(los_mode="sometimes")
+    with pytest.raises(ValueError):
+        CellConfig(carrier_ghz=float("nan"))

@@ -1,7 +1,9 @@
 import json
+import os
 
 import pytest
 
+from eesscoex import scenario
 from eesscoex.cli import main
 
 
@@ -135,6 +137,7 @@ def _write_config(tmp_path, config):
     ({"scenario": {"yeer": 2040}}, "scenario", "yeer"),
     ({"cell": {"bandwidth_hz": 1e6}}, "cell", "bandwidth_hz"),
     ({"scenario": {"trials": "5"}}, "scenario", "trials"),
+    ({"cell": {"noise_temp_k": float("nan")}}, "cell", "noise_temp_k"),
 ])
 def test_config_key_errors(tmp_path, capsys, config, section, key):
     path = _write_config(tmp_path, config)
@@ -159,8 +162,15 @@ def test_deploy_follows_config_penetration_flag(tmp_path, capsys):
     ["simulate", "--rate", "nan", "--trials", "2"],
     ["simulate", "--rate", "inf", "--trials", "2"],
     ["leakage", "--guards", "60"],
+    ["simulate", "--jobs", str((os.cpu_count() or 1) + 1), "--trials", "2"],
+    ["simulate", "--jobs", "0", "--trials", "2"],
+    ["sweep-guard", "--jobs", "2", "--trials", "2"],
 ])
-def test_out_of_range_numbers_exit_2(capsys, argv):
+def test_out_of_range_numbers_exit_2(capsys, monkeypatch, argv):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("worker pool started for rejected input")
+
+    monkeypatch.setattr(scenario, "ProcessPoolExecutor", no_pool)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,9 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from eesscoex import scenario
 from eesscoex.airlink import CellConfig, noise_power_w
 from eesscoex.reports import emit_guard_sweep, emit_leakage_table, emit_report
 from eesscoex.scenario import (
@@ -15,8 +17,9 @@ from eesscoex.scenario import (
     leakage_table,
     max_feasible_rate,
     mean_bs_power,
+    rfi_grid,
     simulate,
-    simulate_grid,
+    sweep_guard_bands,
 )
 
 
@@ -84,6 +87,32 @@ def test_mean_power_parallel_identical():
     assert serial == parallel
 
 
+def test_mean_power_workers_bounded_by_trials(monkeypatch):
+    started = []
+
+    class InlineExecutor:
+        """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(scenario, "ProcessPoolExecutor", InlineExecutor)
+    cfg = ScenarioConfig(trials=3, seed=5)
+    cell = CellConfig()
+    sharded = mean_bs_power(cfg, cell, n_jobs=10_000)
+    assert started == [3]
+    assert sharded == mean_bs_power(cfg, cell, n_jobs=1)
+    assert started == [3]
+
+
 def test_aggregate_rfi_composition():
     p = 10 ** (-5 / 10)
     assert aggregate_rfi_dbw(p, 1.0, 0.0, 1) == pytest.approx(-5.0)
@@ -124,21 +153,84 @@ def test_simulate_report_contents(counties):
 
 def test_simulate_calibration_shift(counties):
     cell = CellConfig()
-    channels = draw_channels(cell, 2, 10)
-    raw = simulate(ScenarioConfig(trials=10, seed=2), cell=cell,
-                   counties=counties, channels=channels)
+    raw = simulate(ScenarioConfig(trials=10, seed=2), cell=cell, counties=counties)
     shifted = simulate(ScenarioConfig(trials=10, seed=2, calibration_db=1.5),
-                       cell=cell, counties=counties, channels=channels)
+                       cell=cell, counties=counties)
     assert shifted.row("B5").rfi_dbw - raw.row("B5").rfi_dbw == pytest.approx(1.5)
 
 
-def test_simulate_grid_shapes(counties):
+def _count_calls(monkeypatch, names):
+    """Wrap scenario-level names with call counters; returns {name: count}."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(scenario, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(scenario, name, counted)
+    return counts
+
+
+GRID_YEARS = (2030, 2040)
+GRID_GUARDS = (10.0, 25.0, 40.0)
+GRID_RATES = (100, 500)
+
+
+def test_rfi_grid_computes_once_per_dependency(monkeypatch, counties):
     cfg = ScenarioConfig(trials=5, seed=1)
-    reports = simulate_grid(cfg, years=(2030, 2040), rates_mbps=(100, 500),
-                            counties=counties)
-    assert len(reports) == 4
-    coords = [(r.rows[0].year, r.rows[0].rate_mbps) for r in reports]
-    assert coords == [(2030, 100.0), (2030, 500.0), (2040, 100.0), (2040, 500.0)]
+    counts = _count_calls(monkeypatch, ("leakage_fraction", "build_snapshot",
+                                        "mean_bs_power"))
+    grid = rfi_grid(cfg, GRID_YEARS, GRID_GUARDS, GRID_RATES, counties=counties)
+    assert counts == {"leakage_fraction": 3 * 5, "build_snapshot": 2 * 3,
+                      "mean_bs_power": 3 * 2}
+    assert list(grid) == [(y, g, r) for g in GRID_GUARDS for y in GRID_YEARS
+                          for r in GRID_RATES]
+    for (year, guard, rate), report in grid.items():
+        assert {(row.year, row.guard_mhz, row.rate_mbps) for row in report.rows} == {
+            (year, guard, float(rate))}
+
+
+def test_rfi_grid_reads_and_fills_power_cache(monkeypatch, counties):
+    cfg = ScenarioConfig(trials=5, seed=1)
+    cache = {}
+    first = rfi_grid(cfg, GRID_YEARS, GRID_GUARDS, GRID_RATES, counties=counties,
+                     power_cache=cache)
+    assert set(cache) == {(g, r) for g in GRID_GUARDS for r in GRID_RATES}
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("power batch solved despite a filled cache")
+
+    monkeypatch.setattr(scenario, "solve_power_min", no_solve)
+    monkeypatch.setattr(scenario, "draw_channels", no_solve)
+    again = rfi_grid(cfg, GRID_YEARS, GRID_GUARDS, GRID_RATES, counties=counties,
+                     power_cache=cache)
+    assert again == first
+
+
+def test_rfi_grid_matches_simulate(counties):
+    cfg = ScenarioConfig(trials=5, seed=1)
+    cache = {}
+    grid = rfi_grid(cfg, GRID_YEARS, GRID_GUARDS, GRID_RATES, counties=counties,
+                    power_cache=cache)
+    for (year, guard, rate), report in grid.items():
+        point = replace(cfg, year=year, guard_mhz=guard, rate_bps=rate * 1e6)
+        assert report == simulate(point, counties=counties, power=cache[(guard, rate)])
+    # Without a given power batch, simulate draws the same channels from the seed.
+    point = replace(cfg, year=2040, guard_mhz=25.0, rate_bps=500e6)
+    assert grid[(2040, 25.0, 500)] == simulate(point, counties=counties)
+
+
+def test_sweep_rows_match_max_feasible_rate(counties):
+    cfg = ScenarioConfig(trials=5, seed=1)
+    rows = sweep_guard_bands(cfg, years=GRID_YEARS, guards_mhz=GRID_GUARDS,
+                             counties=counties)
+    assert [(r.year, r.guard_mhz) for r in rows] == [
+        (y, g) for y in GRID_YEARS for g in GRID_GUARDS]
+    for row in rows:
+        point = replace(cfg, year=row.year, guard_mhz=row.guard_mhz)
+        assert row.max_rate_mbps == max_feasible_rate(point, counties=counties)
 
 
 def test_compliance_rounding_semantics():
