@@ -17,7 +17,7 @@ from .adoption import BASELINE_MODEL, scale_scenario, gompertz, scenario_penetra
 from .airlink import CellConfig
 from .deployment import build_snapshot, ingest_counties, load_bundled_counties
 from .filterbank import edge_psd_margin, leaked_psd_dbm_per_mhz
-from .linkbudget import build_link_budget, load_sensor_catalog
+from .linkbudget import build_link_budget, load_sensor_catalog, lookup_sensor
 from .reports import _json_safe, emit_guard_sweep, emit_leakage_table, emit_report, emit_rows
 from .scenario import (
     CANONICAL_YEARS,
@@ -120,11 +120,8 @@ def _counties(args):
 
 
 def _cmd_link_budget(args):
-    catalog = load_sensor_catalog(args.catalog)
-    if args.sensor not in catalog:
-        raise KeyError(f"unknown sensor {args.sensor!r}; have {sorted(catalog)}")
-    budget = build_link_budget(catalog[args.sensor], g_tx_db=args.g_tx,
-                               f_ghz=args.freq)
+    sensor = lookup_sensor(load_sensor_catalog(args.catalog), args.sensor)
+    budget = build_link_budget(sensor, g_tx_db=args.g_tx, f_ghz=args.freq)
     _print_json(budget.to_dict())
     return 0
 
@@ -343,6 +340,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
         return args.func(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

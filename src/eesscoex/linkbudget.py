@@ -25,6 +25,7 @@ __all__ = [
     "build_link_budget",
     "net_gain_db",
     "load_sensor_catalog",
+    "lookup_sensor",
 ]
 
 EARTH_RADIUS_KM = 6371.0
@@ -179,3 +180,11 @@ def load_sensor_catalog(path=None) -> dict:
             raise ValueError(f"duplicate sensor id {spec.sensor_id} in catalog")
         catalog[spec.sensor_id] = spec
     return catalog
+
+
+def lookup_sensor(catalog: dict, sensor_id: str) -> SensorSpec:
+    """The catalog entry for `sensor_id`; ValueError naming the known ids if absent."""
+    try:
+        return catalog[sensor_id]
+    except KeyError:
+        raise ValueError(f"unknown sensor {sensor_id!r}; have {sorted(catalog)}") from None

@@ -8,8 +8,8 @@ exact downlink power rescaling, so every feasible solution meets its
 targets with equality; the uplink/downlink power match serves as the
 optimality certificate.
 
-All linear algebra stays in the K-dimensional user space (Gram-matrix
-identities), so cost is O(N K^2 + K^3) per solve.
+All linear algebra stays in the K-dimensional user space: the power solve
+needs only the K x K Gram matrix, which `solve_power_min` builds, O(N K^2).
 """
 
 from dataclasses import dataclass
@@ -47,9 +47,6 @@ class SinrTargets:
     @classmethod
     def uniform(cls, gamma: float, n_users: int) -> "SinrTargets":
         return cls(gammas=(gamma,) * n_users)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.gammas, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -93,46 +90,17 @@ class PrecodeSolution:
     duality_gap: float
 
 
-def solve_power_min(h: np.ndarray, g: np.ndarray, targets: SinrTargets,
-                    noise_w: float, budget: RfiBudget = None,
-                    tol: float = 1e-12, max_iterations: int = 1000) -> PrecodeSolution:
-    """Minimum-power beamformers hitting every SINR target with equality.
-
-    Args:
-        h: (K, N) small-scale channel rows h_k.
-        g: (K,) large-scale linear gains.
-        targets: per-user linear SINR targets.
-        noise_w: receiver noise power sigma^2.
-        budget: optional power budget; when the unconstrained optimum
-            exceeds it the solution is returned with feasible=False.
+def _solve_gram(gram, gam, noise_w, p_max_w, tol=1e-12, max_iterations=1000) -> tuple:
+    """Minimum total power for positive SINR targets `gam` from the (K, K)
+    Gram matrix G of the effective channels; feasible if converged and <= `p_max_w`.
+    Returns (p_tx, feasible, converged, iterations, q, p, directions).
 
     The dual uplink powers are iterated via
-    q_k <- (gamma_k / (1 + gamma_k)) / [G (sigma^2 I + diag(q) G)^{-1}]_kk
-    with G the effective-channel Gram matrix; MMSE directions and the
-    exact downlink power load follow from the converged q.
+    q_k <- (gamma_k / (1 + gamma_k)) / [G (sigma^2 I + diag(q) G)^{-1}]_kk;
+    MMSE directions and the exact downlink power load follow from the
+    converged q.
     """
-    h = np.asarray(h)
-    g = np.asarray(g, dtype=float)
-    k_users, n_antennas = h.shape
-    if k_users > n_antennas:
-        raise ValueError(f"need K <= N, got K={k_users}, N={n_antennas}")
-    if len(g) != k_users or len(targets.gammas) != k_users:
-        raise ValueError("gains/targets must match the number of users")
-    if noise_w <= 0:
-        raise ValueError("noise power must be positive")
-    gamma = targets.as_array()
-
-    active = gamma > 0
-    if not np.any(active):
-        w = np.zeros_like(h)
-        return PrecodeSolution(w=w, p_tx_w=0.0, feasible=True,
-                               sinr=np.zeros(k_users), converged=True,
-                               iterations=0, duality_gap=0.0)
-
-    h_eff = h[active] * np.sqrt(g[active])[:, None]
-    gam = gamma[active]
-    ka = h_eff.shape[0]
-    gram = h_eff.conj() @ h_eff.T  # (ka, ka), G[k, j] = h_k^H h_j
+    ka = len(gam)
     eye = np.eye(ka)
 
     # Uplink power fixed point (monotone from zero).
@@ -162,6 +130,46 @@ def solve_power_min(h: np.ndarray, g: np.ndarray, targets: SinrTargets,
     np.fill_diagonal(m_dl, np.diagonal(c2) / gam)
     p = np.linalg.solve(m_dl, np.full(ka, noise_w))
     p_tx = float(np.sum(p))
+    feasible = converged and p_tx <= p_max_w * (1.0 + 1e-9)
+    return p_tx, feasible, converged, iterations, q, p, coeffs
+
+
+def solve_power_min(h: np.ndarray, g: np.ndarray, targets: SinrTargets,
+                    noise_w: float, budget: RfiBudget = None,
+                    tol: float = 1e-12, max_iterations: int = 1000) -> PrecodeSolution:
+    """Minimum-power beamformers hitting every SINR target with equality.
+
+    Args:
+        h: (K, N) small-scale channel rows h_k.
+        g: (K,) large-scale linear gains.
+        targets: per-user linear SINR targets.
+        noise_w: receiver noise power sigma^2.
+        budget: optional power budget; when the unconstrained optimum
+            exceeds it the solution is returned with feasible=False.
+    """
+    h = np.asarray(h)
+    g = np.asarray(g, dtype=float)
+    k_users, n_antennas = h.shape
+    if k_users > n_antennas:
+        raise ValueError(f"need K <= N, got K={k_users}, N={n_antennas}")
+    if len(g) != k_users or len(targets.gammas) != k_users:
+        raise ValueError("gains/targets must match the number of users")
+    if noise_w <= 0:
+        raise ValueError("noise power must be positive")
+    gamma = np.asarray(targets.gammas, dtype=float)
+
+    active = gamma > 0
+    if not np.any(active):
+        w = np.zeros_like(h)
+        return PrecodeSolution(w=w, p_tx_w=0.0, feasible=True,
+                               sinr=np.zeros(k_users), converged=True,
+                               iterations=0, duality_gap=0.0)
+
+    h_eff = h[active] * np.sqrt(g[active])[:, None]
+    gram = h_eff.conj() @ h_eff.T  # G[k, j] = h_k^H h_j over the active users
+    p_max_w = budget.p_sum_max_w if budget is not None else np.inf
+    p_tx, feasible, converged, iterations, q, p, coeffs = _solve_gram(
+        gram, gamma[active], noise_w, p_max_w, tol, max_iterations)
     duality_gap = abs(p_tx - float(np.sum(q))) / max(p_tx, 1e-300)
 
     w_active = (h_eff.T @ coeffs * np.sqrt(p)).T
@@ -174,9 +182,6 @@ def solve_power_min(h: np.ndarray, g: np.ndarray, targets: SinrTargets,
     interference = np.sum(s, axis=1) - signal
     sinr = signal / (noise_w + interference)
 
-    feasible = converged
-    if budget is not None:
-        feasible = feasible and p_tx <= budget.p_sum_max_w * (1.0 + 1e-9)
     return PrecodeSolution(w=w, p_tx_w=p_tx, feasible=feasible, sinr=sinr,
                            converged=converged, iterations=iterations,
                            duality_gap=duality_gap)

@@ -12,16 +12,15 @@ at the configured guard band, the cataloged net link gain, and the
 worst-case county footprint count.
 
 `rfi_grid` is the one sweep path; `max_feasible_rate` and
-`sweep_guard_bands` read their answers off it.  Channel realizations depend
-only on the cell geometry, so the grid shares one set of draws across rates,
-guards and years (common random numbers); per-trial substreams come from
-(master seed, trial index), which keeps serial and parallel runs identical.
+`sweep_guard_bands` read their answers off it.  A channel is held only as its
+effective Gram matrix, all the power solve needs, drawn from the substream
+(master seed, trial); `mean_bs_power` is the one power path over such a stack,
+and the grid shares one stack across rates, guards and years.
 """
 
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict, fields, replace
-from itertools import islice
 
 import numpy as np
 
@@ -29,8 +28,8 @@ from .adoption import BASELINE_MODEL, scenario_penetration
 from .airlink import CellConfig, generate_channel, noise_power_w, trial_rng
 from .deployment import build_snapshot, load_bundled_counties, worst_case_footprint
 from .filterbank import FilterSpec, leakage_fraction, worst_victim_window
-from .linkbudget import load_sensor_catalog, net_gain_db
-from .precoder import RfiBudget, SinrTargets, sinr_target, solve_power_min
+from .linkbudget import load_sensor_catalog, lookup_sensor, net_gain_db
+from .precoder import RfiBudget, _solve_gram, sinr_target
 
 __all__ = [
     "ALLOCATION_EDGE_GHZ",
@@ -190,55 +189,48 @@ class GuardSweepRow:
     max_rate_mbps: int
 
 
-def _channel_stream(cell: CellConfig, seed: int, lo: int, hi: int):
-    """Channels of trials lo..hi-1, drawn one at a time from their substreams."""
-    return (generate_channel(cell, trial_rng(seed, t)) for t in range(lo, hi))
+def _gram(channel) -> np.ndarray:
+    h_eff = channel.h * np.sqrt(channel.g)[:, None]
+    return h_eff.conj() @ h_eff.T  # G[k, j] = h_k^H h_j, effective channels
 
 
-def draw_channels(cell: CellConfig, seed: int, trials: int) -> list:
-    """Per-trial channel realizations from deterministic substreams."""
-    return list(_channel_stream(cell, seed, 0, trials))
+def draw_channels(cell: CellConfig, seed: int, trials: int) -> np.ndarray:
+    """(trials, K, K) stack of effective-channel Gram matrices, one per trial
+    substream; each (K, N) draw is dropped as soon as it is reduced."""
+    return np.array([_gram(generate_channel(cell, trial_rng(seed, t))) for t in range(trials)])
 
 
-def _solve_trials(channels, gammas: tuple, noise_w: float, budget: RfiBudget) -> list:
-    targets = SinrTargets(gammas=gammas)
-    sols = (solve_power_min(c.h, c.g, targets, noise_w, budget=budget) for c in channels)
-    return [(sol.p_tx_w, sol.feasible, sol.converged) for sol in sols]
-
-
-def _solve_trial_range(args):
-    cell, seed, lo, hi, gammas, noise_w, budget = args
-    return _solve_trials(_channel_stream(cell, seed, lo, hi), gammas, noise_w, budget)
+def _solve_block(args) -> list:
+    grams, gammas, noise_w, p_max_w = args
+    # (p_tx_w, feasible, converged) per trial
+    return [_solve_gram(gram, gammas, noise_w, p_max_w)[:3] for gram in grams]
 
 
 def mean_bs_power(cfg: ScenarioConfig, cell: CellConfig, budget: RfiBudget = None,
-                  channels: list = None, n_jobs: int = 1) -> MeanPowerResult:
-    """Mean minimum transmit power over feasible Monte Carlo trials.
-
-    Deterministic given (seed, trials, cell): trial t always uses the
-    substream (seed, t) and results are reduced in trial order, so the
-    outcome is independent of `n_jobs`.  Shared precomputed `channels` are
-    solved serially; otherwise over min(n_jobs, trials) worker processes.
-    """
-    gamma = sinr_target(cfg.rate_bps, cfg.bandwidth_hz)
-    gammas = (gamma,) * cell.n_users
-    noise_w = noise_power_w(cell.noise_temp_k, cfg.bandwidth_hz)
+                  channels: np.ndarray = None, n_jobs: int = 1) -> MeanPowerResult:
+    """Mean minimum transmit power over the feasible trials of `channels` (a
+    `draw_channels` stack, drawn here if absent), solved in min(n_jobs, trials)
+    blocks, in process or over worker processes, and reduced in trial order,
+    so the outcome is independent of `n_jobs`."""
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     if channels is not None and len(channels) < cfg.trials:
         raise ValueError(f"need {cfg.trials} precomputed channels, got {len(channels)}")
-    workers = min(n_jobs, cfg.trials)
-    if channels is None and workers > 1:
-        bounds = np.linspace(0, cfg.trials, workers + 1).astype(int)
-        chunks = [(cell, cfg.seed, int(lo), int(hi), gammas, noise_w, budget)
-                  for lo, hi in zip(bounds[:-1], bounds[1:])]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = [item for chunk in pool.map(_solve_trial_range, chunks)
-                       for item in chunk]
+    gamma = sinr_target(cfg.rate_bps, cfg.bandwidth_hz)
+    if gamma == 0:
+        return MeanPowerResult(mean_p_w=0.0, infeasibility_rate=0.0,
+                               n_feasible=cfg.trials, n_unconverged=0)
+    grams = draw_channels(cell, cfg.seed, cfg.trials) if channels is None else channels
+    shared = (np.full(cell.n_users, gamma), noise_power_w(cell.noise_temp_k, cfg.bandwidth_hz),
+              budget.p_sum_max_w if budget is not None else math.inf)
+    blocks = [(block, *shared) for block in np.array_split(grams[:cfg.trials],
+                                                          min(n_jobs, cfg.trials))]
+    if len(blocks) == 1:
+        trials = _solve_block(blocks[0])
     else:
-        if channels is None:
-            channels = _channel_stream(cell, cfg.seed, 0, cfg.trials)
-        results = _solve_trials(islice(channels, cfg.trials), gammas, noise_w, budget)
-
-    powers, feasible, converged = (np.array(column) for column in zip(*results))
+        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
+            trials = [trial for block in pool.map(_solve_block, blocks) for trial in block]
+    powers, feasible, converged = (np.array(column) for column in zip(*trials))
     usable = feasible & converged
     n_feasible = int(np.count_nonzero(usable))
     mean_p = float(powers[usable].sum() / n_feasible) if n_feasible else float("nan")
@@ -280,7 +272,7 @@ def _sensor_geometries(cfg: ScenarioConfig, catalog: dict) -> tuple:
     spec = cfg.filter_spec
     out = []
     for sid in cfg.sensor_ids:
-        sensor = catalog[sid]
+        sensor = lookup_sensor(catalog, sid)
         window = worst_victim_window(sensor.channel_span_ghz, cfg.ref_bandwidth_mhz,
                                      cfg.tn_band_ghz)
         profile = leakage_fraction(spec, window, cfg.bandwidth_hz / 1e6)
@@ -336,9 +328,9 @@ def _compose_report(cfg: ScenarioConfig, cell: CellConfig, geometries: list,
             delta=geom.delta,
             delta_db=10.0 * math.log10(geom.delta) if geom.delta > 0 else float("-inf"),
             net_gain_db=geom.net_gain_db,
-            mean_p_tx_dbw=(10.0 * math.log10(power.mean_p_w)
-                           if power.mean_p_w and not math.isnan(power.mean_p_w)
-                           else float("nan")),
+            mean_p_tx_dbw=(float("nan") if power.degenerate
+                           else 10.0 * math.log10(power.mean_p_w) if power.mean_p_w
+                           else float("-inf")),
             rfi_dbw=rfi,
             margin_db=cfg.threshold_dbw - rfi,
             infeasibility_rate=power.infeasibility_rate,
@@ -443,7 +435,7 @@ def leakage_table(orders=(3, 5, 7, 9), guards_mhz=tuple(range(0, 55, 5)),
     catalog = load_sensor_catalog()
     rows = []
     for sid in sensor_ids:
-        sensor = catalog[sid]
+        sensor = lookup_sensor(catalog, sid)
         for order in orders:
             for guard in guards_mhz:
                 cfg = ScenarioConfig(guard_mhz=guard, filter_order=order, ripple_db=ripple_db,

@@ -6,6 +6,8 @@ import pytest
 from eesscoex import scenario
 from eesscoex.cli import main
 
+UNKNOWN_SENSOR = "error: unknown sensor 'B9'; have ['B1', 'B3', 'B4', 'B5', 'B7']"
+
 
 def test_link_budget_command(capsys):
     assert main(["link-budget", "--sensor", "B5", "--freq", "6.925"]) == 0
@@ -18,7 +20,7 @@ def test_link_budget_command(capsys):
 
 def test_link_budget_unknown_sensor(capsys):
     assert main(["link-budget", "--sensor", "B9"]) == 2
-    assert "error" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [UNKNOWN_SENSOR]
 
 
 def test_leakage_command(tmp_path, capsys):
@@ -193,3 +195,40 @@ def test_simulate_stdout_is_strict_json(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out, parse_constant=reject)
     assert all(row["n_footprint"] == 0 for row in payload["rows"])
     assert all(row["rfi_dbw"] == "-inf" for row in payload["rows"])
+
+
+FLOAT_FLAGS = [
+    (["link-budget", "--sensor", "B5"], "--freq"),
+    (["link-budget", "--sensor", "B5"], "--g-tx"),
+    (["leakage", "--orders", "7", "--guards", "25", "--sensors", "B5"], "--ripple"),
+    (["adoption", "--year", "2030"], "--scenario"),
+    (["deploy", "--year", "2030"], "--rate"),
+    (["deploy", "--year", "2030"], "--scenario"),
+    (["deploy", "--year", "2030"], "--guard"),
+    (["simulate", "--year", "2030", "--trials", "2"], "--rate"),
+    (["simulate", "--year", "2030", "--trials", "2"], "--scenario"),
+    (["simulate", "--year", "2030", "--trials", "2"], "--guard"),
+    (["compliance"], "--ptx"),
+    (["compliance"], "--guard"),
+    (["compliance"], "--eval-freq"),
+    (["compliance"], "--limit"),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv, flag", FLOAT_FLAGS)
+def test_non_finite_float_flag_exits_2(capsys, argv, flag, value):
+    assert main(argv + [f"{flag}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert err == [f"error: {flag} must be finite, got {float(value)}"]
+
+
+def test_unknown_sensor_exits_2(tmp_path, capsys):
+    assert main(["leakage", "--sensors", "B9"]) == 2
+    path = _write_config(tmp_path, {"scenario": {"sensor_ids": ["B9"]}})
+    assert main(["--config", path, "simulate", "--year", "2030", "--trials", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [UNKNOWN_SENSOR] * 2

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from eesscoex import scenario
-from eesscoex.airlink import CellConfig, noise_power_w
+from eesscoex.airlink import CellConfig, generate_channel, noise_power_w, trial_rng
+from eesscoex.precoder import RfiBudget, SinrTargets, solve_power_min
 from eesscoex.reports import emit_guard_sweep, emit_leakage_table, emit_report
 from eesscoex.scenario import (
     GuardSweepRow,
@@ -49,7 +50,7 @@ def test_config_validation():
 def test_mean_power_single_user_closed_form():
     cfg = ScenarioConfig(trials=10, seed=7, rate_bps=100e6)
     cell = CellConfig(n_users=1, n_antennas=16, shadowing=False, los_mode="los")
-    channels = draw_channels(cell, cfg.seed, cfg.trials)
+    channels = [generate_channel(cell, trial_rng(cfg.seed, t)) for t in range(cfg.trials)]
     gamma = 2 ** (cfg.rate_bps / cfg.bandwidth_hz) - 1
     noise = noise_power_w(cell.noise_temp_k, cfg.bandwidth_hz)
     expected = np.mean([
@@ -59,6 +60,55 @@ def test_mean_power_single_user_closed_form():
     assert result.mean_p_w == pytest.approx(expected, rel=1e-9)
     assert result.infeasibility_rate == 0.0
     assert result.n_feasible == 10
+
+
+def test_draw_channels_is_gram_stack():
+    cell = CellConfig(n_users=4, n_antennas=32)
+    grams = draw_channels(cell, 3, 6)
+    assert grams.shape == (6, 4, 4)
+    assert np.array_equal(grams, np.conj(np.swapaxes(grams, 1, 2)))
+    for t, gram in enumerate(grams):
+        c = generate_channel(cell, trial_rng(3, t))
+        np.testing.assert_allclose(np.real(np.diagonal(gram)),
+                                   c.g * np.linalg.norm(c.h, axis=1) ** 2, rtol=1e-12)
+
+
+@pytest.mark.parametrize("rate_bps, budget", [
+    (100e6, None),
+    (500e6, None),
+    (500e6, RfiBudget(p_bs_w=1e-3)),  # tight: some trials infeasible
+])
+def test_mean_power_equals_per_trial_reference(rate_bps, budget):
+    cfg = ScenarioConfig(trials=12, seed=0, rate_bps=rate_bps)
+    cell = CellConfig()
+    gamma = 2 ** (cfg.rate_bps / cfg.bandwidth_hz) - 1
+    noise = noise_power_w(cell.noise_temp_k, cfg.bandwidth_hz)
+    sols = []
+    for t in range(cfg.trials):
+        c = generate_channel(cell, trial_rng(cfg.seed, t))
+        sols.append(solve_power_min(c.h, c.g, SinrTargets.uniform(gamma, cell.n_users),
+                                    noise, budget=budget))
+    usable = [s.p_tx_w for s in sols if s.feasible and s.converged]
+    result = mean_bs_power(cfg, cell, budget=budget)
+    assert result.mean_p_w == float(np.array(usable).sum() / len(usable))
+    assert result.n_feasible == len(usable)
+    assert result.n_unconverged == sum(not s.converged for s in sols)
+    if budget is not None:
+        assert 0 < len(usable) < cfg.trials
+
+
+def test_zero_rate_reports_zero_power(monkeypatch, counties):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("rate 0 needs no channel or solve")
+
+    monkeypatch.setattr(scenario, "_solve_gram", no_solve)
+    monkeypatch.setattr(scenario, "draw_channels", no_solve)
+    cfg = ScenarioConfig(trials=4, seed=0, rate_bps=0.0)
+    power = mean_bs_power(cfg, CellConfig())
+    assert (power.mean_p_w, power.n_feasible, power.infeasibility_rate) == (0.0, 4, 0.0)
+    report = simulate(cfg, counties=counties)
+    for row in report.rows:
+        assert row.mean_p_tx_dbw == float("-inf") and row.rfi_dbw == float("-inf")
 
 
 def test_mean_power_same_seed_identical():
@@ -111,6 +161,8 @@ def test_mean_power_workers_bounded_by_trials(monkeypatch):
     assert started == [3]
     assert sharded == mean_bs_power(cfg, cell, n_jobs=1)
     assert started == [3]
+    with pytest.raises(ValueError, match="n_jobs"):
+        mean_bs_power(cfg, cell, n_jobs=0)
 
 
 def test_aggregate_rfi_composition():
@@ -202,7 +254,7 @@ def test_rfi_grid_reads_and_fills_power_cache(monkeypatch, counties):
     def no_solve(*args, **kwargs):
         raise AssertionError("power batch solved despite a filled cache")
 
-    monkeypatch.setattr(scenario, "solve_power_min", no_solve)
+    monkeypatch.setattr(scenario, "_solve_gram", no_solve)
     monkeypatch.setattr(scenario, "draw_channels", no_solve)
     again = rfi_grid(cfg, GRID_YEARS, GRID_GUARDS, GRID_RATES, counties=counties,
                      power_cache=cache)
