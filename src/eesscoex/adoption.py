@@ -69,7 +69,8 @@ def gompertz(model: AdoptionModel, year):
     """Penetration (per-100) at a calendar year; scalar or array."""
     y = np.asarray(year, dtype=float)
     t = y - model.year_origin
-    out = model.b1 * np.exp(-model.b2 * np.exp(-model.b3 * t))
+    with np.errstate(over="ignore"):  # far-past years: exp overflows to inf, Y to its limit 0
+        out = model.b1 * np.exp(-model.b2 * np.exp(-model.b3 * t))
     return float(out) if out.ndim == 0 else out
 
 
@@ -110,10 +111,11 @@ class GompertzFit:
 
 
 _B3_LOWER = 1e-6
+_FIT_XTOL = 1e-8
+_FIT_MAX_EVALUATIONS = 500
 
 
-def fit_gompertz(series: PenetrationSeries, init: AdoptionModel,
-                 xtol: float = 1e-8, max_evaluations: int = 500) -> GompertzFit:
+def fit_gompertz(series: PenetrationSeries, init: AdoptionModel) -> GompertzFit:
     """Nonlinear least squares fit of (b1, b2, b3) to a penetration history.
 
     The fit runs on the raw year index of the series (t = year - first
@@ -135,8 +137,8 @@ def fit_gompertz(series: PenetrationSeries, init: AdoptionModel,
     lower = np.array([1e-9, 1e-9, _B3_LOWER])
     upper = np.array([np.inf, np.inf, np.inf])
     result = least_squares(residuals, x0, bounds=(lower, upper),
-                           xtol=xtol, ftol=None, gtol=None,
-                           max_nfev=max_evaluations)
+                           xtol=_FIT_XTOL, ftol=None, gtol=None,
+                           max_nfev=_FIT_MAX_EVALUATIONS)
     b1, b2, b3 = result.x
     at_boundary = bool(b3 <= 10 * _B3_LOWER)
     anchor = init.anchor_penetration
@@ -155,7 +157,6 @@ def fit_gompertz(series: PenetrationSeries, init: AdoptionModel,
 
 
 def scenario_penetration(year: int, factor: float = 1.0,
-                         model: AdoptionModel = BASELINE_MODEL,
                          use_published: bool = True) -> float:
     """Penetration feeding the deployment projections.
 
@@ -171,4 +172,4 @@ def scenario_penetration(year: int, factor: float = 1.0,
                 if value is not None:
                     return float(value)
                 break
-    return float(gompertz(scale_scenario(model, factor), year))
+    return float(gompertz(scale_scenario(BASELINE_MODEL, factor), year))

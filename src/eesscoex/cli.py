@@ -13,19 +13,27 @@ import math
 import os
 import sys
 
-from .adoption import BASELINE_MODEL, scale_scenario, gompertz, scenario_penetration
+from .adoption import scenario_penetration
 from .airlink import CellConfig
-from .deployment import build_snapshot, ingest_counties, load_bundled_counties
-from .filterbank import edge_psd_margin, leaked_psd_dbm_per_mhz
-from .linkbudget import build_link_budget, load_sensor_catalog, lookup_sensor
+from .deployment import ingest_counties, load_bundled_counties
+from .filterbank import (DEFAULT_SPURIOUS_LIMIT_DBM_MHZ, EDGE_EVAL_FREQ_GHZ, edge_psd_margin,
+                         leaked_psd_dbm_per_mhz)
+from .linkbudget import (DEFAULT_EVAL_FREQ_GHZ, build_link_budget, load_sensor_catalog,
+                         lookup_sensor)
 from .reports import _json_safe, emit_guard_sweep, emit_leakage_table, emit_report, emit_rows
 from .scenario import (
     CANONICAL_YEARS,
+    GUARD_GRID_MHZ,
+    LEAKAGE_ORDERS,
     ScenarioConfig,
+    deployment_snapshot,
     leakage_table,
     simulate,
     sweep_guard_bands,
 )
+
+# Commands that only print; --out-dir would silently write nothing.
+_PRINT_ONLY = ("link-budget", "adoption", "compliance")
 
 
 # JSON value accepted for each config field type: (description, check).
@@ -66,11 +74,12 @@ def _section_kwargs(payload, section):
         if not check(value):
             raise ValueError(f"config section {section!r}: key {key!r} must be "
                              f"{expected}, got {json.dumps(value)}")
-        kwargs[key] = tuple(value) if types[key] is tuple else value
+        kwargs[key] = types[key](value)  # a JSON 25 reads as 25.0, as --guard 25 does
     return kwargs
 
 
 def _build_configs(args, overrides):
+    """Scenario and cell configs: a non-None override, else the --config file, else the default."""
     payload = _load_config_file(args.config) if getattr(args, "config", None) else {}
     scen_kwargs = _section_kwargs(payload, "scenario")
     for key, value in overrides.items():
@@ -120,21 +129,21 @@ def _counties(args):
 
 
 def _cmd_link_budget(args):
+    cfg, _ = _build_configs(args, {"g_tx_db": args.g_tx})
     sensor = lookup_sensor(load_sensor_catalog(args.catalog), args.sensor)
-    budget = build_link_budget(sensor, g_tx_db=args.g_tx, f_ghz=args.freq)
+    budget = build_link_budget(sensor, g_tx_db=cfg.g_tx_db, f_ghz=args.freq)
     _print_json(budget.to_dict())
     return 0
 
 
 def _cmd_leakage(args):
+    cfg, _ = _build_configs(args, {"ripple_db": args.ripple, "sensor_ids": args.sensors})
     orders = [int(x) for x in args.orders.split(",")]
     guards = [float(x) for x in args.guards.split(",")]
-    sensors = tuple(args.sensors.split(","))
-    rows = leakage_table(orders=orders, guards_mhz=guards, sensor_ids=sensors,
-                         ripple_db=args.ripple)
+    rows = leakage_table(cfg, orders, guards)
     if args.out_dir:
         paths = emit_leakage_table(rows, args.out_dir,
-                                   header={"ripple_db": args.ripple})
+                                   header={"ripple_db": cfg.ripple_db})
         _print_json(paths)
     else:
         for row in rows:
@@ -144,13 +153,17 @@ def _cmd_leakage(args):
 
 
 def _cmd_adoption(args):
-    factor = args.scenario / 100.0
-    model = scale_scenario(BASELINE_MODEL, factor)
-    out = {
+    cfg, _ = _build_configs(args, {
         "year": args.year,
-        "factor": factor,
-        "penetration_per_100": scenario_penetration(args.year, factor),
-        "curve_per_100": gompertz(model, args.year),
+        "adoption_factor": args.scenario / 100.0 if args.scenario is not None else None,
+    })
+    out = {
+        "year": cfg.year,
+        "factor": cfg.adoption_factor,
+        "penetration_per_100": scenario_penetration(
+            cfg.year, cfg.adoption_factor, use_published=cfg.use_published_penetration),
+        "curve_per_100": scenario_penetration(cfg.year, cfg.adoption_factor,
+                                              use_published=False),
     }
     _print_json(out)
     return 0
@@ -161,15 +174,10 @@ def _cmd_deploy(args):
         "year": args.year,
         "adoption_factor": args.scenario / 100.0 if args.scenario is not None else None,
         "guard_mhz": args.guard,
-        "rate_bps": args.rate,
+        "max_demand_bps": args.rate,
     })
     records = _counties(args)
-    penetration = scenario_penetration(cfg.year, cfg.adoption_factor,
-                                       use_published=cfg.use_published_penetration)
-    snapshot = build_snapshot(records, cfg.year, cfg.adoption_factor,
-                              args.rate if args.rate is not None else cfg.max_demand_bps,
-                              cfg.eta_bps_per_hz, cfg.bandwidth_hz,
-                              penetration_per_100=penetration)
+    snapshot = deployment_snapshot(cfg, records)
     by_fips = {r.fips: r for r in records}
     rows = [
         {
@@ -182,14 +190,7 @@ def _cmd_deploy(args):
         }
         for fips, count in snapshot.counts.items()
     ]
-    header = {
-        "year": snapshot.year,
-        "adoption_factor": snapshot.adoption_factor,
-        "penetration_per_100": snapshot.penetration_per_100,
-        "rate_bps": snapshot.rate_bps,
-        "eta_bps_per_hz": snapshot.eta_bps_per_hz,
-        "bandwidth_hz": snapshot.bandwidth_hz,
-    }
+    header = {k: v for k, v in dataclasses.asdict(snapshot).items() if k != "counts"}
     if args.out_dir:
         paths = emit_rows(rows, ["fips", "name", "state", "population",
                                  "land_area_km2", "n_bs"],
@@ -228,7 +229,7 @@ def _cmd_sweep_guard(args):
         raise ValueError(f"sweep-guard runs serially: --jobs must be 1, got {args.jobs}")
     cfg, cell = _build_configs(args, {"trials": args.trials})
     years = [int(y) for y in args.years.split(",")]
-    guards = _guard_grid(args.guards, cfg)
+    guards = _guard_grid(args.guards, cfg) if args.guards else GUARD_GRID_MHZ
     records = _counties(args)
     rows = sweep_guard_bands(cfg, years=years, guards_mhz=guards, cell=cell,
                              counties=records)
@@ -245,18 +246,19 @@ def _cmd_sweep_guard(args):
 
 
 def _cmd_compliance(args):
-    cfg, _ = _build_configs(args, {"guard_mhz": args.guard})
+    cfg, _ = _build_configs(args, {
+        "p_bs_dbw": args.ptx,
+        "guard_mhz": args.guard,
+        "filter_order": args.order,
+    })
     spec = cfg.filter_spec
-    if args.order is not None:
-        spec = dataclasses.replace(spec, order=args.order)
-    eval_f = args.eval_freq if args.eval_freq is not None else 7.1245
-    psd = leaked_psd_dbm_per_mhz(spec, args.ptx, eval_f)
-    margin = edge_psd_margin(spec, args.ptx, eval_f, limit_dbm_mhz=args.limit)
+    psd = leaked_psd_dbm_per_mhz(spec, cfg.p_bs_dbw, args.eval_freq)
+    margin = edge_psd_margin(spec, cfg.p_bs_dbw, args.eval_freq, limit_dbm_mhz=args.limit)
     out = {
-        "p_tx_dbw": args.ptx,
+        "p_tx_dbw": cfg.p_bs_dbw,
         "guard_mhz": cfg.guard_mhz,
         "order": spec.order,
-        "eval_freq_ghz": eval_f,
+        "eval_freq_ghz": args.eval_freq,
         "leaked_psd_dbm_per_mhz": psd,
         "limit_dbm_per_mhz": args.limit,
         "margin_db": margin,
@@ -266,8 +268,15 @@ def _cmd_compliance(args):
     return 0 if margin >= 0 else 3
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line through main's one `error:` line, not a usage block."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="eesscoex",
         description="Aggregate adjacent-band RFI from 7.125-7.4 GHz deployments "
                     "onto passive EESS radiometers",
@@ -279,20 +288,20 @@ def build_parser():
 
     p = sub.add_parser("link-budget", help="per-sensor propagation budget")
     p.add_argument("--sensor", required=True)
-    p.add_argument("--freq", type=float, default=6.925, help="GHz")
-    p.add_argument("--g-tx", type=float, default=-10.0, help="BS gain toward sensor, dB")
+    p.add_argument("--freq", type=float, default=DEFAULT_EVAL_FREQ_GHZ, help="GHz")
+    p.add_argument("--g-tx", type=float, help="BS gain toward sensor, dB")
     p.add_argument("--catalog", help="alternate sensor catalog JSON")
     p.set_defaults(func=_cmd_link_budget)
 
     p = sub.add_parser("leakage", help="leakage fractions per order/guard/sensor")
-    p.add_argument("--orders", default="3,5,7,9")
-    p.add_argument("--guards", default="0,5,10,15,20,25,30,35,40,45,50")
-    p.add_argument("--sensors", default="B1,B3,B4,B5,B7")
-    p.add_argument("--ripple", type=float, default=0.2)
+    p.add_argument("--orders", default=",".join(str(o) for o in LEAKAGE_ORDERS))
+    p.add_argument("--guards", default=",".join(str(g) for g in GUARD_GRID_MHZ), help="MHz")
+    p.add_argument("--sensors", type=lambda ids: tuple(ids.split(",")))
+    p.add_argument("--ripple", type=float, help="passband ripple, dB")
     p.set_defaults(func=_cmd_leakage)
 
     p = sub.add_parser("adoption", help="penetration for a year and growth scenario")
-    p.add_argument("--scenario", type=float, default=100.0, help="percent of baseline b3")
+    p.add_argument("--scenario", type=float, help="percent of baseline b3")
     p.add_argument("--year", type=int, required=True)
     p.set_defaults(func=_cmd_adoption)
 
@@ -318,7 +327,7 @@ def build_parser():
 
     p = sub.add_parser("sweep-guard", help="max feasible rate per (year, guard)")
     p.add_argument("--years", default=",".join(str(y) for y in CANONICAL_YEARS))
-    p.add_argument("--guards", default="0:50:5", help="lo:hi:step in MHz")
+    p.add_argument("--guards", help="lo:hi:step in MHz")
     p.add_argument("--trials", type=int)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--counties")
@@ -326,20 +335,22 @@ def build_parser():
     p.set_defaults(func=_cmd_sweep_guard)
 
     p = sub.add_parser("compliance", help="emission-mask margin at the band edge")
-    p.add_argument("--ptx", type=float, default=-5.0, help="total transmit power, dBW")
-    p.add_argument("--guard", type=float, default=25.0)
-    p.add_argument("--order", type=int)
-    p.add_argument("--eval-freq", type=float, help="GHz; default 7.1245")
-    p.add_argument("--limit", type=float, default=-13.0, help="dBm/MHz")
+    p.add_argument("--ptx", type=float, help="total transmit power, dBW")
+    p.add_argument("--guard", type=float, help="guard band, MHz")
+    p.add_argument("--order", type=int, help="filter order")
+    p.add_argument("--eval-freq", type=float, default=EDGE_EVAL_FREQ_GHZ, help="GHz")
+    p.add_argument("--limit", type=float, default=DEFAULT_SPURIOUS_LIMIT_DBM_MHZ,
+                   help="dBm/MHz")
     p.set_defaults(func=_cmd_compliance)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        if args.out_dir and args.command in _PRINT_ONLY:
+            raise ValueError(f"--out-dir: {args.command} writes no files")
         for name, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")

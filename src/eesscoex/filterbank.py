@@ -23,6 +23,7 @@ __all__ = [
 ]
 
 DEFAULT_SPURIOUS_LIMIT_DBM_MHZ = -13.0  # TS 38.104 Category A, carriers > 1 GHz
+EDGE_EVAL_FREQ_GHZ = 7.1245  # mask point 0.5 MHz below the 7.125 GHz allocation edge
 
 
 @dataclass(frozen=True)

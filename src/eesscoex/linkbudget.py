@@ -18,7 +18,6 @@ from math import asin, log10, radians, sin
 __all__ = [
     "EARTH_RADIUS_KM",
     "SensorSpec",
-    "PathExtras",
     "LinkBudget",
     "slant_range",
     "free_space_path_loss",
@@ -31,6 +30,11 @@ __all__ = [
 EARTH_RADIUS_KM = 6371.0
 DEFAULT_EVAL_FREQ_GHZ = 6.925
 DEFAULT_G_TX_DB = -10.0  # sidelobe-level gain toward the sensor, per ITU-R M.2101
+
+# Clear-sky additional losses kept explicit in the budget.
+L_POL_DB = 3.0   # +/-45 deg dual-slant vs H/V sensor polarization
+L_ATM_DB = 0.3   # gaseous absorption, ITU-R P.676
+L_CLUT_DB = 5.5  # Earth-space clutter, 25 deg elevation, p=50%
 
 
 @dataclass(frozen=True)
@@ -59,19 +63,6 @@ class SensorSpec:
 
 
 @dataclass(frozen=True)
-class PathExtras:
-    """Clear-sky additional losses kept explicit in the budget."""
-
-    l_pol_db: float = 3.0   # +/-45 deg dual-slant vs H/V sensor polarization
-    l_atm_db: float = 0.3   # gaseous absorption, ITU-R P.676
-    l_clut_db: float = 5.5  # Earth-space clutter, 25 deg elevation, p=50%
-
-    @property
-    def total_db(self) -> float:
-        return self.l_pol_db + self.l_atm_db + self.l_clut_db
-
-
-@dataclass(frozen=True)
 class LinkBudget:
     sensor_id: str
     slant_km: float
@@ -91,8 +82,7 @@ class LinkBudget:
         return asdict(self)
 
 
-def slant_range(altitude_km: float, incidence_deg: float,
-                earth_radius_km: float = EARTH_RADIUS_KM) -> float:
+def slant_range(altitude_km: float, incidence_deg: float) -> float:
     """BS-sensor slant range from spherical-Earth geometry (km).
 
     Law of sines with the incidence angle at the ground point:
@@ -103,9 +93,9 @@ def slant_range(altitude_km: float, incidence_deg: float,
     if altitude_km <= 0:
         raise ValueError(f"altitude must be positive, got {altitude_km}")
     i = radians(incidence_deg)
-    eta = asin(earth_radius_km * sin(i) / (earth_radius_km + altitude_km))
+    eta = asin(EARTH_RADIUS_KM * sin(i) / (EARTH_RADIUS_KM + altitude_km))
     gamma = i - eta
-    return earth_radius_km * sin(gamma) / sin(eta)
+    return EARTH_RADIUS_KM * sin(gamma) / sin(eta)
 
 
 def free_space_path_loss(f_ghz: float, distance_km: float) -> float:
@@ -116,25 +106,23 @@ def free_space_path_loss(f_ghz: float, distance_km: float) -> float:
 
 
 def build_link_budget(sensor: SensorSpec, g_tx_db: float = DEFAULT_G_TX_DB,
-                      f_ghz: float = DEFAULT_EVAL_FREQ_GHZ,
-                      extras: PathExtras = PathExtras(),
-                      earth_radius_km: float = EARTH_RADIUS_KM) -> LinkBudget:
+                      f_ghz: float = DEFAULT_EVAL_FREQ_GHZ) -> LinkBudget:
     """Recompute the component-wise budget for one sensor.
 
     `discrepancy_db` is the recomputed net gain minus the published one;
     it is reported, never silently folded in.
     """
-    d = slant_range(sensor.altitude_km, sensor.incidence_deg, earth_radius_km)
+    d = slant_range(sensor.altitude_km, sensor.incidence_deg)
     fspl = free_space_path_loss(f_ghz, d)
-    l_tot = fspl + extras.total_db
+    l_tot = fspl + (L_POL_DB + L_ATM_DB + L_CLUT_DB)
     net = g_tx_db + sensor.rx_gain_dbi - l_tot
     return LinkBudget(
         sensor_id=sensor.sensor_id,
         slant_km=d,
         fspl_db=fspl,
-        l_pol_db=extras.l_pol_db,
-        l_atm_db=extras.l_atm_db,
-        l_clut_db=extras.l_clut_db,
+        l_pol_db=L_POL_DB,
+        l_atm_db=L_ATM_DB,
+        l_clut_db=L_CLUT_DB,
         l_tot_db=l_tot,
         g_tx_db=g_tx_db,
         g_rx_db=sensor.rx_gain_dbi,

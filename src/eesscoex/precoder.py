@@ -24,6 +24,9 @@ __all__ = [
     "solve_power_min",
 ]
 
+_TOL = 1e-12  # fixed-point stop: relative change of the uplink powers
+_MAX_ITERATIONS = 1000
+
 
 def sinr_target(rate_bps: float, bandwidth_hz: float) -> float:
     """Linear SINR needed for a Shannon rate over the full band: 2^(R/B) - 1."""
@@ -90,7 +93,7 @@ class PrecodeSolution:
     duality_gap: float
 
 
-def _solve_gram(gram, gam, noise_w, p_max_w, tol=1e-12, max_iterations=1000) -> tuple:
+def _solve_gram(gram, gam, noise_w, p_max_w) -> tuple:
     """Minimum total power for positive SINR targets `gam` from the (K, K)
     Gram matrix G of the effective channels; feasible if converged and <= `p_max_w`.
     Returns (p_tx, feasible, converged, iterations, q, p, directions).
@@ -108,11 +111,11 @@ def _solve_gram(gram, gam, noise_w, p_max_w, tol=1e-12, max_iterations=1000) -> 
     scale = gam / (1.0 + gam)
     converged = False
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, _MAX_ITERATIONS + 1):
         m = noise_w * eye + q[:, None] * gram
         x = np.real(np.diagonal(gram @ np.linalg.inv(m)))
         q_new = scale / x
-        if np.max(np.abs(q_new - q)) <= tol * max(np.max(q_new), 1e-300):
+        if np.max(np.abs(q_new - q)) <= _TOL * max(np.max(q_new), 1e-300):
             q = q_new
             converged = True
             break
@@ -135,8 +138,7 @@ def _solve_gram(gram, gam, noise_w, p_max_w, tol=1e-12, max_iterations=1000) -> 
 
 
 def solve_power_min(h: np.ndarray, g: np.ndarray, targets: SinrTargets,
-                    noise_w: float, budget: RfiBudget = None,
-                    tol: float = 1e-12, max_iterations: int = 1000) -> PrecodeSolution:
+                    noise_w: float, budget: RfiBudget = None) -> PrecodeSolution:
     """Minimum-power beamformers hitting every SINR target with equality.
 
     Args:
@@ -169,7 +171,7 @@ def solve_power_min(h: np.ndarray, g: np.ndarray, targets: SinrTargets,
     gram = h_eff.conj() @ h_eff.T  # G[k, j] = h_k^H h_j over the active users
     p_max_w = budget.p_sum_max_w if budget is not None else np.inf
     p_tx, feasible, converged, iterations, q, p, coeffs = _solve_gram(
-        gram, gamma[active], noise_w, p_max_w, tol, max_iterations)
+        gram, gamma[active], noise_w, p_max_w)
     duality_gap = abs(p_tx - float(np.sum(q))) / max(p_tx, 1e-300)
 
     w_active = (h_eff.T @ coeffs * np.sqrt(p)).T

@@ -85,11 +85,12 @@ def emit_rows(rows, fieldnames, out_dir, basename, header=None):
     return paths
 
 
-def emit_report(reports, out_dir, basename="rfi_report"):
+def emit_report(reports, out_dir):
     """Emit one or more RfiReports as a flat sensor-row table.
 
-    All reports in one emission must share their configuration header
-    apart from the grid coordinates (year, rate), which live per row.
+    The header keeps the configuration keys every report shares; the grid
+    coordinates live per row, and any other key that differs across the
+    reports is dropped rather than stated for rows it does not describe.
     """
     if not isinstance(reports, (list, tuple)):
         reports = [reports]
@@ -100,18 +101,18 @@ def emit_report(reports, out_dir, basename="rfi_report"):
         if not report.rows:
             raise ValueError("nothing to emit: report has no sensor rows")
         rows.extend(asdict(r) for r in report.rows)
-    header = dict(reports[0].config)
-    for key in ("year", "rate_bps", "penetration_per_100"):
-        header.pop(key, None)
-    return emit_rows(rows, _SENSOR_FIELDS, out_dir, basename, header=header)
+    header = {key: value for key, value in reports[0].config.items()
+              if key not in ("year", "rate_bps", "penetration_per_100")
+              and all(r.config.get(key) == value for r in reports)}
+    return emit_rows(rows, _SENSOR_FIELDS, out_dir, "rfi_report", header=header)
 
 
-def emit_guard_sweep(rows, out_dir, basename="guard_sweep", header=None):
+def emit_guard_sweep(rows, out_dir, header=None):
     dict_rows = [asdict(r) for r in rows]
     return emit_rows(dict_rows, ["year", "guard_mhz", "max_rate_mbps"], out_dir,
-                     basename, header=header)
+                     "guard_sweep", header=header)
 
 
-def emit_leakage_table(rows, out_dir, basename="leakage", header=None):
+def emit_leakage_table(rows, out_dir, header=None):
     return emit_rows(rows, ["sensor_id", "order", "guard_mhz", "delta", "delta_db"],
-                     out_dir, basename, header=header)
+                     out_dir, "leakage", header=header)

@@ -28,7 +28,7 @@ from .adoption import BASELINE_MODEL, scenario_penetration
 from .airlink import CellConfig, generate_channel, noise_power_w, trial_rng
 from .deployment import build_snapshot, load_bundled_counties, worst_case_footprint
 from .filterbank import FilterSpec, leakage_fraction, worst_victim_window
-from .linkbudget import load_sensor_catalog, lookup_sensor, net_gain_db
+from .linkbudget import DEFAULT_G_TX_DB, load_sensor_catalog, lookup_sensor, net_gain_db
 from .precoder import RfiBudget, _solve_gram, sinr_target
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
     "RfiReport",
     "GuardSweepRow",
     "draw_channels",
+    "deployment_snapshot",
     "mean_bs_power",
     "aggregate_rfi_dbw",
     "simulate",
@@ -55,6 +56,8 @@ ALLOCATION_EDGE_GHZ = 7.125
 BAND_TOP_GHZ = 7.400
 RATE_GRID_MBPS = (100, 200, 300, 400, 500)
 CANONICAL_YEARS = (2030, 2035, 2040)
+GUARD_GRID_MHZ = tuple(range(0, 55, 5))
+LEAKAGE_ORDERS = (3, 5, 7, 9)
 SENSOR_IDS = ("B1", "B3", "B4", "B5", "B7")
 
 
@@ -77,7 +80,7 @@ class ScenarioConfig:
     ripple_db: float = 0.2
     grid_step_mhz: float = 0.01
     p_bs_dbw: float = -5.0
-    g_tx_db: float = -10.0
+    g_tx_db: float = DEFAULT_G_TX_DB
     use_published_gain: bool = True
     use_published_penetration: bool = True
     calibration_db: float = 0.0         # additive alignment of reported RFI
@@ -296,16 +299,21 @@ def _inputs(cell: CellConfig, counties: list, catalog: dict) -> tuple:
             catalog if catalog is not None else load_sensor_catalog())
 
 
-def _footprints(cfg: ScenarioConfig, counties: list, catalog: dict):
-    """Penetration and each sensor's worst-case (county, BS count); rate-free."""
+def deployment_snapshot(cfg: ScenarioConfig, counties: list):
+    """Per-county BS counts sized for the config's peak demand `max_demand_bps`."""
     penetration = scenario_penetration(cfg.year, cfg.adoption_factor,
                                        use_published=cfg.use_published_penetration)
-    snapshot = build_snapshot(counties, cfg.year, cfg.adoption_factor,
-                              cfg.max_demand_bps, cfg.eta_bps_per_hz,
-                              cfg.bandwidth_hz, penetration_per_100=penetration)
+    return build_snapshot(counties, cfg.year, cfg.adoption_factor,
+                          cfg.max_demand_bps, cfg.eta_bps_per_hz,
+                          cfg.bandwidth_hz, penetration_per_100=penetration)
+
+
+def _footprints(cfg: ScenarioConfig, counties: list, catalog: dict):
+    """Penetration and each sensor's worst-case (county, BS count); rate-free."""
+    snapshot = deployment_snapshot(cfg, counties)
     footprints = [worst_case_footprint(counties, snapshot, catalog[sid])
                   for sid in cfg.sensor_ids]
-    return penetration, footprints
+    return snapshot.penetration_per_100, footprints
 
 
 def _compose_report(cfg: ScenarioConfig, cell: CellConfig, geometries: list,
@@ -411,7 +419,7 @@ def max_feasible_rate(cfg: ScenarioConfig, rate_grid_mbps=RATE_GRID_MBPS,
 
 
 def sweep_guard_bands(cfg: ScenarioConfig, years=CANONICAL_YEARS,
-                      guards_mhz=tuple(range(0, 55, 5)),
+                      guards_mhz=GUARD_GRID_MHZ,
                       rate_grid_mbps=RATE_GRID_MBPS, cell: CellConfig = None,
                       counties: list = None) -> list:
     """Max feasible rate per (year, guard); wider guards shrink both the
@@ -423,10 +431,9 @@ def sweep_guard_bands(cfg: ScenarioConfig, years=CANONICAL_YEARS,
             for year in years for guard in guards_mhz]
 
 
-def leakage_table(orders=(3, 5, 7, 9), guards_mhz=tuple(range(0, 55, 5)),
-                  sensor_ids=SENSOR_IDS, ripple_db: float = 0.2,
-                  grid_step_mhz: float = 0.01, ref_bandwidth_mhz: float = 200.0) -> list:
-    """Leakage fractions across filter orders and guard widths, per sensor.
+def leakage_table(cfg: ScenarioConfig, orders, guards_mhz) -> list:
+    """Leakage fractions across filter orders and guard widths, per sensor of
+    `cfg`, with its ripple, integration grid and reference bandwidth.
 
     Each fraction is normalized by the passband width `spec.bandwidth_mhz`;
     `cfg.bandwidth_hz / 1e6` is the same width but differs in the last bits,
@@ -434,16 +441,14 @@ def leakage_table(orders=(3, 5, 7, 9), guards_mhz=tuple(range(0, 55, 5)),
     """
     catalog = load_sensor_catalog()
     rows = []
-    for sid in sensor_ids:
+    for sid in cfg.sensor_ids:
         sensor = lookup_sensor(catalog, sid)
         for order in orders:
             for guard in guards_mhz:
-                cfg = ScenarioConfig(guard_mhz=guard, filter_order=order, ripple_db=ripple_db,
-                                     grid_step_mhz=grid_step_mhz,
-                                     ref_bandwidth_mhz=ref_bandwidth_mhz)
-                spec = cfg.filter_spec
+                point = replace(cfg, guard_mhz=guard, filter_order=order)
+                spec = point.filter_spec
                 window = worst_victim_window(sensor.channel_span_ghz,
-                                             cfg.ref_bandwidth_mhz, cfg.tn_band_ghz)
+                                             point.ref_bandwidth_mhz, point.tn_band_ghz)
                 profile = leakage_fraction(spec, window, spec.bandwidth_mhz)
                 rows.append({
                     "sensor_id": sid,

@@ -40,6 +40,10 @@ def test_asymptote():
     assert gompertz(BASELINE_MODEL, 2300) == pytest.approx(38.100, abs=1e-6)
 
 
+def test_far_past_reaches_zero_without_overflow_warning():
+    assert gompertz(BASELINE_MODEL, -100000) == 0.0
+
+
 def test_strictly_increasing_in_year():
     years = np.arange(2020, 2080)
     values = gompertz(BASELINE_MODEL, years)

@@ -1,10 +1,12 @@
+import argparse
+import dataclasses
 import json
 import os
 
 import pytest
 
 from eesscoex import scenario
-from eesscoex.cli import main
+from eesscoex.cli import build_parser, main
 
 UNKNOWN_SENSOR = "error: unknown sensor 'B9'; have ['B1', 'B3', 'B4', 'B5', 'B7']"
 
@@ -155,7 +157,9 @@ def test_deploy_follows_config_penetration_flag(tmp_path, capsys):
     deployed = json.loads(capsys.readouterr().out)["config"]["penetration_per_100"]
     assert main(["--config", path, "simulate", "--year", "2035", "--trials", "2"]) == 0
     simulated = json.loads(capsys.readouterr().out)["config"]["penetration_per_100"]
-    assert deployed == simulated == pytest.approx(9.0608, abs=1e-4)
+    assert main(["--config", path, "adoption", "--year", "2035"]) == 0
+    adopted = json.loads(capsys.readouterr().out)["penetration_per_100"]
+    assert deployed == simulated == adopted == pytest.approx(9.0608, abs=1e-4)
 
 
 @pytest.mark.parametrize("argv", [
@@ -167,6 +171,7 @@ def test_deploy_follows_config_penetration_flag(tmp_path, capsys):
     ["simulate", "--jobs", str((os.cpu_count() or 1) + 1), "--trials", "2"],
     ["simulate", "--jobs", "0", "--trials", "2"],
     ["sweep-guard", "--jobs", "2", "--trials", "2"],
+    ["deploy", "--year", "2040", "--rate", "0"],
 ])
 def test_out_of_range_numbers_exit_2(capsys, monkeypatch, argv):
     def no_pool(*args, **kwargs):
@@ -232,3 +237,86 @@ def test_unknown_sensor_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [UNKNOWN_SENSOR] * 2
+
+
+def _run(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# (command line, config key, value in the file, the flag setting that value,
+# a different flag value): the file must act as the flag would, and an
+# explicit flag must win over the file.
+CONFIG_FLAGS = [
+    (["link-budget", "--sensor", "B5"], "g_tx_db", -3.0, "--g-tx=-3", "--g-tx=-7"),
+    (["leakage", "--orders", "7", "--guards", "25", "--sensors", "B5"],
+     "ripple_db", 0.5, "--ripple=0.5", "--ripple=0.1"),
+    (["leakage", "--orders", "7", "--guards", "25"],
+     "sensor_ids", ["B5"], "--sensors=B5", "--sensors=B1"),
+    (["adoption", "--year", "2035"], "adoption_factor", 1.5, "--scenario=150", "--scenario=50"),
+    (["deploy", "--year", "2035"], "adoption_factor", 1.5, "--scenario=150", "--scenario=50"),
+    (["deploy", "--year", "2035"], "max_demand_bps", 1e8, "--rate=1e8", "--rate=3e8"),
+    (["deploy", "--year", "2035"], "guard_mhz", 10.0, "--guard=10", "--guard=40"),
+    (["simulate", "--year", "2030", "--trials", "2"], "guard_mhz", 10.0,
+     "--guard=10", "--guard=40"),
+    (["compliance"], "guard_mhz", 10, "--guard=10", "--guard=40"),
+    (["compliance"], "p_bs_dbw", 0.0, "--ptx=0", "--ptx=-10"),
+    (["compliance"], "filter_order", 5, "--order=5", "--order=9"),
+]
+
+
+@pytest.mark.parametrize("argv, key, value, same_flag, other_flag", CONFIG_FLAGS)
+def test_flags_override_the_config_file(tmp_path, capsys, argv, key, value, same_flag,
+                                        other_flag):
+    path = _write_config(tmp_path, {"scenario": {key: value}})
+    from_file = _run(capsys, ["--config", path] + argv)
+    assert from_file == _run(capsys, argv + [same_flag])
+    overridden = _run(capsys, ["--config", path] + argv + [other_flag])
+    assert overridden == _run(capsys, argv + [other_flag])
+    assert overridden != from_file
+
+
+def test_no_flag_shadows_a_config_field():
+    fields = {f.name for cls in (scenario.ScenarioConfig, scenario.CellConfig)
+              for f in dataclasses.fields(cls)}
+    flag_fields = {"--year": "year", "--rate": "rate_bps", "--scenario": "adoption_factor",
+                   "--guard": "guard_mhz", "--trials": "trials", "--seed": "seed",
+                   "--g-tx": "g_tx_db", "--ripple": "ripple_db", "--sensors": "sensor_ids",
+                   "--ptx": "p_bs_dbw", "--order": "filter_order"}
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    checked = set()
+    for command in [parser] + list(commands.choices.values()):
+        for action in command._actions:
+            names = set(action.option_strings) & set(flag_fields)
+            if names or action.dest in fields:
+                assert action.default is None, (command.prog, action.option_strings)
+                checked |= names
+    assert checked == set(flag_fields)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--trials", "abc"],
+    ["compliance", "--eval-freq", "-inf"],
+    ["bogus"],
+    ["link-budget"],
+    ["deploy", "--year", "2040", "--out-dir", "out/"],
+])
+def test_argparse_errors_print_one_line(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["link-budget", "--sensor", "B5"],
+    ["adoption", "--year", "2030"],
+    ["compliance"],
+])
+def test_out_dir_on_print_only_command_exits_2(tmp_path, capsys, argv):
+    out_dir = tmp_path / "out"
+    code, out, err = _run(capsys, ["--out-dir", str(out_dir)] + argv)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: --out-dir: {argv[0]} writes no files"]
+    assert not out_dir.exists()

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eesscoex.linkbudget import (
-    PathExtras,
+    L_ATM_DB,
+    L_CLUT_DB,
+    L_POL_DB,
     build_link_budget,
     free_space_path_loss,
     load_sensor_catalog,
@@ -118,7 +120,7 @@ def test_catalog_roundtrip(tmp_path):
 
 
 def test_extras_default_total():
-    assert PathExtras().total_db == pytest.approx(8.8)
+    assert L_POL_DB + L_ATM_DB + L_CLUT_DB == pytest.approx(8.8)
 
 
 def test_b5_has_largest_net_gain(catalog):

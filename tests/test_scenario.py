@@ -303,7 +303,7 @@ def test_max_feasible_rate_zero_when_hopeless(counties):
 
 
 def test_leakage_table_rows():
-    rows = leakage_table(orders=(5, 7), guards_mhz=(0, 25), sensor_ids=("B5",))
+    rows = leakage_table(ScenarioConfig(sensor_ids=("B5",)), (5, 7), (0, 25))
     assert len(rows) == 4
     by_key = {(r["order"], r["guard_mhz"]): r["delta"] for r in rows}
     assert by_key[(7, 25.0)] < by_key[(7, 0.0)]
@@ -336,6 +336,20 @@ def test_emit_report_parses_and_errors(tmp_path, counties):
         emit_report(report, "/proc/nonexistent/subdir")
 
 
+def test_emit_report_header_keeps_only_shared_keys(tmp_path, counties):
+    power = scenario.MeanPowerResult(mean_p_w=1.0, infeasibility_rate=0.0,
+                                     n_feasible=4, n_unconverged=0)
+    reports = [simulate(ScenarioConfig(trials=4, guard_mhz=guard), counties=counties,
+                        power=power) for guard in (0.0, 25.0)]
+    header = json.loads(open(emit_report(reports, tmp_path)["json"]).read())["config"]
+    for key in ("guard_mhz", "bandwidth_hz", "tn_band_ghz", "year", "rate_bps",
+                "penetration_per_100"):
+        assert key not in header
+    assert header["trials"] == 4 and header["sensor_ids"] == list(scenario.SENSOR_IDS)
+    single = json.loads(open(emit_report(reports[1], tmp_path / "one")["json"]).read())
+    assert single["config"]["guard_mhz"] == 25.0
+
+
 def test_emit_guard_sweep(tmp_path):
     rows = [GuardSweepRow(2030, 25.0, 500), GuardSweepRow(2040, 25.0, 300)]
     paths = emit_guard_sweep(rows, tmp_path, header={"trials": 10})
@@ -346,7 +360,7 @@ def test_emit_guard_sweep(tmp_path):
 
 
 def test_emit_leakage_table(tmp_path):
-    rows = leakage_table(orders=(7,), guards_mhz=(25,), sensor_ids=("B5", "B1"))
+    rows = leakage_table(ScenarioConfig(sensor_ids=("B5", "B1")), (7,), (25,))
     paths = emit_leakage_table(rows, tmp_path)
     lines = open(paths["csv"]).read().strip().splitlines()
     assert lines[0] == "sensor_id,order,guard_mhz,delta,delta_db"
