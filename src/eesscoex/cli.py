@@ -142,8 +142,11 @@ def _cmd_leakage(args):
     guards = [float(x) for x in args.guards.split(",")]
     rows = leakage_table(cfg, orders, guards)
     if args.out_dir:
-        paths = emit_leakage_table(rows, args.out_dir,
-                                   header={"ripple_db": cfg.ripple_db})
+        paths = emit_leakage_table(rows, args.out_dir, header={
+            "ripple_db": cfg.ripple_db,
+            "grid_step_mhz": cfg.grid_step_mhz,
+            "ref_bandwidth_mhz": cfg.ref_bandwidth_mhz,
+        })
         _print_json(paths)
     else:
         for row in rows:
@@ -233,9 +236,9 @@ def _cmd_sweep_guard(args):
     records = _counties(args)
     rows = sweep_guard_bands(cfg, years=years, guards_mhz=guards, cell=cell,
                              counties=records)
-    header = cfg.header(cell)
-    header.pop("year", None)
-    header.pop("rate_bps", None)
+    # Only the keys shared by every row: year, guard and rate vary across the table.
+    per_point = ("year", "rate_bps", "guard_mhz", "bandwidth_hz", "tn_band_ghz")
+    header = {k: v for k, v in cfg.header(cell).items() if k not in per_point}
     if args.out_dir:
         paths = emit_guard_sweep(rows, args.out_dir, header=header)
         _print_json(paths)

@@ -10,6 +10,9 @@ optimality certificate.
 
 All linear algebra stays in the K-dimensional user space: the power solve
 needs only the K x K Gram matrix, which `solve_power_min` builds, O(N K^2).
+The private kernel `_solve_grams` solves a whole (T, K, K) stack of trials
+with stacked LAPACK/BLAS calls, each trial leaving the iteration once it
+converges; `solve_power_min` is its T = 1 case.
 """
 
 from dataclasses import dataclass
@@ -93,47 +96,56 @@ class PrecodeSolution:
     duality_gap: float
 
 
-def _solve_gram(gram, gam, noise_w, p_max_w) -> tuple:
-    """Minimum total power for positive SINR targets `gam` from the (K, K)
-    Gram matrix G of the effective channels; feasible if converged and <= `p_max_w`.
-    Returns (p_tx, feasible, converged, iterations, q, p, directions).
+def _solve_grams(grams, gam, noise_w, p_max_w) -> tuple:
+    """Minimum total power for positive SINR targets `gam` from a (T, K, K)
+    stack of Gram matrices G of the effective channels, one trial per matrix;
+    a trial is feasible if converged and <= `p_max_w`.  Returns per-trial
+    arrays (p_tx, feasible, converged, iterations, q, p, directions).
 
     The dual uplink powers are iterated via
-    q_k <- (gamma_k / (1 + gamma_k)) / [G (sigma^2 I + diag(q) G)^{-1}]_kk;
-    MMSE directions and the exact downlink power load follow from the
-    converged q.
+    q_k <- (gamma_k / (1 + gamma_k)) / [G (sigma^2 I + diag(q) G)^{-1}]_kk,
+    a standard interference function, so each trial converges on its own:
+    a converged trial leaves the active set and its q and iteration count
+    freeze, and every trial visits the iterates a lone solve would.  MMSE
+    directions and the exact downlink power load follow from the converged q.
     """
-    ka = len(gam)
+    n_trials, ka = grams.shape[:2]
     eye = np.eye(ka)
+    diag = np.arange(ka)
 
-    # Uplink power fixed point (monotone from zero).
-    q = np.zeros(ka)
+    # Uplink power fixed point (monotone from zero), over the active trials.
+    q = np.zeros((n_trials, ka))
     scale = gam / (1.0 + gam)
-    converged = False
-    iterations = 0
-    for iterations in range(1, _MAX_ITERATIONS + 1):
-        m = noise_w * eye + q[:, None] * gram
-        x = np.real(np.diagonal(gram @ np.linalg.inv(m)))
-        q_new = scale / x
-        if np.max(np.abs(q_new - q)) <= _TOL * max(np.max(q_new), 1e-300):
-            q = q_new
-            converged = True
+    converged = np.zeros(n_trials, dtype=bool)
+    iterations = np.zeros(n_trials, dtype=int)
+    active = np.arange(n_trials)
+    for iteration in range(1, _MAX_ITERATIONS + 1):
+        if not len(active):
             break
-        q = q_new
+        g_act, q_act = grams[active], q[active]
+        m = noise_w * eye + q_act[:, :, None] * g_act
+        x = np.real((g_act @ np.linalg.inv(m))[:, diag, diag])
+        q_new = scale / x
+        done = (np.max(np.abs(q_new - q_act), axis=1)
+                <= _TOL * np.maximum(np.max(q_new, axis=1), 1e-300))
+        q[active] = q_new
+        iterations[active] = iteration
+        converged[active[done]] = True
+        active = active[~done]
 
     # MMSE beam directions from the converged uplink powers.
-    coeffs = np.linalg.inv(noise_w * eye + q[:, None] * gram)  # columns b_k
-    beam_norms = np.sqrt(np.real(np.einsum("ik,ij,jk->k", coeffs.conj(), gram, coeffs)))
-    coeffs = coeffs / beam_norms
-    cross = gram @ coeffs                   # cross[k, j] = h_k^H u_j
+    coeffs = np.linalg.inv(noise_w * eye + q[:, :, None] * grams)  # columns b_k
+    beam_norms = np.sqrt(np.real(np.einsum("tik,tij,tjk->tk", coeffs.conj(), grams, coeffs)))
+    coeffs = coeffs / beam_norms[:, None, :]
+    cross = grams @ coeffs                  # cross[t, k, j] = h_k^H u_j
     c2 = np.abs(cross) ** 2
 
-    # Downlink powers solving the K x K tight-SINR system.
+    # Downlink powers solving each trial's K x K tight-SINR system.
     m_dl = -c2.astype(float)
-    np.fill_diagonal(m_dl, np.diagonal(c2) / gam)
-    p = np.linalg.solve(m_dl, np.full(ka, noise_w))
-    p_tx = float(np.sum(p))
-    feasible = converged and p_tx <= p_max_w * (1.0 + 1e-9)
+    m_dl[:, diag, diag] = c2[:, diag, diag] / gam
+    p = np.linalg.solve(m_dl, np.full((n_trials, ka, 1), noise_w))[:, :, 0]
+    p_tx = np.sum(p, axis=1)
+    feasible = converged & (p_tx <= p_max_w * (1.0 + 1e-9))
     return p_tx, feasible, converged, iterations, q, p, coeffs
 
 
@@ -170,8 +182,9 @@ def solve_power_min(h: np.ndarray, g: np.ndarray, targets: SinrTargets,
     h_eff = h[active] * np.sqrt(g[active])[:, None]
     gram = h_eff.conj() @ h_eff.T  # G[k, j] = h_k^H h_j over the active users
     p_max_w = budget.p_sum_max_w if budget is not None else np.inf
-    p_tx, feasible, converged, iterations, q, p, coeffs = _solve_gram(
-        gram, gamma[active], noise_w, p_max_w)
+    p_tx, feasible, converged, iterations, q, p, coeffs = (
+        out[0] for out in _solve_grams(gram[None], gamma[active], noise_w, p_max_w))
+    p_tx = float(p_tx)
     duality_gap = abs(p_tx - float(np.sum(q))) / max(p_tx, 1e-300)
 
     w_active = (h_eff.T @ coeffs * np.sqrt(p)).T
@@ -184,6 +197,6 @@ def solve_power_min(h: np.ndarray, g: np.ndarray, targets: SinrTargets,
     interference = np.sum(s, axis=1) - signal
     sinr = signal / (noise_w + interference)
 
-    return PrecodeSolution(w=w, p_tx_w=p_tx, feasible=feasible, sinr=sinr,
-                           converged=converged, iterations=iterations,
+    return PrecodeSolution(w=w, p_tx_w=p_tx, feasible=bool(feasible), sinr=sinr,
+                           converged=bool(converged), iterations=int(iterations),
                            duality_gap=duality_gap)

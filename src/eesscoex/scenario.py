@@ -15,9 +15,12 @@ worst-case county footprint count.
 `sweep_guard_bands` read their answers off it.  A channel is held only as its
 effective Gram matrix, all the power solve needs, drawn from the substream
 (master seed, trial); `mean_bs_power` is the one power path over such a stack,
-and the grid shares one stack across rates, guards and years.
+solving each block of it in one trial-batched precoder call, and the grid
+shares one stack across rates, guards and years.  Leakage fractions are
+integrated once per process for each distinct filter, window and bandwidth.
 """
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict, fields, replace
@@ -29,7 +32,7 @@ from .airlink import CellConfig, generate_channel, noise_power_w, trial_rng
 from .deployment import build_snapshot, load_bundled_counties, worst_case_footprint
 from .filterbank import FilterSpec, leakage_fraction, worst_victim_window
 from .linkbudget import DEFAULT_G_TX_DB, load_sensor_catalog, lookup_sensor, net_gain_db
-from .precoder import RfiBudget, _solve_gram, sinr_target
+from .precoder import RfiBudget, _solve_grams, sinr_target
 
 __all__ = [
     "ALLOCATION_EDGE_GHZ",
@@ -203,18 +206,18 @@ def draw_channels(cell: CellConfig, seed: int, trials: int) -> np.ndarray:
     return np.array([_gram(generate_channel(cell, trial_rng(seed, t))) for t in range(trials)])
 
 
-def _solve_block(args) -> list:
-    grams, gammas, noise_w, p_max_w = args
-    # (p_tx_w, feasible, converged) per trial
-    return [_solve_gram(gram, gammas, noise_w, p_max_w)[:3] for gram in grams]
+def _solve_block(args) -> tuple:
+    # (p_tx_w, feasible, converged) arrays over the block's trials
+    return _solve_grams(*args)[:3]
 
 
 def mean_bs_power(cfg: ScenarioConfig, cell: CellConfig, budget: RfiBudget = None,
                   channels: np.ndarray = None, n_jobs: int = 1) -> MeanPowerResult:
     """Mean minimum transmit power over the feasible trials of `channels` (a
     `draw_channels` stack, drawn here if absent), solved in min(n_jobs, trials)
-    blocks, in process or over worker processes, and reduced in trial order,
-    so the outcome is independent of `n_jobs`."""
+    blocks of one batched kernel call each, in process or over worker
+    processes, and reduced in trial order.  Each trial's solve does not depend
+    on the others in its block, so the outcome is independent of `n_jobs`."""
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     if channels is not None and len(channels) < cfg.trials:
@@ -229,11 +232,11 @@ def mean_bs_power(cfg: ScenarioConfig, cell: CellConfig, budget: RfiBudget = Non
     blocks = [(block, *shared) for block in np.array_split(grams[:cfg.trials],
                                                           min(n_jobs, cfg.trials))]
     if len(blocks) == 1:
-        trials = _solve_block(blocks[0])
+        solved = [_solve_block(blocks[0])]
     else:
         with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-            trials = [trial for block in pool.map(_solve_block, blocks) for trial in block]
-    powers, feasible, converged = (np.array(column) for column in zip(*trials))
+            solved = list(pool.map(_solve_block, blocks))
+    powers, feasible, converged = (np.concatenate(column) for column in zip(*solved))
     usable = feasible & converged
     n_feasible = int(np.count_nonzero(usable))
     mean_p = float(powers[usable].sum() / n_feasible) if n_feasible else float("nan")
@@ -269,6 +272,13 @@ class _SensorGeometry:
     g_sat_linear: float
 
 
+@functools.lru_cache(maxsize=256)
+def _leakage_delta(spec: FilterSpec, window, bs_bandwidth_mhz: float) -> float:
+    """`leakage_fraction(...).delta`, a pure function of its frozen inputs,
+    integrated once per process for each distinct (spec, window, bandwidth)."""
+    return leakage_fraction(spec, window, bs_bandwidth_mhz).delta
+
+
 def _sensor_geometries(cfg: ScenarioConfig, catalog: dict) -> tuple:
     """Per-sensor geometry at the config's guard, and the per-BS budget
     binding at the most tightly coupled sensor."""
@@ -278,12 +288,12 @@ def _sensor_geometries(cfg: ScenarioConfig, catalog: dict) -> tuple:
         sensor = lookup_sensor(catalog, sid)
         window = worst_victim_window(sensor.channel_span_ghz, cfg.ref_bandwidth_mhz,
                                      cfg.tn_band_ghz)
-        profile = leakage_fraction(spec, window, cfg.bandwidth_hz / 1e6)
+        delta = _leakage_delta(spec, window, cfg.bandwidth_hz / 1e6)
         gain_db = net_gain_db(sensor, use_published=cfg.use_published_gain,
                               g_tx_db=cfg.g_tx_db)
         out.append(_SensorGeometry(
             sensor_id=sid,
-            delta=profile.delta,
+            delta=delta,
             net_gain_db=gain_db,
             g_sat_linear=10.0 ** (gain_db / 10.0),
         ))
@@ -365,10 +375,11 @@ def simulate(cfg: ScenarioConfig, cell: CellConfig = None, counties: list = None
 
 def rfi_grid(cfg: ScenarioConfig, years, guards_mhz, rates_mbps, *,
              cell: CellConfig = None, counties: list = None, catalog: dict = None,
-             channels: list = None, power_cache: dict = None) -> dict:
+             channels: np.ndarray = None, power_cache: dict = None) -> dict:
     """Reports keyed (year, guard, rate).  Geometry and RFI budget are computed
     per guard, deployment footprints per (year, guard), and one power batch per
-    (guard, rate) over shared channel draws, read from or filled into `power_cache`."""
+    (guard, rate) over one shared `draw_channels` Gram stack, read from or
+    filled into `power_cache`."""
     cell, counties, catalog = _inputs(cell, counties, catalog)
     power_cache = {} if power_cache is None else power_cache
     grid = {}
@@ -408,7 +419,7 @@ def _max_rates(grid: dict, threshold_dbw: float) -> dict:
 
 def max_feasible_rate(cfg: ScenarioConfig, rate_grid_mbps=RATE_GRID_MBPS,
                       cell: CellConfig = None, counties: list = None,
-                      channels: list = None, catalog: dict = None,
+                      channels: np.ndarray = None, catalog: dict = None,
                       power_cache: dict = None) -> int:
     """Largest grid rate keeping the worst sensor at or under threshold; 0 if
     none.  A `power_cache` shares power batches across calls, as in `rfi_grid`."""

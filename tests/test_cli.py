@@ -84,6 +84,31 @@ def test_sweep_guard_command(capsys):
     assert lines[1].startswith("2030,25.0,")
 
 
+def test_sweep_guard_header_keeps_only_keys_shared_by_every_guard(tmp_path, capsys):
+    code = main(["--out-dir", str(tmp_path), "sweep-guard", "--years", "2030",
+                 "--guards", "20:25:5", "--trials", "2"])
+    assert code == 0
+    paths = json.loads(capsys.readouterr().out)
+    config = json.loads(open(paths["json"]).read())["config"]
+    at_20, at_25 = (scenario.ScenarioConfig(trials=2, guard_mhz=g).header(scenario.CellConfig())
+                    for g in (20.0, 25.0))
+    shared = {key for key in at_20 if at_20[key] == at_25[key]} - {"year", "rate_bps"}
+    assert set(config) == shared
+    assert not {"guard_mhz", "bandwidth_hz", "tn_band_ghz"} & set(config)
+    csv_keys = {line[2:].split("=")[0] for line in open(paths["csv"]) if line.startswith("#")}
+    assert csv_keys == shared
+
+
+def test_leakage_header_states_the_grid_it_follows(tmp_path, capsys):
+    path = _write_config(tmp_path, {"scenario": {"grid_step_mhz": 0.05}})
+    assert main(["--config", path, "--out-dir", str(tmp_path), "leakage",
+                 "--orders", "7", "--guards", "25", "--sensors", "B5"]) == 0
+    paths = json.loads(capsys.readouterr().out)
+    config = json.loads(open(paths["json"]).read())["config"]
+    assert config == {"ripple_db": 0.2, "grid_step_mhz": 0.05, "ref_bandwidth_mhz": 200.0}
+    assert "# grid_step_mhz=0.05\n" in open(paths["csv"]).read()
+
+
 def test_compliance_command(capsys):
     assert main(["compliance", "--ptx", "-5", "--guard", "25", "--order", "7"]) == 0
     payload = json.loads(capsys.readouterr().out)

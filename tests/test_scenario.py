@@ -5,9 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eesscoex import scenario
+from eesscoex import precoder, scenario
 from eesscoex.airlink import CellConfig, generate_channel, noise_power_w, trial_rng
-from eesscoex.precoder import RfiBudget, SinrTargets, solve_power_min
+from eesscoex.precoder import RfiBudget, SinrTargets, sinr_target, solve_power_min
 from eesscoex.reports import emit_guard_sweep, emit_leakage_table, emit_report
 from eesscoex.scenario import (
     GuardSweepRow,
@@ -97,11 +97,60 @@ def test_mean_power_equals_per_trial_reference(rate_bps, budget):
         assert 0 < len(usable) < cfg.trials
 
 
+def _kernel_inputs(rate_bps, trials=12, seed=0):
+    """A seed's Gram stack with the uniform targets and noise of `rate_bps`."""
+    cfg = ScenarioConfig(trials=trials, seed=seed, rate_bps=rate_bps)
+    cell = CellConfig()
+    gam = np.full(cell.n_users, sinr_target(cfg.rate_bps, cfg.bandwidth_hz))
+    return (draw_channels(cell, seed, trials), gam,
+            noise_power_w(cell.noise_temp_k, cfg.bandwidth_hz))
+
+
+def _assert_trials_solve_alone_bitwise(batch, grams, gam, noise, p_max_w):
+    for t in range(len(grams)):
+        alone = precoder._solve_grams(grams[t:t + 1], gam, noise, p_max_w)
+        for whole, single in zip(batch, alone):
+            assert whole.dtype == single.dtype
+            assert whole[t:t + 1].tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("rate_bps, p_max_w", [
+    (100e6, math.inf),
+    (500e6, math.inf),
+    (500e6, 1e-3),  # tight: some trials infeasible
+])
+def test_kernel_batch_equals_each_trial_alone(rate_bps, p_max_w):
+    grams, gam, noise = _kernel_inputs(rate_bps)
+    batch = precoder._solve_grams(grams, gam, noise, p_max_w)
+    p_tx, feasible, converged, iterations = batch[:4]
+    assert p_tx.shape == feasible.shape == iterations.shape == (len(grams),)
+    assert converged.all()
+    if math.isfinite(p_max_w):
+        assert 0 < feasible.sum() < len(grams)
+    _assert_trials_solve_alone_bitwise(batch, grams, gam, noise, p_max_w)
+
+
+def test_kernel_freezes_converged_trials_under_an_iteration_cap(monkeypatch):
+    grams, gam, noise = _kernel_inputs(500e6, trials=20)
+    uncapped = precoder._solve_grams(grams, gam, noise, math.inf)
+    cap = int(np.median(uncapped[3]))
+    monkeypatch.setattr(precoder, "_MAX_ITERATIONS", cap)
+    capped = precoder._solve_grams(grams, gam, noise, math.inf)
+    converged, iterations = capped[2], capped[3]
+    assert 0 < converged.sum() < len(grams)
+    assert not capped[1][~converged].any()
+    assert (iterations[~converged] == cap).all()
+    # A trial that converged under the cap stopped where it stops uncapped.
+    for whole, reference in zip(capped, uncapped):
+        assert whole[converged].tobytes() == reference[converged].tobytes()
+    _assert_trials_solve_alone_bitwise(capped, grams, gam, noise, math.inf)
+
+
 def test_zero_rate_reports_zero_power(monkeypatch, counties):
     def no_solve(*args, **kwargs):
         raise AssertionError("rate 0 needs no channel or solve")
 
-    monkeypatch.setattr(scenario, "_solve_gram", no_solve)
+    monkeypatch.setattr(scenario, "_solve_grams", no_solve)
     monkeypatch.setattr(scenario, "draw_channels", no_solve)
     cfg = ScenarioConfig(trials=4, seed=0, rate_bps=0.0)
     power = mean_bs_power(cfg, CellConfig())
@@ -137,12 +186,12 @@ def test_mean_power_parallel_identical():
     assert serial == parallel
 
 
-def test_mean_power_workers_bounded_by_trials(monkeypatch):
+def _inline_executor(monkeypatch):
+    """Replaces scenario's ProcessPoolExecutor with an in-process stand-in;
+    returns the list of max_workers it was started with."""
     started = []
 
     class InlineExecutor:
-        """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
-
         def __init__(self, max_workers):
             started.append(max_workers)
 
@@ -155,6 +204,11 @@ def test_mean_power_workers_bounded_by_trials(monkeypatch):
         map = staticmethod(map)
 
     monkeypatch.setattr(scenario, "ProcessPoolExecutor", InlineExecutor)
+    return started
+
+
+def test_mean_power_workers_bounded_by_trials(monkeypatch):
+    started = _inline_executor(monkeypatch)
     cfg = ScenarioConfig(trials=3, seed=5)
     cell = CellConfig()
     sharded = mean_bs_power(cfg, cell, n_jobs=10_000)
@@ -163,6 +217,18 @@ def test_mean_power_workers_bounded_by_trials(monkeypatch):
     assert started == [3]
     with pytest.raises(ValueError, match="n_jobs"):
         mean_bs_power(cfg, cell, n_jobs=0)
+
+
+def test_mean_power_blocks_reduce_in_trial_order(monkeypatch):
+    started = _inline_executor(monkeypatch)
+    cfg = ScenarioConfig(trials=20, seed=0, rate_bps=500e6)
+    cell = CellConfig()
+    budget = RfiBudget(p_bs_w=1e-3)  # tight: infeasible trials fall in several blocks
+    serial = mean_bs_power(cfg, cell, budget=budget, n_jobs=1)
+    sharded = mean_bs_power(cfg, cell, budget=budget, n_jobs=3)
+    assert started == [3]
+    assert 0 < serial.n_feasible < cfg.trials
+    assert repr(sharded) == repr(serial)
 
 
 def test_aggregate_rfi_composition():
@@ -232,10 +298,12 @@ GRID_RATES = (100, 500)
 
 def test_rfi_grid_computes_once_per_dependency(monkeypatch, counties):
     cfg = ScenarioConfig(trials=5, seed=1)
+    scenario._leakage_delta.cache_clear()  # earlier tests may have cached these fractions
     counts = _count_calls(monkeypatch, ("leakage_fraction", "build_snapshot",
                                         "mean_bs_power"))
     grid = rfi_grid(cfg, GRID_YEARS, GRID_GUARDS, GRID_RATES, counties=counties)
-    assert counts == {"leakage_fraction": 3 * 5, "build_snapshot": 2 * 3,
+    # B1, B3, B4 and B7 share one victim window, so each guard has 2 distinct fractions.
+    assert counts == {"leakage_fraction": 3 * 2, "build_snapshot": 2 * 3,
                       "mean_bs_power": 3 * 2}
     assert list(grid) == [(y, g, r) for g in GRID_GUARDS for y in GRID_YEARS
                           for r in GRID_RATES]
@@ -254,7 +322,7 @@ def test_rfi_grid_reads_and_fills_power_cache(monkeypatch, counties):
     def no_solve(*args, **kwargs):
         raise AssertionError("power batch solved despite a filled cache")
 
-    monkeypatch.setattr(scenario, "_solve_gram", no_solve)
+    monkeypatch.setattr(scenario, "_solve_grams", no_solve)
     monkeypatch.setattr(scenario, "draw_channels", no_solve)
     again = rfi_grid(cfg, GRID_YEARS, GRID_GUARDS, GRID_RATES, counties=counties,
                      power_cache=cache)
