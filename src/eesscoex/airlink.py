@@ -69,8 +69,18 @@ class CellConfig:
             raise ValueError(f"unknown distance mode {self.distance_mode!r}")
         if self.los_mode not in ("model", "los", "nlos"):
             raise ValueError(f"unknown LOS mode {self.los_mode!r}")
-        if self.carrier_ghz <= 0 or self.noise_temp_k <= 0:
-            raise ValueError("carrier and noise temperature must be positive")
+        if self.r_cell_m > 5000:
+            raise ValueError(f"cell radius must be at most 5000 m, got {self.r_cell_m}")
+        if not 0.5 <= self.carrier_ghz <= 100:
+            raise ValueError(f"carrier must lie in [0.5, 100] GHz, got {self.carrier_ghz}")
+        if not (1 < self.ut_height_m <= 100 and 1 < self.bs_height_m <= 100):
+            raise ValueError(f"antenna heights must lie in (1, 100] m, got "
+                             f"({self.bs_height_m}, {self.ut_height_m})")
+        if not -100 <= self.tx_gain_users_db <= 100:
+            raise ValueError(f"antenna gain must lie in [-100, 100] dB, "
+                             f"got {self.tx_gain_users_db}")
+        if not 1 <= self.noise_temp_k <= 1e5:
+            raise ValueError(f"noise temperature must lie in [1, 1e5] K, got {self.noise_temp_k}")
 
 
 @dataclass(frozen=True)

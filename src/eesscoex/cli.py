@@ -20,7 +20,8 @@ from .filterbank import (DEFAULT_SPURIOUS_LIMIT_DBM_MHZ, EDGE_EVAL_FREQ_GHZ, edg
                          leaked_psd_dbm_per_mhz)
 from .linkbudget import (DEFAULT_EVAL_FREQ_GHZ, build_link_budget, load_sensor_catalog,
                          lookup_sensor)
-from .reports import _json_safe, emit_guard_sweep, emit_leakage_table, emit_report, emit_rows
+from .reports import (_json_safe, emit_guard_sweep, emit_leakage_table, emit_report, emit_rows,
+                      format_row)
 from .scenario import (
     CANONICAL_YEARS,
     GUARD_GRID_MHZ,
@@ -47,6 +48,7 @@ _FIELD_CHECKS = {
             lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
 }
 _SECTIONS = {"scenario": ScenarioConfig, "cell": CellConfig}
+_SCENARIO_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)}
 
 
 def _load_config_file(path):
@@ -78,15 +80,13 @@ def _section_kwargs(payload, section):
     return kwargs
 
 
-def _build_configs(args, overrides):
-    """Scenario and cell configs: a non-None override, else the --config file, else the default."""
-    payload = _load_config_file(args.config) if getattr(args, "config", None) else {}
+def _build_configs(args):
+    """Scenario and cell configs: a flag given for a field (its dest is the
+    field's name), else the --config file, else the default."""
+    payload = _load_config_file(args.config) if args.config else {}
     scen_kwargs = _section_kwargs(payload, "scenario")
-    for key, value in overrides.items():
-        if value is not None:
-            scen_kwargs[key] = value
-    if getattr(args, "seed", None) is not None:
-        scen_kwargs["seed"] = args.seed
+    scen_kwargs.update((key, value) for key, value in vars(args).items()
+                       if key in _SCENARIO_FIELDS and value is not None)
     return ScenarioConfig(**scen_kwargs), CellConfig(**_section_kwargs(payload, "cell"))
 
 
@@ -129,7 +129,7 @@ def _counties(args):
 
 
 def _cmd_link_budget(args):
-    cfg, _ = _build_configs(args, {"g_tx_db": args.g_tx})
+    cfg, _ = _build_configs(args)
     sensor = lookup_sensor(load_sensor_catalog(args.catalog), args.sensor)
     budget = build_link_budget(sensor, g_tx_db=cfg.g_tx_db, f_ghz=args.freq)
     _print_json(budget.to_dict())
@@ -137,7 +137,7 @@ def _cmd_link_budget(args):
 
 
 def _cmd_leakage(args):
-    cfg, _ = _build_configs(args, {"ripple_db": args.ripple, "sensor_ids": args.sensors})
+    cfg, _ = _build_configs(args)
     orders = [int(x) for x in args.orders.split(",")]
     guards = [float(x) for x in args.guards.split(",")]
     rows = leakage_table(cfg, orders, guards)
@@ -150,16 +150,12 @@ def _cmd_leakage(args):
         _print_json(paths)
     else:
         for row in rows:
-            print(f"{row['sensor_id']},{row['order']},{row['guard_mhz']:.1f},"
-                  f"{row['delta']:.6e},{row['delta_db']:.4f}")
+            print(",".join(format_row(row)))
     return 0
 
 
 def _cmd_adoption(args):
-    cfg, _ = _build_configs(args, {
-        "year": args.year,
-        "adoption_factor": args.scenario / 100.0 if args.scenario is not None else None,
-    })
+    cfg, _ = _build_configs(args)
     out = {
         "year": cfg.year,
         "factor": cfg.adoption_factor,
@@ -173,12 +169,7 @@ def _cmd_adoption(args):
 
 
 def _cmd_deploy(args):
-    cfg, _ = _build_configs(args, {
-        "year": args.year,
-        "adoption_factor": args.scenario / 100.0 if args.scenario is not None else None,
-        "guard_mhz": args.guard,
-        "max_demand_bps": args.rate,
-    })
+    cfg, _ = _build_configs(args)
     records = _counties(args)
     snapshot = deployment_snapshot(cfg, records)
     by_fips = {r.fips: r for r in records}
@@ -195,9 +186,7 @@ def _cmd_deploy(args):
     ]
     header = {k: v for k, v in dataclasses.asdict(snapshot).items() if k != "counts"}
     if args.out_dir:
-        paths = emit_rows(rows, ["fips", "name", "state", "population",
-                                 "land_area_km2", "n_bs"],
-                          args.out_dir, "deployment", header=header)
+        paths = emit_rows(rows, args.out_dir, "deployment", header=header)
         _print_json(paths)
     else:
         _print_json({"config": header, "rows": rows})
@@ -208,13 +197,7 @@ def _cmd_simulate(args):
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:
         raise ValueError(f"--jobs must lie in [1, {cpus}] (the CPU count), got {args.jobs}")
-    cfg, cell = _build_configs(args, {
-        "year": args.year,
-        "adoption_factor": args.scenario / 100.0 if args.scenario is not None else None,
-        "guard_mhz": args.guard,
-        "rate_bps": args.rate,
-        "trials": args.trials,
-    })
+    cfg, cell = _build_configs(args)
     records = _counties(args)
     report = simulate(cfg, cell=cell, counties=records, n_jobs=args.jobs)
     if args.out_dir:
@@ -230,7 +213,7 @@ def _cmd_simulate(args):
 def _cmd_sweep_guard(args):
     if args.jobs != 1:
         raise ValueError(f"sweep-guard runs serially: --jobs must be 1, got {args.jobs}")
-    cfg, cell = _build_configs(args, {"trials": args.trials})
+    cfg, cell = _build_configs(args)
     years = [int(y) for y in args.years.split(",")]
     guards = _guard_grid(args.guards, cfg) if args.guards else GUARD_GRID_MHZ
     records = _counties(args)
@@ -244,16 +227,12 @@ def _cmd_sweep_guard(args):
         _print_json(paths)
     else:
         for row in rows:
-            print(f"{row.year},{row.guard_mhz:.1f},{row.max_rate_mbps}")
+            print(",".join(format_row(dataclasses.asdict(row))))
     return 0
 
 
 def _cmd_compliance(args):
-    cfg, _ = _build_configs(args, {
-        "p_bs_dbw": args.ptx,
-        "guard_mhz": args.guard,
-        "filter_order": args.order,
-    })
+    cfg, _ = _build_configs(args)
     spec = cfg.filter_spec
     psd = leaked_psd_dbm_per_mhz(spec, cfg.p_bs_dbw, args.eval_freq)
     margin = edge_psd_margin(spec, cfg.p_bs_dbw, args.eval_freq, limit_dbm_mhz=args.limit)
@@ -269,6 +248,11 @@ def _cmd_compliance(args):
     }
     _print_json(out)
     return 0 if margin >= 0 else 3
+
+
+def percent(text):
+    """A --scenario percentage of baseline growth, as the adoption_factor it sets."""
+    return float(text) / 100.0
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -292,36 +276,40 @@ def build_parser():
     p = sub.add_parser("link-budget", help="per-sensor propagation budget")
     p.add_argument("--sensor", required=True)
     p.add_argument("--freq", type=float, default=DEFAULT_EVAL_FREQ_GHZ, help="GHz")
-    p.add_argument("--g-tx", type=float, help="BS gain toward sensor, dB")
+    p.add_argument("--g-tx", dest="g_tx_db", type=float, help="BS gain toward sensor, dB")
     p.add_argument("--catalog", help="alternate sensor catalog JSON")
     p.set_defaults(func=_cmd_link_budget)
 
     p = sub.add_parser("leakage", help="leakage fractions per order/guard/sensor")
     p.add_argument("--orders", default=",".join(str(o) for o in LEAKAGE_ORDERS))
     p.add_argument("--guards", default=",".join(str(g) for g in GUARD_GRID_MHZ), help="MHz")
-    p.add_argument("--sensors", type=lambda ids: tuple(ids.split(",")))
-    p.add_argument("--ripple", type=float, help="passband ripple, dB")
+    p.add_argument("--sensors", dest="sensor_ids", type=lambda ids: tuple(ids.split(",")))
+    p.add_argument("--ripple", dest="ripple_db", type=float, help="passband ripple, dB")
     p.set_defaults(func=_cmd_leakage)
 
     p = sub.add_parser("adoption", help="penetration for a year and growth scenario")
-    p.add_argument("--scenario", type=float, help="percent of baseline b3")
+    p.add_argument("--scenario", dest="adoption_factor", type=percent, metavar="PERCENT",
+                   help="percent of baseline b3")
     p.add_argument("--year", type=int, required=True)
     p.set_defaults(func=_cmd_adoption)
 
     p = sub.add_parser("deploy", help="per-county BS counts")
     p.add_argument("--year", type=int, required=True)
-    p.add_argument("--rate", type=float, help="sizing rate per user, bps")
-    p.add_argument("--scenario", type=float, help="percent of baseline b3")
-    p.add_argument("--guard", type=float, help="guard band, MHz")
+    p.add_argument("--rate", dest="max_demand_bps", type=float,
+                   help="sizing rate per user, bps")
+    p.add_argument("--scenario", dest="adoption_factor", type=percent, metavar="PERCENT",
+                   help="percent of baseline b3")
+    p.add_argument("--guard", dest="guard_mhz", type=float, help="guard band, MHz")
     p.add_argument("--counties", help="county CSV (fips,name,state,rucc_code,population)")
     p.add_argument("--gazetteer", help="land-area CSV (fips,land_area_km2)")
     p.set_defaults(func=_cmd_deploy)
 
     p = sub.add_parser("simulate", help="aggregate RFI per sensor")
     p.add_argument("--year", type=int)
-    p.add_argument("--rate", type=float, help="user rate, bps")
-    p.add_argument("--scenario", type=float, help="percent of baseline b3")
-    p.add_argument("--guard", type=float, help="guard band, MHz")
+    p.add_argument("--rate", dest="rate_bps", type=float, help="user rate, bps")
+    p.add_argument("--scenario", dest="adoption_factor", type=percent, metavar="PERCENT",
+                   help="percent of baseline b3")
+    p.add_argument("--guard", dest="guard_mhz", type=float, help="guard band, MHz")
     p.add_argument("--trials", type=int)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--counties")
@@ -338,9 +326,9 @@ def build_parser():
     p.set_defaults(func=_cmd_sweep_guard)
 
     p = sub.add_parser("compliance", help="emission-mask margin at the band edge")
-    p.add_argument("--ptx", type=float, help="total transmit power, dBW")
-    p.add_argument("--guard", type=float, help="guard band, MHz")
-    p.add_argument("--order", type=int, help="filter order")
+    p.add_argument("--ptx", dest="p_bs_dbw", type=float, help="total transmit power, dBW")
+    p.add_argument("--guard", dest="guard_mhz", type=float, help="guard band, MHz")
+    p.add_argument("--order", dest="filter_order", type=int, help="filter order")
     p.add_argument("--eval-freq", type=float, default=EDGE_EVAL_FREQ_GHZ, help="GHz")
     p.add_argument("--limit", type=float, default=DEFAULT_SPURIOUS_LIMIT_DBM_MHZ,
                    help="dBm/MHz")
@@ -351,12 +339,17 @@ def build_parser():
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args = parser.parse_args(argv)
         if args.out_dir and args.command in _PRINT_ONLY:
             raise ValueError(f"--out-dir: {args.command} writes no files")
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {action.dest: action.option_strings[0]
+                 for action in parser._actions + commands.choices[args.command]._actions
+                 if action.option_strings}
         for name, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
+                raise ValueError(f"{flags[name]} must be finite, got {value}")
         return args.func(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -43,14 +43,19 @@ class FilterSpec:
     def __post_init__(self):
         if self.order < 1 or int(self.order) != self.order:
             raise ValueError(f"filter order must be a positive integer, got {self.order}")
-        if self.ripple_db <= 0:
-            raise ValueError(f"passband ripple must be > 0 dB, got {self.ripple_db}")
+        # Below 0.01 dB the ripple factor 10 ** (ripple / 10) - 1 rounds to 0
+        # (0 x inf is nan far out of band); 10 dB lets the passband fall to a
+        # tenth of its peak, and the factor overflows past about 3083 dB.
+        if not 0.01 <= self.ripple_db <= 10:
+            raise ValueError(f"passband ripple must lie in [0.01, 10] dB, got {self.ripple_db}")
         if not 0 < self.passband_low_ghz < self.passband_high_ghz:
             raise ValueError(
                 f"degenerate passband [{self.passband_low_ghz}, {self.passband_high_ghz}] GHz"
             )
-        if self.grid_step_mhz <= 0:
-            raise ValueError(f"grid step must be > 0 MHz, got {self.grid_step_mhz}")
+        # A 1 kHz step integrates a victim window of a few hundred MHz over a
+        # few hundred thousand points; a finer one asks for gigabytes.
+        if not self.grid_step_mhz >= 1e-3:
+            raise ValueError(f"grid step must be at least 0.001 MHz, got {self.grid_step_mhz}")
 
     @property
     def center_ghz(self) -> float:
@@ -118,10 +123,10 @@ def power_response(spec: FilterSpec, f_ghz):
     if np.any(f <= 0):
         raise ValueError("frequencies must be positive")
     f0 = spec.center_ghz
-    omega = (f / f0 - f0 / f) / spec.fractional_bandwidth
     eps2 = 10.0 ** (spec.ripple_db / 10.0) - 1.0
-    t = _chebyshev_magnitude(spec.order, omega)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # far out of band the response falls to 0
+        omega = (f / f0 - f0 / f) / spec.fractional_bandwidth
+        t = _chebyshev_magnitude(spec.order, omega)
         resp = 1.0 / (1.0 + eps2 * t * t)
     return float(resp[0]) if scalar else resp
 
@@ -188,7 +193,8 @@ def leaked_psd_dbm_per_mhz(spec: FilterSpec, p_tx_dbw: float, f_ghz: float) -> f
     if not np.isfinite(p_tx_dbw):
         raise ValueError(f"transmit power must be finite, got {p_tx_dbw}")
     inband_psd = (p_tx_dbw + 30.0) - 10.0 * np.log10(spec.bandwidth_mhz)
-    return float(inband_psd + 10.0 * np.log10(power_response(spec, f_ghz)))
+    with np.errstate(divide="ignore"):  # a response below float range leaks -inf dBm
+        return float(inband_psd + 10.0 * np.log10(power_response(spec, f_ghz)))
 
 
 def edge_psd_margin(spec: FilterSpec, p_tx_dbw: float, eval_f_ghz: float,

@@ -11,14 +11,7 @@ import math
 import os
 from dataclasses import asdict
 
-__all__ = ["emit_report", "emit_guard_sweep", "emit_leakage_table", "emit_rows"]
-
-_SENSOR_FIELDS = [
-    "sensor_id", "year", "rate_mbps", "guard_mhz", "adoption_factor",
-    "n_footprint", "delta", "delta_db", "net_gain_db", "mean_p_tx_dbw",
-    "rfi_dbw", "margin_db", "infeasibility_rate",
-    "worst_county_fips", "worst_county_name",
-]
+__all__ = ["emit_report", "emit_guard_sweep", "emit_leakage_table", "emit_rows", "format_row"]
 
 _FLOAT_FORMATS = {
     "rate_mbps": "{:.1f}",
@@ -45,6 +38,11 @@ def _format_value(key, value):
     return str(value)
 
 
+def format_row(row):
+    """A dict row's cells as text, in its key order: the CSV body and stdout format."""
+    return [_format_value(key, value) for key, value in row.items()]
+
+
 def _json_safe(value):
     if isinstance(value, float) and (math.isnan(value) or math.isinf(value)):
         return None if math.isnan(value) else ("-inf" if value < 0 else "inf")
@@ -63,8 +61,9 @@ def _open_out(out_dir, name):
         raise OSError(f"cannot write report to {os.path.join(out_dir, name)}: {exc}") from exc
 
 
-def emit_rows(rows, fieldnames, out_dir, basename, header=None):
-    """Write dict rows as CSV (with a commented config header) and JSON."""
+def emit_rows(rows, out_dir, basename, header=None):
+    """Write dict rows as CSV (with a commented config header) and JSON; the
+    columns are the first row's keys."""
     if not rows:
         raise ValueError("nothing to emit: empty row set")
     paths = {}
@@ -73,9 +72,9 @@ def emit_rows(rows, fieldnames, out_dir, basename, header=None):
         for key in sorted(header):
             fh.write(f"# {key}={_json_safe(header[key])}\n")
         writer = csv.writer(fh)
-        writer.writerow(fieldnames)
+        writer.writerow(rows[0])
         for row in rows:
-            writer.writerow([_format_value(k, row[k]) for k in fieldnames])
+            writer.writerow(format_row(row))
         paths["csv"] = fh.name
     with _open_out(out_dir, f"{basename}.json") as fh:
         json.dump({"config": _json_safe(header), "rows": _json_safe(rows)},
@@ -104,15 +103,12 @@ def emit_report(reports, out_dir):
     header = {key: value for key, value in reports[0].config.items()
               if key not in ("year", "rate_bps", "penetration_per_100")
               and all(r.config.get(key) == value for r in reports)}
-    return emit_rows(rows, _SENSOR_FIELDS, out_dir, "rfi_report", header=header)
+    return emit_rows(rows, out_dir, "rfi_report", header=header)
 
 
 def emit_guard_sweep(rows, out_dir, header=None):
-    dict_rows = [asdict(r) for r in rows]
-    return emit_rows(dict_rows, ["year", "guard_mhz", "max_rate_mbps"], out_dir,
-                     "guard_sweep", header=header)
+    return emit_rows([asdict(r) for r in rows], out_dir, "guard_sweep", header=header)
 
 
 def emit_leakage_table(rows, out_dir, header=None):
-    return emit_rows(rows, ["sensor_id", "order", "guard_mhz", "delta", "delta_db"],
-                     out_dir, "leakage", header=header)
+    return emit_rows(rows, out_dir, "leakage", header=header)

@@ -23,7 +23,7 @@ integrated once per process for each distinct filter, window and bandwidth.
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -98,8 +98,21 @@ class ScenarioConfig:
             raise ValueError("need at least one trial")
         if self.rate_bps < 0 or self.max_demand_bps <= 0:
             raise ValueError("rates must be positive")
+        # The bounds below keep derived quantities in range: 10 Gbps over the
+        # 225-275 MHz band already needs an SINR of 2^45, BS counts (demand
+        # over spectral efficiency) must stay int64, and dB values become watts.
+        if max(self.rate_bps, self.max_demand_bps) > 10e9:
+            raise ValueError(f"rates must be at most 10 Gbps, got "
+                             f"{max(self.rate_bps, self.max_demand_bps):g} bps")
+        if self.eta_bps_per_hz < 0.01:
+            raise ValueError(f"spectral efficiency must be at least 0.01 bps/Hz, "
+                             f"got {self.eta_bps_per_hz}")
+        if not (abs(self.p_bs_dbw) <= 100 and abs(self.g_tx_db) <= 100):
+            raise ValueError(f"BS power and gain must lie in [-100, 100] dB, "
+                             f"got ({self.p_bs_dbw}, {self.g_tx_db})")
         if not self.sensor_ids:
             raise ValueError("empty sensor set")
+        self.filter_spec  # order, ripple and grid step are checked here, for every command
 
     @property
     def tn_band_ghz(self) -> tuple:
@@ -128,16 +141,12 @@ class ScenarioConfig:
             return float("inf")
 
     def header(self, cell: CellConfig) -> dict:
-        """Reproducibility header echoed into every report."""
-        out = {k: v for k, v in asdict(self).items()}
+        """Reproducibility header echoed into every report: every scenario and
+        cell field, plus the quantities derived from them."""
+        out = {**vars(self), **vars(cell)}
         out["sensor_ids"] = list(self.sensor_ids)
         out["bandwidth_hz"] = self.bandwidth_hz
         out["tn_band_ghz"] = list(self.tn_band_ghz)
-        out["n_antennas"] = cell.n_antennas
-        out["n_users"] = cell.n_users
-        out["noise_temp_k"] = cell.noise_temp_k
-        out["carrier_ghz"] = cell.carrier_ghz
-        out["distance_mode"] = cell.distance_mode
         out["adoption_b"] = [BASELINE_MODEL.b1, BASELINE_MODEL.b2, BASELINE_MODEL.b3]
         out["adoption_anchor"] = [BASELINE_MODEL.anchor_year,
                                   BASELINE_MODEL.anchor_penetration]

@@ -1,9 +1,14 @@
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import os
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eesscoex import scenario
 from eesscoex.cli import build_parser, main
@@ -345,3 +350,137 @@ def test_out_dir_on_print_only_command_exits_2(tmp_path, capsys, argv):
     assert code == 2 and out == ""
     assert err.splitlines() == [f"error: --out-dir: {argv[0]} writes no files"]
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["leakage"],
+    ["sweep-guard", "--years", "2040", "--guards", "0:50:25", "--trials", "2"],
+])
+def test_stdout_rows_are_the_csv_body_rows(tmp_path, capsys, argv):
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert main(["--out-dir", str(tmp_path)] + argv) == 0
+    with open(json.loads(capsys.readouterr().out)["csv"], newline="") as fh:
+        body = [line.rstrip("\r\n") for line in fh if not line.startswith("#")][1:]
+    assert printed == body and len(body) > 1
+
+
+def test_every_cell_field_is_in_the_header():
+    base = scenario.ScenarioConfig(trials=2)
+    cell = scenario.CellConfig()
+    header = base.header(cell)
+    changed = {"n_antennas": 64, "n_users": 4, "r_min_m": 20.0, "r_cell_m": 300.0,
+               "carrier_ghz": 7.3, "bs_height_m": 25.0, "ut_height_m": 2.0,
+               "tx_gain_users_db": 10.0, "noise_temp_k": 300.0,
+               "distance_mode": "uniform-area", "shadowing": False, "los_mode": "los"}
+    assert set(changed) == {f.name for f in dataclasses.fields(cell)}
+    for key, value in changed.items():
+        other = base.header(dataclasses.replace(cell, **{key: value}))
+        assert other[key] == value and other != header, key
+
+
+@pytest.mark.parametrize("command", ["link-budget --sensor B5", "leakage --sensors B5",
+                                     "adoption --year 2030", "deploy --year 2030",
+                                     "simulate --trials 2", "sweep-guard --trials 2",
+                                     "compliance"])
+@pytest.mark.parametrize("key, value", [("filter_order", 0), ("ripple_db", 1e6),
+                                        ("grid_step_mhz", 1e-7)])
+def test_bad_filter_config_exits_2_on_every_command(tmp_path, capsys, command, key, value):
+    path = _write_config(tmp_path, {"scenario": {key: value}})
+    code, out, err = _run(capsys, ["--config", path] + command.split())
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+# Flag text and config values a user might give: out-of-range, non-finite, huge
+# and tiny numbers, and the wrong type.
+FLOAT_TEXT = st.one_of(st.floats().map(repr), st.sampled_from(
+    ["nan", "inf", "-inf", "1e308", "-1e308", "1e-300", "5e-324", "0", "-1", "abc", ""]))
+INT_TEXT = st.one_of(st.integers(-10**20, 10**20).map(str), st.sampled_from(
+    ["2030", "2035", "2040", "0", "-1", "1.5", "x"]))
+SMALL_INT_TEXT = st.sampled_from(["-1", "0", "1", "3", "2.5", "x"])
+ID_TEXT = st.sampled_from(["B1", "B5", "B7", "B9", "", "B1,B5", "B5,B5"])
+FLAGS = {
+    "link-budget": {"--sensor": ID_TEXT, "--freq": FLOAT_TEXT, "--g-tx": FLOAT_TEXT},
+    "leakage": {"--orders": st.sampled_from(["7", "3,9", "0", "-2", "1000000", "x"]),
+                "--guards": st.sampled_from(["25", "0,50", "-5", "60", "nan", "x"]),
+                "--sensors": ID_TEXT, "--ripple": FLOAT_TEXT},
+    "adoption": {"--scenario": FLOAT_TEXT, "--year": INT_TEXT},
+    "deploy": {"--year": INT_TEXT, "--rate": FLOAT_TEXT, "--scenario": FLOAT_TEXT,
+               "--guard": FLOAT_TEXT},
+    "simulate": {"--year": INT_TEXT, "--rate": FLOAT_TEXT, "--scenario": FLOAT_TEXT,
+                 "--guard": FLOAT_TEXT, "--trials": SMALL_INT_TEXT,
+                 "--jobs": st.sampled_from(["1", "0", "-1", "99999", "x"])},
+    "sweep-guard": {"--years": INT_TEXT, "--trials": SMALL_INT_TEXT,
+                    "--guards": st.sampled_from(["20:30:10", "0:50:25", "30:20:5", "0:50:0",
+                                                 "0:60:30", "nan:5:5", "1:2"]),
+                    "--jobs": st.sampled_from(["1", "2", "x"])},
+    "compliance": {"--ptx": FLOAT_TEXT, "--guard": FLOAT_TEXT, "--order": INT_TEXT,
+                   "--eval-freq": FLOAT_TEXT, "--limit": FLOAT_TEXT},
+}
+# What each drawn command line starts with: its required flags, few trials and
+# a short table.  Drawn flags come after and win.
+REQUIRED = {"link-budget": ["--sensor", "B5"], "adoption": ["--year", "2030"],
+            "deploy": ["--year", "2030"], "simulate": ["--trials", "2"],
+            "leakage": ["--orders", "7", "--guards", "25", "--sensors", "B5"],
+            "sweep-guard": ["--years", "2040", "--guards", "25:25:1", "--trials", "2"]}
+JSON_VALUE = st.one_of(
+    st.floats(), st.integers(-10**20, 10**20), st.booleans(), st.none(), st.text(max_size=3),
+    st.sampled_from([1e308, -1e308, 1e-300, 5e-324, 1e6, 1e-7, 0, -1, 2030, "los",
+                     "uniform-area", ["B5"], ["B9"], [], [1], {}]))
+SMALL_JSON_INT = st.sampled_from([-1, 0, 1, 2, 4, 8, 16, 2.0, "2", None])
+CONFIG_VALUES = {
+    "scenario": {f.name: SMALL_JSON_INT if f.name == "trials" else JSON_VALUE
+                 for f in dataclasses.fields(scenario.ScenarioConfig)},
+    "cell": {f.name: SMALL_JSON_INT if f.name in ("n_users", "n_antennas") else JSON_VALUE
+             for f in dataclasses.fields(scenario.CellConfig)},
+}
+
+
+@st.composite
+def cli_cases(draw):
+    """A command line, and the --config payload it reads (None for no file)."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    argv = [command] + REQUIRED.get(command, [])
+    for flag in draw(st.lists(st.sampled_from(sorted(FLAGS[command])), max_size=3,
+                              unique=True)):
+        argv.append(f"{flag}={draw(FLAGS[command][flag])}")
+    if draw(st.booleans()):
+        argv = ["--seed", draw(INT_TEXT)] + argv
+    if not draw(st.booleans()):
+        return argv, None
+    config = {}
+    for section, values in CONFIG_VALUES.items():
+        keys = draw(st.lists(st.sampled_from(sorted(values)), max_size=3, unique=True))
+        config[section] = {key: draw(values[key]) for key in keys}
+    return argv, draw(st.one_of(st.just(config), st.sampled_from(
+        [[], {"scenario": []}, {"other": {}}, {"cell": {"shadow": True}}])))
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(case=cli_cases(), out_dir=st.booleans())
+@example(case=(REQUIRED["leakage"], {"scenario": {"ripple_db": 1e6}}), out_dir=False)
+@example(case=(["simulate", "--trials", "2"], {"scenario": {"ripple_db": 1e6}}), out_dir=False)
+@example(case=(["simulate", "--trials", "2"], {"scenario": {"grid_step_mhz": 1e-7}}),
+         out_dir=False)
+def test_any_command_line_exits_0_2_or_3_without_a_traceback(tmp_path_factory, case, out_dir):
+    argv, config = case
+    tmp = tmp_path_factory.mktemp("cli")
+    if config is not None:
+        (tmp / "config.json").write_text(json.dumps(config))
+        argv = ["--config", str(tmp / "config.json")] + argv
+    if out_dir:
+        argv = ["--out-dir", str(tmp / "out")] + argv
+    out, err = io.StringIO(), io.StringIO()
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("worker pool started")
+
+    with mock.patch.object(scenario, "ProcessPoolExecutor", no_pool), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), argv
+    if code == 2:
+        assert out.getvalue() == "", argv
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
