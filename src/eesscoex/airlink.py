@@ -11,9 +11,11 @@ are derived from (master seed, trial index) so serial and parallel runs
 agree draw for draw.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
+
+from ._fields import bounded, check_fields
 
 __all__ = [
     "BOLTZMANN_J_PER_K",
@@ -43,44 +45,28 @@ class CellConfig:
     """Single-cell downlink geometry and radio parameters."""
 
     n_antennas: int = 256
-    n_users: int = 8
-    r_min_m: float = 10.0
-    r_cell_m: float = 150.0
-    carrier_ghz: float = 7.275
-    bs_height_m: float = 10.0
-    ut_height_m: float = 1.5
-    tx_gain_users_db: float = 15.0
-    noise_temp_k: float = 290.0
+    n_users: int = bounded(8, ge=1)
+    r_min_m: float = bounded(10.0, gt=0)
+    r_cell_m: float = bounded(150.0, le=5000)
+    carrier_ghz: float = bounded(7.275, ge=0.5, le=100)
+    bs_height_m: float = bounded(10.0, gt=1, le=100)
+    ut_height_m: float = bounded(1.5, gt=1, le=100)
+    tx_gain_users_db: float = bounded(15.0, ge=-100, le=100)
+    noise_temp_k: float = bounded(290.0, ge=1, le=1e5)
     distance_mode: str = "uniform-distance"  # or "uniform-area"
     shadowing: bool = True
     los_mode: str = "model"  # "model" | "los" | "nlos"
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.type is float and not np.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        if not 0 < self.r_min_m < self.r_cell_m:
-            raise ValueError(f"need 0 < r_min < r_cell, got ({self.r_min_m}, {self.r_cell_m})")
-        if self.n_antennas < self.n_users or self.n_users < 1:
-            raise ValueError(
-                f"need n_antennas >= n_users >= 1, got ({self.n_antennas}, {self.n_users})"
-            )
+        check_fields(self)
+        if not self.r_min_m < self.r_cell_m:
+            raise ValueError(f"need r_min < r_cell, got ({self.r_min_m}, {self.r_cell_m})")
+        if self.n_antennas < self.n_users:
+            raise ValueError(f"need n_antennas >= n_users, got {self.n_antennas} < {self.n_users}")
         if self.distance_mode not in ("uniform-distance", "uniform-area"):
             raise ValueError(f"unknown distance mode {self.distance_mode!r}")
         if self.los_mode not in ("model", "los", "nlos"):
             raise ValueError(f"unknown LOS mode {self.los_mode!r}")
-        if self.r_cell_m > 5000:
-            raise ValueError(f"cell radius must be at most 5000 m, got {self.r_cell_m}")
-        if not 0.5 <= self.carrier_ghz <= 100:
-            raise ValueError(f"carrier must lie in [0.5, 100] GHz, got {self.carrier_ghz}")
-        if not (1 < self.ut_height_m <= 100 and 1 < self.bs_height_m <= 100):
-            raise ValueError(f"antenna heights must lie in (1, 100] m, got "
-                             f"({self.bs_height_m}, {self.ut_height_m})")
-        if not -100 <= self.tx_gain_users_db <= 100:
-            raise ValueError(f"antenna gain must lie in [-100, 100] dB, "
-                             f"got {self.tx_gain_users_db}")
-        if not 1 <= self.noise_temp_k <= 1e5:
-            raise ValueError(f"noise temperature must lie in [1, 1e5] K, got {self.noise_temp_k}")
 
 
 @dataclass(frozen=True)

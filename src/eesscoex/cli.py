@@ -13,6 +13,7 @@ import math
 import os
 import sys
 
+from ._fields import from_json
 from .adoption import scenario_penetration
 from .airlink import CellConfig
 from .deployment import ingest_counties, load_bundled_counties
@@ -37,16 +38,6 @@ from .scenario import (
 _PRINT_ONLY = ("link-budget", "adoption", "compliance")
 
 
-# JSON value accepted for each config field type: (description, check).
-_FIELD_CHECKS = {
-    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    float: ("a finite number", lambda v: isinstance(v, (int, float))
-            and not isinstance(v, bool) and math.isfinite(v)),
-    bool: ("true or false", lambda v: isinstance(v, bool)),
-    str: ("a string", lambda v: isinstance(v, str)),
-    tuple: ("a list of strings",
-            lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
-}
 _SECTIONS = {"scenario": ScenarioConfig, "cell": CellConfig}
 _SCENARIO_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)}
 
@@ -62,32 +53,30 @@ def _load_config_file(path):
     return payload
 
 
-def _section_kwargs(payload, section):
-    """Keyword arguments for one config section, each key checked against its field."""
+def _section_config(payload, section):
+    """The config one section of the --config file sets, checked on its own so
+    that a bad value in the file fails under any flags."""
     values = payload.get(section, {})
     if not isinstance(values, dict):
         raise ValueError(f"config section {section!r} must be a JSON object")
     types = {f.name: f.type for f in dataclasses.fields(_SECTIONS[section])}
-    kwargs = {}
-    for key, value in values.items():
-        if key not in types:
-            raise ValueError(f"config section {section!r}: unknown key {key!r}")
-        expected, check = _FIELD_CHECKS[types[key]]
-        if not check(value):
-            raise ValueError(f"config section {section!r}: key {key!r} must be "
-                             f"{expected}, got {json.dumps(value)}")
-        kwargs[key] = types[key](value)  # a JSON 25 reads as 25.0, as --guard 25 does
-    return kwargs
+    unknown = sorted(set(values) - set(types))
+    if unknown:
+        raise ValueError(f"config section {section!r}: unknown key {unknown[0]!r}")
+    try:  # a JSON 25 reads as 25.0, as --guard 25 does
+        return _SECTIONS[section](**{k: from_json(types[k], v) for k, v in values.items()})
+    except ValueError as exc:
+        raise ValueError(f"config section {section!r}: {exc}") from None
 
 
 def _build_configs(args):
     """Scenario and cell configs: a flag given for a field (its dest is the
     field's name), else the --config file, else the default."""
     payload = _load_config_file(args.config) if args.config else {}
-    scen_kwargs = _section_kwargs(payload, "scenario")
-    scen_kwargs.update((key, value) for key, value in vars(args).items()
-                       if key in _SCENARIO_FIELDS and value is not None)
-    return ScenarioConfig(**scen_kwargs), CellConfig(**_section_kwargs(payload, "cell"))
+    flags = {key: value for key, value in vars(args).items()
+             if key in _SCENARIO_FIELDS and value is not None}
+    return (dataclasses.replace(_section_config(payload, "scenario"), **flags),
+            _section_config(payload, "cell"))
 
 
 def _print_json(payload):
@@ -123,6 +112,13 @@ def _counties(args):
         result = ingest_counties(args.counties, args.gazetteer)
     else:
         result = load_bundled_counties()
+    if not result.records:  # one error line, not a warning per rejected row
+        reason = "no metro county with a land area"
+        if result.rejected:
+            first = result.rejected[0]
+            reason += (f"; {len(result.rejected)} rows rejected, the first at line "
+                       f"{first.line}: {first.reason}")
+        raise ValueError(f"{args.counties}: {reason}")
     for diag in result.rejected:
         print(f"warning: line {diag.line}: {diag.reason}", file=sys.stderr)
     return result.records

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from math import ceil, floor
 
+from ._fields import bounded, check_fields
+
 __all__ = [
     "CountyRecord",
     "RowDiagnostic",
@@ -38,19 +40,14 @@ class CountyRecord:
     fips: str
     name: str
     state: str
-    rucc_code: int
-    population: int
-    land_area_km2: float
+    rucc_code: int = bounded(ge=1, le=9)
+    population: int = bounded(ge=0)
+    land_area_km2: float = bounded(gt=0)
 
     def __post_init__(self):
+        check_fields(self)
         if len(self.fips) != 5 or not self.fips.isdigit():
             raise ValueError(f"FIPS must be a 5-digit code, got {self.fips!r}")
-        if self.population < 0:
-            raise ValueError(f"{self.fips}: population must be >= 0")
-        if self.land_area_km2 <= 0:
-            raise ValueError(f"{self.fips}: land area must be positive")
-        if not 1 <= self.rucc_code <= 9:
-            raise ValueError(f"{self.fips}: RUCC code must lie in 1..9")
 
 
 @dataclass(frozen=True)
@@ -127,7 +124,7 @@ def ingest_counties(county_csv, gazetteer_csv) -> CountyIngest:
                     land_area_km2=areas[fips],
                 )
             except ValueError as exc:
-                rejected.append(RowDiagnostic(line, str(exc)))
+                rejected.append(RowDiagnostic(line, f"FIPS {fips}: {exc}"))
                 continue
             records.append(record)
     records.sort(key=lambda r: r.fips)

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fields import bounded, check_fields
+
 __all__ = [
     "FilterSpec",
     "VictimWindow",
@@ -34,28 +36,25 @@ class FilterSpec:
     sets the trapezoidal integration grid used for leakage fractions.
     """
 
-    order: int = 7
-    ripple_db: float = 0.2
-    passband_low_ghz: float = 7.150
+    # The designs studied use 3 to 9 resonators; far past that, cos(order *
+    # arccos x) is rounding noise and the leakage reads 0 (a -inf RFI).
+    order: int = bounded(7, ge=1, le=50)
+    # Below 0.01 dB the ripple factor 10 ** (ripple / 10) - 1 rounds to 0
+    # (0 x inf is nan far out of band); 10 dB lets the passband fall to a
+    # tenth of its peak, and the factor overflows past about 3083 dB.
+    ripple_db: float = bounded(0.2, ge=0.01, le=10)
+    passband_low_ghz: float = bounded(7.150, gt=0)
     passband_high_ghz: float = 7.400
-    grid_step_mhz: float = 0.01
+    # A 1 kHz step integrates a victim window of a few hundred MHz over a
+    # few hundred thousand points; a finer one asks for gigabytes.
+    grid_step_mhz: float = bounded(0.01, ge=1e-3)
 
     def __post_init__(self):
-        if self.order < 1 or int(self.order) != self.order:
-            raise ValueError(f"filter order must be a positive integer, got {self.order}")
-        # Below 0.01 dB the ripple factor 10 ** (ripple / 10) - 1 rounds to 0
-        # (0 x inf is nan far out of band); 10 dB lets the passband fall to a
-        # tenth of its peak, and the factor overflows past about 3083 dB.
-        if not 0.01 <= self.ripple_db <= 10:
-            raise ValueError(f"passband ripple must lie in [0.01, 10] dB, got {self.ripple_db}")
-        if not 0 < self.passband_low_ghz < self.passband_high_ghz:
+        check_fields(self)
+        if not self.passband_low_ghz < self.passband_high_ghz:
             raise ValueError(
                 f"degenerate passband [{self.passband_low_ghz}, {self.passband_high_ghz}] GHz"
             )
-        # A 1 kHz step integrates a victim window of a few hundred MHz over a
-        # few hundred thousand points; a finer one asks for gigabytes.
-        if not self.grid_step_mhz >= 1e-3:
-            raise ValueError(f"grid step must be at least 0.001 MHz, got {self.grid_step_mhz}")
 
     @property
     def center_ghz(self) -> float:

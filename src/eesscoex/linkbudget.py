@@ -15,6 +15,8 @@ from dataclasses import dataclass, asdict
 from importlib import resources
 from math import asin, log10, radians, sin
 
+from ._fields import bounded, check_fields, from_json
+
 __all__ = [
     "EARTH_RADIUS_KM",
     "SensorSpec",
@@ -42,24 +44,19 @@ class SensorSpec:
     """One passive radiometer channel (catalog row)."""
 
     sensor_id: str
-    altitude_km: float
-    incidence_deg: float
+    altitude_km: float = bounded(gt=0, lt=2000)
+    incidence_deg: float = bounded(gt=0, lt=90)
     rx_gain_dbi: float
-    channel_span_ghz: tuple
-    footprint_area_km2: float
+    channel_span_ghz: tuple[float, float]
+    footprint_area_km2: float = bounded(gt=0)
     published_net_gain_db: float
     published_slant_km: float
 
     def __post_init__(self):
-        if not 0 < self.altitude_km < 2000:
-            raise ValueError(f"{self.sensor_id}: altitude {self.altitude_km} km out of range")
-        if not 0 < self.incidence_deg < 90:
-            raise ValueError(f"{self.sensor_id}: incidence {self.incidence_deg} deg out of range")
-        if self.footprint_area_km2 <= 0:
-            raise ValueError(f"{self.sensor_id}: footprint area must be positive")
+        check_fields(self)
         lo, hi = self.channel_span_ghz
         if not 0 < lo < hi:
-            raise ValueError(f"{self.sensor_id}: bad channel span {self.channel_span_ghz}")
+            raise ValueError(f"need 0 < channel low < high GHz, got {self.channel_span_ghz}")
 
 
 @dataclass(frozen=True)
@@ -141,31 +138,51 @@ def net_gain_db(sensor: SensorSpec, use_published: bool = True, **kwargs) -> flo
 
 
 def _sensor_from_row(row: dict) -> SensorSpec:
+    def number(key):
+        return from_json(float, row[key])
+
     return SensorSpec(
         sensor_id=row["sensor_id"],
-        altitude_km=float(row["altitude_km"]),
-        incidence_deg=float(row["incidence_deg"]),
-        rx_gain_dbi=float(row["rx_gain_dbi"]),
-        channel_span_ghz=(float(row["channel_low_ghz"]), float(row["channel_high_ghz"])),
-        footprint_area_km2=float(row["footprint_area_km2"]),
-        published_net_gain_db=float(row["published_net_gain_db"]),
-        published_slant_km=float(row["published_slant_km"]),
+        altitude_km=number("altitude_km"),
+        incidence_deg=number("incidence_deg"),
+        rx_gain_dbi=number("rx_gain_dbi"),
+        channel_span_ghz=(number("channel_low_ghz"), number("channel_high_ghz")),
+        footprint_area_km2=number("footprint_area_km2"),
+        published_net_gain_db=number("published_net_gain_db"),
+        published_slant_km=number("published_slant_km"),
     )
 
 
 def load_sensor_catalog(path=None) -> dict:
-    """Load the sensor catalog, bundled by default, as {id: SensorSpec}."""
+    """Load the sensor catalog, bundled by default, as {id: SensorSpec}.
+
+    A malformed catalog raises ValueError naming the file and the bad entry.
+    """
     if path is None:
         text = resources.files("eesscoex.data").joinpath("sensors.json").read_text()
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    payload = json.loads(text)
+    name = path or "sensors.json"
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    rows = payload.get("sensors") if isinstance(payload, dict) else None
+    if not isinstance(rows, list):
+        raise ValueError(f"{name}: catalog must be a JSON object with a 'sensors' list")
     catalog = {}
-    for row in payload["sensors"]:
-        spec = _sensor_from_row(row)
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ValueError(f"{name}: sensors[{i}] must be a JSON object, got {row!r}")
+        try:
+            spec = _sensor_from_row(row)
+        except KeyError as exc:
+            raise ValueError(f"{name}: sensors[{i}] lacks key {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{name}: sensors[{i}]: {exc}") from None
         if spec.sensor_id in catalog:
-            raise ValueError(f"duplicate sensor id {spec.sensor_id} in catalog")
+            raise ValueError(f"{name}: duplicate sensor id {spec.sensor_id} in catalog")
         catalog[spec.sensor_id] = spec
     return catalog
 

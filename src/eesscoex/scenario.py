@@ -23,11 +23,12 @@ integrated once per process for each distinct filter, window and bandwidth.
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .adoption import BASELINE_MODEL, scenario_penetration
+from ._fields import bounded, check_fields
 from .airlink import CellConfig, generate_channel, noise_power_w, trial_rng
 from .deployment import build_snapshot, load_bundled_counties, worst_case_footprint
 from .filterbank import FilterSpec, leakage_fraction, worst_victim_window
@@ -69,47 +70,30 @@ class ScenarioConfig:
     """One grid point of the coexistence study plus shared model knobs."""
 
     year: int = 2030
-    adoption_factor: float = 1.0
-    guard_mhz: float = 25.0
-    rate_bps: float = 100e6
-    trials: int = 1000
-    seed: int = 0
-    sensor_ids: tuple = SENSOR_IDS
+    adoption_factor: float = bounded(1.0, gt=0)
+    guard_mhz: float = bounded(25.0, ge=0, le=50)
+    # The upper bounds keep derived quantities in range: 10 Gbps over the
+    # 225-275 MHz band already needs an SINR of 2^45, BS counts (demand over
+    # spectral efficiency) must stay int64, and dB values become watts.
+    rate_bps: float = bounded(100e6, ge=0, le=10e9)
+    trials: int = bounded(1000, ge=1)
+    seed: int = bounded(0, ge=0)
+    sensor_ids: tuple[str, ...] = SENSOR_IDS
     threshold_dbw: float = -166.0       # per reference bandwidth
-    ref_bandwidth_mhz: float = 200.0
-    eta_bps_per_hz: float = 50.0
-    max_demand_bps: float = 500e6       # peak per-user demand sizing the deployment
+    ref_bandwidth_mhz: float = bounded(200.0, gt=0)
+    eta_bps_per_hz: float = bounded(50.0, ge=0.01)
+    max_demand_bps: float = bounded(500e6, gt=0, le=10e9)  # per-user demand sizing the deployment
     filter_order: int = 7
     ripple_db: float = 0.2
     grid_step_mhz: float = 0.01
-    p_bs_dbw: float = -5.0
-    g_tx_db: float = DEFAULT_G_TX_DB
+    p_bs_dbw: float = bounded(-5.0, ge=-100, le=100)
+    g_tx_db: float = bounded(DEFAULT_G_TX_DB, ge=-100, le=100)
     use_published_gain: bool = True
     use_published_penetration: bool = True
     calibration_db: float = 0.0         # additive alignment of reported RFI
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.type is float and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        if not 0 <= self.guard_mhz <= 50:
-            raise ValueError(f"guard band must lie in [0, 50] MHz, got {self.guard_mhz}")
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
-        if self.rate_bps < 0 or self.max_demand_bps <= 0:
-            raise ValueError("rates must be positive")
-        # The bounds below keep derived quantities in range: 10 Gbps over the
-        # 225-275 MHz band already needs an SINR of 2^45, BS counts (demand
-        # over spectral efficiency) must stay int64, and dB values become watts.
-        if max(self.rate_bps, self.max_demand_bps) > 10e9:
-            raise ValueError(f"rates must be at most 10 Gbps, got "
-                             f"{max(self.rate_bps, self.max_demand_bps):g} bps")
-        if self.eta_bps_per_hz < 0.01:
-            raise ValueError(f"spectral efficiency must be at least 0.01 bps/Hz, "
-                             f"got {self.eta_bps_per_hz}")
-        if not (abs(self.p_bs_dbw) <= 100 and abs(self.g_tx_db) <= 100):
-            raise ValueError(f"BS power and gain must lie in [-100, 100] dB, "
-                             f"got ({self.p_bs_dbw}, {self.g_tx_db})")
+        check_fields(self)
         if not self.sensor_ids:
             raise ValueError("empty sensor set")
         self.filter_spec  # order, ripple and grid step are checked here, for every command

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import os
+from importlib import resources
 from unittest import mock
 
 import pytest
@@ -172,6 +173,12 @@ def _write_config(tmp_path, config):
     ({"cell": {"bandwidth_hz": 1e6}}, "cell", "bandwidth_hz"),
     ({"scenario": {"trials": "5"}}, "scenario", "trials"),
     ({"cell": {"noise_temp_k": float("nan")}}, "cell", "noise_temp_k"),
+    ({"scenario": {"seed": -1}}, "scenario", "seed"),
+    ({"scenario": {"adoption_factor": 0}}, "scenario", "adoption_factor"),
+    ({"scenario": {"ref_bandwidth_mhz": 0}}, "scenario", "ref_bandwidth_mhz"),
+    ({"scenario": {"ref_bandwidth_mhz": 10**400}}, "scenario", "ref_bandwidth_mhz"),
+    ({"scenario": {"sensor_ids": [["B5"]]}}, "scenario", "sensor_ids"),
+    ({"scenario": {"trials": 5, "guard_mhz": 60}}, "scenario", "guard_mhz"),
 ])
 def test_config_key_errors(tmp_path, capsys, config, section, key):
     path = _write_config(tmp_path, config)
@@ -202,6 +209,12 @@ def test_deploy_follows_config_penetration_flag(tmp_path, capsys):
     ["simulate", "--jobs", "0", "--trials", "2"],
     ["sweep-guard", "--jobs", "2", "--trials", "2"],
     ["deploy", "--year", "2040", "--rate", "0"],
+    ["leakage", "--orders", "100000000000000000000", "--guards", "25", "--sensors", "B5"],
+    ["compliance", "--order", "100000000000000000000"],
+    ["--seed", "-1", "deploy", "--year", "2030"],
+    ["--seed", "-1", "simulate", "--trials", "2"],
+    ["adoption", "--year", "2030", "--scenario", "0"],
+    ["simulate", "--scenario", "-50", "--trials", "2"],
 ])
 def test_out_of_range_numbers_exit_2(capsys, monkeypatch, argv):
     def no_pool(*args, **kwargs):
@@ -213,6 +226,77 @@ def test_out_of_range_numbers_exit_2(capsys, monkeypatch, argv):
     assert captured.out == ""
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["leakage", "--orders", "100000000000000000000", "--guards", "25", "--sensors", "B5"],
+     "order"),
+    (["compliance", "--order", "51"], "order"),
+    (["--seed", "-1", "deploy", "--year", "2030"], "seed"),
+    (["--seed", "-1", "simulate", "--trials", "2"], "seed"),
+    (["adoption", "--year", "2030", "--scenario", "0"], "adoption_factor"),
+    (["simulate", "--guard", "60", "--trials", "2"], "guard_mhz"),
+])
+def test_out_of_range_field_is_named(capsys, argv, field):
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: '{field}' must be ")
+
+
+def test_config_file_value_is_checked_under_an_overriding_flag(tmp_path, capsys):
+    path = _write_config(tmp_path, {"scenario": {"guard_mhz": 60}})
+    code, out, err = _run(capsys, ["--config", path, "simulate", "--guard", "25",
+                                   "--trials", "2"])
+    assert code == 2 and out == ""
+    assert err == "error: config section 'scenario': 'guard_mhz' must be <= 50, got 60.0\n"
+
+
+def _write_counties(tmp_path, areas):
+    """County and gazetteer CSVs of two metro counties with the given land areas."""
+    counties = tmp_path / "c.csv"
+    counties.write_text("fips,name,state,rucc_code,population\n"
+                        "06037,Los Angeles,CA,1,10000000\n53033,King,WA,1,2271380\n")
+    gaz = tmp_path / "g.csv"
+    gaz.write_text("fips,land_area_km2\n" + "".join(
+        f"{fips},{area}\n" for fips, area in zip(("06037", "53033"), areas)))
+    return ["--counties", str(counties), "--gazetteer", str(gaz)]
+
+
+@pytest.mark.parametrize("area", ["inf", "nan", "-inf", "0"])
+def test_non_finite_gazetteer_area_is_a_rejected_row(tmp_path, capsys, area):
+    argv = ["simulate", "--year", "2030", "--trials", "2"] + _write_counties(
+        tmp_path, [area, "5478.6"])
+    code, out, err = _run(capsys, argv)
+    assert code == 0
+    assert err.startswith("warning: line 2: FIPS 06037: 'land_area_km2' must be ")
+    assert len(err.splitlines()) == 1
+    rows = json.loads(out)["rows"]
+    assert {row["worst_county_fips"] for row in rows} == {"53033"}
+    assert all(row["n_footprint"] > 0 and row["rfi_dbw"] != "-inf" for row in rows)
+
+
+@pytest.mark.parametrize("command", ["deploy --year 2030", "simulate --trials 2",
+                                     "sweep-guard --years 2030 --guards 25:25:1 --trials 2"])
+def test_no_surviving_county_is_one_error_line(tmp_path, capsys, command):
+    argv = command.split() + _write_counties(tmp_path, ["inf", "nan"])
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        f"error: {tmp_path / 'c.csv'}: no metro county with a land area; 2 rows rejected, "
+        f"the first at line 2: FIPS 06037: 'land_area_km2' must be a finite number, got inf"]
+
+
+@pytest.mark.parametrize("catalog, reason", [
+    ({"sensors": 5}, "catalog must be a JSON object with a 'sensors' list"),
+    ({"sensors": [5]}, "sensors[0] must be a JSON object, got 5"),
+    ("{", "Expecting property name enclosed in double quotes"),
+])
+def test_malformed_catalog_exits_2_naming_the_file(tmp_path, capsys, catalog, reason):
+    path = tmp_path / "cat.json"
+    path.write_text(catalog if isinstance(catalog, str) else json.dumps(catalog))
+    code, out, err = _run(capsys, ["link-budget", "--sensor", "B5", "--catalog", str(path)])
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: {reason}")
 
 
 def test_simulate_stdout_is_strict_json(tmp_path, capsys):
@@ -437,35 +521,90 @@ CONFIG_VALUES = {
 }
 
 
+# County, gazetteer and sensor-catalog files: non-finite, negative, huge and
+# non-numeric fields, missing columns and keys, duplicate FIPS or sensor ids, and
+# the wrong JSON structure.
+# Good values are listed twice so that a fair share of files is usable.
+FIPS_TEXT = st.sampled_from(["06037", "53033"] * 2 + ["6037", "123", "abcde", ""])
+COUNTY_HEADER = "fips,name,state,rucc_code,population"
+COUNTY_CSV = st.builds(
+    lambda header, rows: "\n".join([header] + [",".join(row) for row in rows]) + "\n",
+    st.sampled_from([COUNTY_HEADER] * 2 + ["fips,name,state,rucc_code",
+                                           "fips,name,state,population,rucc_code", "a,b"]),
+    st.lists(st.tuples(FIPS_TEXT, st.sampled_from(["LA", ""]), st.just("CA"),
+                       st.sampled_from(["1", "2"] * 2 + ["7", "0", "10", "x", ""]),
+                       st.sampled_from(["100", "10000000"] * 2 + ["0", "-5", "1e3", "x", "",
+                                                                  "99999999999999999999"])),
+             max_size=3))
+GAZETTEER_CSV = st.builds(
+    lambda header, rows: "\n".join([header] + [",".join(row) for row in rows]) + "\n",
+    st.sampled_from(["fips,land_area_km2"] * 2 + ["fips,area", "land_area_km2"]),
+    st.lists(st.tuples(FIPS_TEXT, st.sampled_from(
+        ["10510.0", "5478.6"] * 2 + ["inf", "nan", "-inf", "-1", "0", "1e308", "5e-324", "abc",
+                                     ""])), max_size=3))
+BUNDLED_SENSORS = json.loads(
+    resources.files("eesscoex.data").joinpath("sensors.json").read_text())["sensors"]
+
+
+@st.composite
+def catalogs(draw):
+    """Catalog JSON text: the bundled rows with up to two keys deleted or set to
+    a drawn value, perhaps a duplicate row, or a payload of the wrong shape."""
+    rows = [dict(row) for row in BUNDLED_SENSORS]
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.sampled_from(rows))
+        key = draw(st.sampled_from(sorted(row)))
+        if draw(st.booleans()):
+            del row[key]
+        else:
+            row[key] = draw(JSON_VALUE)
+    if draw(st.booleans()):
+        rows.append(rows[0])
+    return json.dumps(draw(st.one_of(st.just({"sensors": rows}), st.sampled_from(
+        [[], {}, {"sensors": 5}, {"sensors": [5]}, {"sensors": [[]]}]))))
+
+
 @st.composite
 def cli_cases(draw):
-    """A command line, and the --config payload it reads (None for no file)."""
+    """A command line, the --config payload it reads (None for no file), and the
+    input files it names, as {file name: text}."""
     command = draw(st.sampled_from(sorted(FLAGS)))
     argv = [command] + REQUIRED.get(command, [])
     for flag in draw(st.lists(st.sampled_from(sorted(FLAGS[command])), max_size=3,
                               unique=True)):
         argv.append(f"{flag}={draw(FLAGS[command][flag])}")
+    files = {}
+    if command in ("deploy", "simulate", "sweep-guard") and draw(st.booleans()):
+        files = {"counties.csv": draw(COUNTY_CSV), "gazetteer.csv": draw(GAZETTEER_CSV)}
+        argv += ["--counties", "counties.csv", "--gazetteer", "gazetteer.csv"]
+    if command == "link-budget" and draw(st.booleans()):
+        files = {"catalog.json": draw(catalogs())}
+        argv += ["--catalog", "catalog.json"]
     if draw(st.booleans()):
         argv = ["--seed", draw(INT_TEXT)] + argv
     if not draw(st.booleans()):
-        return argv, None
+        return argv, None, files
     config = {}
     for section, values in CONFIG_VALUES.items():
         keys = draw(st.lists(st.sampled_from(sorted(values)), max_size=3, unique=True))
         config[section] = {key: draw(values[key]) for key in keys}
     return argv, draw(st.one_of(st.just(config), st.sampled_from(
-        [[], {"scenario": []}, {"other": {}}, {"cell": {"shadow": True}}])))
+        [[], {"scenario": []}, {"other": {}}, {"cell": {"shadow": True}}]))), files
 
 
 @settings(derandomize=True, deadline=None, max_examples=120)
 @given(case=cli_cases(), out_dir=st.booleans())
-@example(case=(REQUIRED["leakage"], {"scenario": {"ripple_db": 1e6}}), out_dir=False)
-@example(case=(["simulate", "--trials", "2"], {"scenario": {"ripple_db": 1e6}}), out_dir=False)
-@example(case=(["simulate", "--trials", "2"], {"scenario": {"grid_step_mhz": 1e-7}}),
+@example(case=(REQUIRED["leakage"], {"scenario": {"ripple_db": 1e6}}, {}), out_dir=False)
+@example(case=(["simulate", "--trials", "2"], {"scenario": {"ripple_db": 1e6}}, {}),
+         out_dir=False)
+@example(case=(["simulate", "--trials", "2"], {"scenario": {"grid_step_mhz": 1e-7}}, {}),
          out_dir=False)
 def test_any_command_line_exits_0_2_or_3_without_a_traceback(tmp_path_factory, case, out_dir):
-    argv, config = case
+    argv, config, files = case
     tmp = tmp_path_factory.mktemp("cli")
+    for name, text in files.items():
+        (tmp / name).write_text(text)
+    argv = [str(tmp / arg) if arg in files else arg for arg in argv]
     if config is not None:
         (tmp / "config.json").write_text(json.dumps(config))
         argv = ["--config", str(tmp / "config.json")] + argv

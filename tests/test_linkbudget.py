@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -117,6 +118,50 @@ def test_catalog_roundtrip(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError):
         load_sensor_catalog(path)
+
+
+def _bundled_rows():
+    from importlib import resources
+
+    return json.loads(resources.files("eesscoex.data").joinpath("sensors.json").read_text())[
+        "sensors"]
+
+
+def _without(row, key):
+    return {k: v for k, v in row.items() if k != key}
+
+
+@pytest.mark.parametrize("payload, reason", [
+    ({"sensors": 5}, "catalog must be a JSON object with a 'sensors' list"),
+    ([], "catalog must be a JSON object with a 'sensors' list"),
+    ({}, "catalog must be a JSON object with a 'sensors' list"),
+    ({"sensors": [5]}, "sensors[0] must be a JSON object, got 5"),
+    ({"sensors": [_without(_bundled_rows()[0], "altitude_km")]},
+     "sensors[0] lacks key 'altitude_km'"),
+    ({"sensors": _bundled_rows()[:1] + [{**_bundled_rows()[1], "rx_gain_dbi": "38.8"}]},
+     "sensors[1]: 'rx_gain_dbi' must be a finite number, got '38.8'"),
+    ({"sensors": [{**_bundled_rows()[0], "footprint_area_km2": -1}]},
+     "sensors[0]: 'footprint_area_km2' must be > 0, got -1.0"),
+    ({"sensors": [{**_bundled_rows()[0], "channel_high_ghz": None}]},
+     "sensors[0]: 'channel_span_ghz' must be a list of two finite numbers, got (6.75, None)"),
+    ({"sensors": [{**_bundled_rows()[0], "sensor_id": 1}]},
+     "sensors[0]: 'sensor_id' must be a string, got 1"),
+])
+def test_malformed_catalog_names_the_file_and_entry(tmp_path, payload, reason):
+    path = tmp_path / "sensors.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as info:
+        load_sensor_catalog(path)
+    assert str(info.value) == f"{path}: {reason}"
+
+
+def test_catalog_integers_read_as_floats(tmp_path):
+    rows = _bundled_rows()
+    rows[0]["altitude_km"] = 705
+    path = tmp_path / "sensors.json"
+    path.write_text(json.dumps({"sensors": rows}))
+    assert load_sensor_catalog(path) == load_sensor_catalog()
+    assert isinstance(load_sensor_catalog(path)["B1"].altitude_km, float)
 
 
 def test_extras_default_total():
