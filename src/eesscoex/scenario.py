@@ -69,7 +69,7 @@ SENSOR_IDS = ("B1", "B3", "B4", "B5", "B7")
 class ScenarioConfig:
     """One grid point of the coexistence study plus shared model knobs."""
 
-    year: int = 2030
+    year: int = bounded(2030, ge=2025, le=2100)
     adoption_factor: float = bounded(1.0, gt=0)
     guard_mhz: float = bounded(25.0, ge=0, le=50)
     # The upper bounds keep derived quantities in range: 10 Gbps over the

@@ -215,6 +215,10 @@ def test_deploy_follows_config_penetration_flag(tmp_path, capsys):
     ["--seed", "-1", "simulate", "--trials", "2"],
     ["adoption", "--year", "2030", "--scenario", "0"],
     ["simulate", "--scenario", "-50", "--trials", "2"],
+    ["simulate", "--year", "-5000", "--trials", "2"],
+    ["adoption", "--year", "2101"],
+    ["deploy", "--year", "1000"],
+    ["sweep-guard", "--years", "2030,2024", "--trials", "2"],
 ])
 def test_out_of_range_numbers_exit_2(capsys, monkeypatch, argv):
     def no_pool(*args, **kwargs):

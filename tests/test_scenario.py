@@ -97,9 +97,9 @@ def test_mean_power_equals_per_trial_reference(rate_bps, budget):
         assert 0 < len(usable) < cfg.trials
 
 
-def _kernel_inputs(rate_bps, trials=12, seed=0):
+def _kernel_inputs(rate_bps, trials=12, seed=0, guard_mhz=25.0):
     """A seed's Gram stack with the uniform targets and noise of `rate_bps`."""
-    cfg = ScenarioConfig(trials=trials, seed=seed, rate_bps=rate_bps)
+    cfg = ScenarioConfig(trials=trials, seed=seed, rate_bps=rate_bps, guard_mhz=guard_mhz)
     cell = CellConfig()
     gam = np.full(cell.n_users, sinr_target(cfg.rate_bps, cfg.bandwidth_hz))
     return (draw_channels(cell, seed, trials), gam,
@@ -132,8 +132,12 @@ def test_kernel_batch_equals_each_trial_alone(rate_bps, p_max_w):
 
 def test_kernel_freezes_converged_trials_under_an_iteration_cap(monkeypatch):
     grams, gam, noise = _kernel_inputs(500e6, trials=20)
+    # Diagonal Gram matrices first: zero-forcing is exact there, so they
+    # converge at iteration 1 and the seed's trials do not.
+    diagonal = np.array([np.diag(np.diagonal(gram)) for gram in grams[:4]])
+    grams = np.concatenate([diagonal, grams])
     uncapped = precoder._solve_grams(grams, gam, noise, math.inf)
-    cap = int(np.median(uncapped[3]))
+    cap = 2
     monkeypatch.setattr(precoder, "_MAX_ITERATIONS", cap)
     capped = precoder._solve_grams(grams, gam, noise, math.inf)
     converged, iterations = capped[2], capped[3]
@@ -144,6 +148,44 @@ def test_kernel_freezes_converged_trials_under_an_iteration_cap(monkeypatch):
     for whole, reference in zip(capped, uncapped):
         assert whole[converged].tobytes() == reference[converged].tobytes()
     _assert_trials_solve_alone_bitwise(capped, grams, gam, noise, math.inf)
+
+
+@pytest.mark.parametrize("guard_mhz", [0.0, 25.0, 50.0])
+@pytest.mark.parametrize("rate_bps", [100e6, 300e6, 500e6])
+def test_kernel_converges_in_a_few_newton_steps(rate_bps, guard_mhz):
+    grams, gam, noise = _kernel_inputs(rate_bps, trials=20, guard_mhz=guard_mhz)
+    converged, iterations = precoder._solve_grams(grams, gam, noise, math.inf)[2:4]
+    assert converged.all()
+    assert iterations.max() <= 4
+
+
+def _uplink_x(grams, q, noise):
+    """x_k(q) = [G (sigma^2 I + diag(q) G)^-1]_kk = [(sigma^2 I + G diag(q))^-1 G]_kk."""
+    m = noise * np.eye(grams.shape[1]) + grams * q[:, None, :]
+    return np.real(np.diagonal(np.linalg.solve(m, grams), axis1=1, axis2=2))
+
+
+@pytest.mark.parametrize("rate_bps", [100e6, 300e6, 500e6])
+def test_kernel_q_is_the_uplink_fixed_point(rate_bps):
+    grams, gam, noise = _kernel_inputs(rate_bps)
+    q = precoder._solve_grams(grams, gam, noise, math.inf)[4]
+    np.testing.assert_allclose(q * _uplink_x(grams, q, noise),
+                               np.broadcast_to(gam / (1 + gam), q.shape), rtol=1e-12)
+
+
+@pytest.mark.parametrize("rate_bps", [100e6, 300e6, 500e6])
+def test_kernel_power_matches_a_plain_fixed_point_loop(rate_bps):
+    grams, gam, noise = _kernel_inputs(rate_bps)
+    p_tx = precoder._solve_grams(grams, gam, noise, math.inf)[0]
+    # Picard iteration from zero, run past the kernel's tolerance; by
+    # uplink-downlink duality the downlink total power is sum(q).
+    q = np.zeros(grams.shape[:2])
+    for _ in range(2000):
+        q_new = gam / (1 + gam) / _uplink_x(grams, q, noise)
+        if np.all(np.abs(q_new - q) <= 1e-14 * q_new):
+            break
+        q = q_new
+    np.testing.assert_allclose(p_tx, q_new.sum(axis=1), rtol=1e-12)
 
 
 def test_zero_rate_reports_zero_power(monkeypatch, counties):
