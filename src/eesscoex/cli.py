@@ -84,19 +84,46 @@ def _print_json(payload):
     print(json.dumps(_json_safe(payload), indent=2, sort_keys=True))
 
 
-def _guard_grid(spec, cfg):
-    """Guard widths of a lo:hi:step sweep, checked before any is generated."""
+def finite(text):
+    """A float flag's value, which must be finite."""
+    value = float(text)  # argparse reports a ValueError as "invalid finite value"
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
+def percent(text):
+    """A --scenario percentage of baseline growth, as the adoption_factor it sets."""
+    return finite(text) / 100.0
+
+
+def _comma_list(item):
+    """The type of a flag that takes a comma-separated list of `item` values."""
+    def parse(text):
+        try:
+            return tuple(item(x) for x in text.split(","))
+        except (ValueError, argparse.ArgumentTypeError):
+            raise argparse.ArgumentTypeError(
+                f"must be comma-separated {item.__name__} values, got {text!r}") from None
+    return parse
+
+
+def _guard_grid(spec):
+    """Guard widths of a lo:hi:step sweep in MHz, checked before any is generated."""
     try:
-        lo, hi, step = (float(x) for x in spec.split(":"))
+        lo, hi, step = (finite(x) for x in spec.split(":"))
     except ValueError:
-        raise ValueError(f"--guards must be lo:hi:step in MHz, got {spec!r}") from None
+        raise argparse.ArgumentTypeError(f"must be lo:hi:step in MHz, got {spec!r}") from None
     if not step >= 0.1:
-        raise ValueError(f"--guards step must be at least 0.1 MHz, the report's "
-                         f"guard precision; got {step:g}")
-    for guard in (lo, hi):
-        dataclasses.replace(cfg, guard_mhz=guard)  # range check by ScenarioConfig
+        raise argparse.ArgumentTypeError(f"step must be at least 0.1 MHz, the report's "
+                                         f"guard precision; got {step:g}")
+    try:
+        for guard in (lo, hi):
+            ScenarioConfig(guard_mhz=guard)  # the field's declared bounds
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if lo > hi:
-        raise ValueError(f"--guards range {spec!r} is empty")
+        raise argparse.ArgumentTypeError(f"range {spec!r} is empty")
     guards = []
     g = lo
     while g <= hi + 1e-9:
@@ -124,34 +151,28 @@ def _counties(args):
     return result.records
 
 
-def _cmd_link_budget(args):
-    cfg, _ = _build_configs(args)
+def _cmd_link_budget(args, cfg, cell):
     sensor = lookup_sensor(load_sensor_catalog(args.catalog), args.sensor)
     budget = build_link_budget(sensor, g_tx_db=cfg.g_tx_db, f_ghz=args.freq)
-    _print_json(budget.to_dict())
+    _print_json(dataclasses.asdict(budget))
     return 0
 
 
-def _cmd_leakage(args):
-    cfg, _ = _build_configs(args)
-    orders = [int(x) for x in args.orders.split(",")]
-    guards = [float(x) for x in args.guards.split(",")]
-    rows = leakage_table(cfg, orders, guards)
+def _cmd_leakage(args, cfg, cell):
+    rows = leakage_table(cfg, args.orders, args.guards)
     if args.out_dir:
-        paths = emit_leakage_table(rows, args.out_dir, header={
+        _print_json(emit_leakage_table(rows, args.out_dir, header={
             "ripple_db": cfg.ripple_db,
             "grid_step_mhz": cfg.grid_step_mhz,
             "ref_bandwidth_mhz": cfg.ref_bandwidth_mhz,
-        })
-        _print_json(paths)
+        }))
     else:
         for row in rows:
             print(",".join(format_row(row)))
     return 0
 
 
-def _cmd_adoption(args):
-    cfg, _ = _build_configs(args)
+def _cmd_adoption(args, cfg, cell):
     out = {
         "year": cfg.year,
         "factor": cfg.adoption_factor,
@@ -164,8 +185,7 @@ def _cmd_adoption(args):
     return 0
 
 
-def _cmd_deploy(args):
-    cfg, _ = _build_configs(args)
+def _cmd_deploy(args, cfg, cell):
     records = _counties(args)
     snapshot = deployment_snapshot(cfg, records)
     by_fips = {r.fips: r for r in records}
@@ -182,23 +202,16 @@ def _cmd_deploy(args):
     ]
     header = {k: v for k, v in dataclasses.asdict(snapshot).items() if k != "counts"}
     if args.out_dir:
-        paths = emit_rows(rows, args.out_dir, "deployment", header=header)
-        _print_json(paths)
+        _print_json(emit_rows(rows, args.out_dir, "deployment", header=header))
     else:
         _print_json({"config": header, "rows": rows})
     return 0
 
 
-def _cmd_simulate(args):
-    cpus = os.cpu_count() or 1
-    if not 1 <= args.jobs <= cpus:
-        raise ValueError(f"--jobs must lie in [1, {cpus}] (the CPU count), got {args.jobs}")
-    cfg, cell = _build_configs(args)
-    records = _counties(args)
-    report = simulate(cfg, cell=cell, counties=records, n_jobs=args.jobs)
+def _cmd_simulate(args, cfg, cell):
+    report = simulate(cfg, cell=cell, counties=_counties(args), n_jobs=args.jobs)
     if args.out_dir:
-        paths = emit_report(report, args.out_dir)
-        _print_json(paths)
+        _print_json(emit_report(report, args.out_dir))
     else:
         _print_json({"config": report.config,
                      "worst_sensor": report.worst_sensor_id,
@@ -206,29 +219,21 @@ def _cmd_simulate(args):
     return 0
 
 
-def _cmd_sweep_guard(args):
-    if args.jobs != 1:
-        raise ValueError(f"sweep-guard runs serially: --jobs must be 1, got {args.jobs}")
-    cfg, cell = _build_configs(args)
-    years = [int(y) for y in args.years.split(",")]
-    guards = _guard_grid(args.guards, cfg) if args.guards else GUARD_GRID_MHZ
-    records = _counties(args)
-    rows = sweep_guard_bands(cfg, years=years, guards_mhz=guards, cell=cell,
-                             counties=records)
+def _cmd_sweep_guard(args, cfg, cell):
+    rows = sweep_guard_bands(cfg, years=args.years, guards_mhz=args.guards, cell=cell,
+                             counties=_counties(args))
     # Only the keys shared by every row: year, guard and rate vary across the table.
     per_point = ("year", "rate_bps", "guard_mhz", "bandwidth_hz", "tn_band_ghz")
     header = {k: v for k, v in cfg.header(cell).items() if k not in per_point}
     if args.out_dir:
-        paths = emit_guard_sweep(rows, args.out_dir, header=header)
-        _print_json(paths)
+        _print_json(emit_guard_sweep(rows, args.out_dir, header=header))
     else:
         for row in rows:
             print(",".join(format_row(dataclasses.asdict(row))))
     return 0
 
 
-def _cmd_compliance(args):
-    cfg, _ = _build_configs(args)
+def _cmd_compliance(args, cfg, cell):
     spec = cfg.filter_spec
     psd = leaked_psd_dbm_per_mhz(spec, cfg.p_bs_dbw, args.eval_freq)
     margin = edge_psd_margin(spec, cfg.p_bs_dbw, args.eval_freq, limit_dbm_mhz=args.limit)
@@ -244,11 +249,6 @@ def _cmd_compliance(args):
     }
     _print_json(out)
     return 0 if margin >= 0 else 3
-
-
-def percent(text):
-    """A --scenario percentage of baseline growth, as the adoption_factor it sets."""
-    return float(text) / 100.0
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -271,16 +271,16 @@ def build_parser():
 
     p = sub.add_parser("link-budget", help="per-sensor propagation budget")
     p.add_argument("--sensor", required=True)
-    p.add_argument("--freq", type=float, default=DEFAULT_EVAL_FREQ_GHZ, help="GHz")
-    p.add_argument("--g-tx", dest="g_tx_db", type=float, help="BS gain toward sensor, dB")
+    p.add_argument("--freq", type=finite, default=DEFAULT_EVAL_FREQ_GHZ, help="GHz")
+    p.add_argument("--g-tx", dest="g_tx_db", type=finite, help="BS gain toward sensor, dB")
     p.add_argument("--catalog", help="alternate sensor catalog JSON")
     p.set_defaults(func=_cmd_link_budget)
 
     p = sub.add_parser("leakage", help="leakage fractions per order/guard/sensor")
-    p.add_argument("--orders", default=",".join(str(o) for o in LEAKAGE_ORDERS))
-    p.add_argument("--guards", default=",".join(str(g) for g in GUARD_GRID_MHZ), help="MHz")
-    p.add_argument("--sensors", dest="sensor_ids", type=lambda ids: tuple(ids.split(",")))
-    p.add_argument("--ripple", dest="ripple_db", type=float, help="passband ripple, dB")
+    p.add_argument("--orders", type=_comma_list(int), default=LEAKAGE_ORDERS)
+    p.add_argument("--guards", type=_comma_list(finite), default=GUARD_GRID_MHZ, help="MHz")
+    p.add_argument("--sensors", dest="sensor_ids", type=_comma_list(str))
+    p.add_argument("--ripple", dest="ripple_db", type=finite, help="passband ripple, dB")
     p.set_defaults(func=_cmd_leakage)
 
     p = sub.add_parser("adoption", help="penetration for a year and growth scenario")
@@ -291,42 +291,45 @@ def build_parser():
 
     p = sub.add_parser("deploy", help="per-county BS counts")
     p.add_argument("--year", type=int, required=True)
-    p.add_argument("--rate", dest="max_demand_bps", type=float,
+    p.add_argument("--rate", dest="max_demand_bps", type=finite,
                    help="sizing rate per user, bps")
     p.add_argument("--scenario", dest="adoption_factor", type=percent, metavar="PERCENT",
                    help="percent of baseline b3")
-    p.add_argument("--guard", dest="guard_mhz", type=float, help="guard band, MHz")
+    p.add_argument("--guard", dest="guard_mhz", type=finite, help="guard band, MHz")
     p.add_argument("--counties", help="county CSV (fips,name,state,rucc_code,population)")
     p.add_argument("--gazetteer", help="land-area CSV (fips,land_area_km2)")
     p.set_defaults(func=_cmd_deploy)
 
     p = sub.add_parser("simulate", help="aggregate RFI per sensor")
     p.add_argument("--year", type=int)
-    p.add_argument("--rate", dest="rate_bps", type=float, help="user rate, bps")
+    p.add_argument("--rate", dest="rate_bps", type=finite, help="user rate, bps")
     p.add_argument("--scenario", dest="adoption_factor", type=percent, metavar="PERCENT",
                    help="percent of baseline b3")
-    p.add_argument("--guard", dest="guard_mhz", type=float, help="guard band, MHz")
+    p.add_argument("--guard", dest="guard_mhz", type=finite, help="guard band, MHz")
     p.add_argument("--trials", type=int)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, choices=range(1, (os.cpu_count() or 1) + 1),
+                   metavar="N", help="worker processes, 1 to the CPU count")
     p.add_argument("--counties")
     p.add_argument("--gazetteer")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep-guard", help="max feasible rate per (year, guard)")
-    p.add_argument("--years", default=",".join(str(y) for y in CANONICAL_YEARS))
-    p.add_argument("--guards", help="lo:hi:step in MHz")
+    p.add_argument("--years", type=_comma_list(int), default=CANONICAL_YEARS)
+    p.add_argument("--guards", type=_guard_grid, default=GUARD_GRID_MHZ,
+                   help="lo:hi:step in MHz")
     p.add_argument("--trials", type=int)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, choices=(1,), metavar="1",
+                   help="1 only: the sweep runs serially")
     p.add_argument("--counties")
     p.add_argument("--gazetteer")
     p.set_defaults(func=_cmd_sweep_guard)
 
     p = sub.add_parser("compliance", help="emission-mask margin at the band edge")
-    p.add_argument("--ptx", dest="p_bs_dbw", type=float, help="total transmit power, dBW")
-    p.add_argument("--guard", dest="guard_mhz", type=float, help="guard band, MHz")
+    p.add_argument("--ptx", dest="p_bs_dbw", type=finite, help="total transmit power, dBW")
+    p.add_argument("--guard", dest="guard_mhz", type=finite, help="guard band, MHz")
     p.add_argument("--order", dest="filter_order", type=int, help="filter order")
-    p.add_argument("--eval-freq", type=float, default=EDGE_EVAL_FREQ_GHZ, help="GHz")
-    p.add_argument("--limit", type=float, default=DEFAULT_SPURIOUS_LIMIT_DBM_MHZ,
+    p.add_argument("--eval-freq", type=finite, default=EDGE_EVAL_FREQ_GHZ, help="GHz")
+    p.add_argument("--limit", type=finite, default=DEFAULT_SPURIOUS_LIMIT_DBM_MHZ,
                    help="dBm/MHz")
     p.set_defaults(func=_cmd_compliance)
 
@@ -335,18 +338,10 @@ def build_parser():
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if args.out_dir and args.command in _PRINT_ONLY:
             raise ValueError(f"--out-dir: {args.command} writes no files")
-        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        flags = {action.dest: action.option_strings[0]
-                 for action in parser._actions + commands.choices[args.command]._actions
-                 if action.option_strings}
-        for name, value in vars(args).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{flags[name]} must be finite, got {value}")
-        return args.func(args)
+        return args.func(args, *_build_configs(args))
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,7 @@ published values and the recomputation path reports its discrepancy.
 """
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from importlib import resources
 from math import asin, log10, radians, sin
 
@@ -74,9 +74,6 @@ class LinkBudget:
     eval_freq_ghz: float
     published_net_gain_db: float
     discrepancy_db: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def slant_range(altitude_km: float, incidence_deg: float) -> float:

@@ -111,9 +111,11 @@ def _solve_grams(grams, gam, noise_w, p_max_w) -> tuple:
     gamma sigma^2 diag(G^{-1}).  MMSE SINR is at least ZF SINR, so the start
     lies above the fixed point, where the iterates fall monotonically onto it
     (Boche & Schubert, IEEE/ACM Trans. Netw. 2008).  Each trial converges on
-    its own: a converged trial leaves the active set and its q and iteration
-    count freeze, so a batch equals each trial solved alone.  MMSE directions
-    and the exact downlink power load follow from the converged q.
+    its own, once its step is within `_TOL` of q or, after the first, no
+    longer shrinks: at high targets rounding error sets the step before
+    `_TOL` is met.  A converged trial leaves the active set and its q and
+    iteration count freeze, so a batch equals each trial solved alone.  MMSE
+    directions and the exact downlink power load follow from the converged q.
     """
     n_trials, ka = grams.shape[:2]
     eye = np.eye(ka)
@@ -125,6 +127,7 @@ def _solve_grams(grams, gam, noise_w, p_max_w) -> tuple:
     scale = gam / (1.0 + gam)
     converged = np.zeros(n_trials, dtype=bool)
     iterations = np.zeros(n_trials, dtype=int)
+    last_step = np.full(n_trials, np.inf)
     active = np.arange(n_trials)
     for iteration in range(1, _MAX_ITERATIONS + 1):
         if not len(active):
@@ -134,8 +137,10 @@ def _solve_grams(grams, gam, noise_w, p_max_w) -> tuple:
         x = np.real(a[:, diag, diag])
         jac = eye - (scale / x ** 2)[:, :, None] * np.abs(a) ** 2  # dx/dq = -|A|^2
         q_new = q_act - np.linalg.solve(jac, (q_act - scale / x)[:, :, None])[:, :, 0]
-        done = (np.max(np.abs(q_new - q_act), axis=1)
-                <= _TOL * np.maximum(np.max(q_new, axis=1), 1e-300))
+        step = np.max(np.abs(q_new - q_act), axis=1)
+        done = ((step <= _TOL * np.maximum(np.max(q_new, axis=1), 1e-300))
+                | ((iteration > 1) & (step >= last_step[active])))
+        last_step[active] = step
         q[active] = q_new
         iterations[active] = iteration
         converged[active[done]] = True

@@ -230,9 +230,8 @@ def mean_bs_power(cfg: ScenarioConfig, cell: CellConfig, budget: RfiBudget = Non
         with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
             solved = list(pool.map(_solve_block, blocks))
     powers, feasible, converged = (np.concatenate(column) for column in zip(*solved))
-    usable = feasible & converged
-    n_feasible = int(np.count_nonzero(usable))
-    mean_p = float(powers[usable].sum() / n_feasible) if n_feasible else float("nan")
+    n_feasible = int(np.count_nonzero(feasible))
+    mean_p = float(powers[feasible].sum() / n_feasible) if n_feasible else float("nan")
     return MeanPowerResult(
         mean_p_w=mean_p,
         infeasibility_rate=1.0 - n_feasible / cfg.trials,
@@ -449,7 +448,7 @@ def leakage_table(cfg: ScenarioConfig, orders, guards_mhz) -> list:
         sensor = lookup_sensor(catalog, sid)
         for order in orders:
             for guard in guards_mhz:
-                point = replace(cfg, guard_mhz=guard, filter_order=order)
+                point = replace(cfg, guard_mhz=float(guard), filter_order=order)
                 spec = point.filter_spec
                 window = worst_victim_window(sensor.channel_span_ghz,
                                              point.ref_bandwidth_mhz, point.tn_band_ghz)

@@ -345,7 +345,7 @@ def test_non_finite_float_flag_exits_2(capsys, argv, flag, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.strip().splitlines()
-    assert err == [f"error: {flag} must be finite, got {float(value)}"]
+    assert err == [f"error: argument {flag}: must be finite, got {float(value)}"]
 
 
 def test_unknown_sensor_exits_2(tmp_path, capsys):
@@ -395,6 +395,15 @@ def test_flags_override_the_config_file(tmp_path, capsys, argv, key, value, same
     assert overridden != from_file
 
 
+def _parser_actions():
+    """(command prog, action) for every argument of the parser and its commands."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command in [parser] + list(commands.choices.values()):
+        for action in command._actions:
+            yield command.prog, action
+
+
 def test_no_flag_shadows_a_config_field():
     fields = {f.name for cls in (scenario.ScenarioConfig, scenario.CellConfig)
               for f in dataclasses.fields(cls)}
@@ -402,16 +411,22 @@ def test_no_flag_shadows_a_config_field():
                    "--guard": "guard_mhz", "--trials": "trials", "--seed": "seed",
                    "--g-tx": "g_tx_db", "--ripple": "ripple_db", "--sensors": "sensor_ids",
                    "--ptx": "p_bs_dbw", "--order": "filter_order"}
-    parser = build_parser()
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     checked = set()
-    for command in [parser] + list(commands.choices.values()):
-        for action in command._actions:
-            names = set(action.option_strings) & set(flag_fields)
-            if names or action.dest in fields:
-                assert action.default is None, (command.prog, action.option_strings)
-                checked |= names
+    for prog, action in _parser_actions():
+        names = set(action.option_strings) & set(flag_fields)
+        if names or action.dest in fields:
+            assert action.default is None, (prog, action.option_strings)
+            checked |= names
     assert checked == set(flag_fields)
+
+
+def test_every_flag_value_is_parsed_where_the_flag_is_declared():
+    # A bare float type would let nan and inf through, and a string default
+    # would leave its parsing to the command.
+    for prog, action in _parser_actions():
+        assert action.type is not float, (prog, action.option_strings)
+        assert not isinstance(action.default, str) or action.default == argparse.SUPPRESS, (
+            prog, action.option_strings)
 
 
 @pytest.mark.parametrize("argv", [
@@ -420,11 +435,21 @@ def test_no_flag_shadows_a_config_field():
     ["bogus"],
     ["link-budget"],
     ["deploy", "--year", "2040", "--out-dir", "out/"],
+    ["leakage", "--orders", "3,x"],
+    ["leakage", "--guards", "25,,30"],
+    ["sweep-guard", "--years", "2030,x"],
+    ["sweep-guard", "--years", ","],
+    ["sweep-guard", "--guards", "0:60:5"],
+    ["sweep-guard", "--guards", "0:50:inf"],
+    ["simulate", "--jobs", "0"],
+    ["sweep-guard", "--jobs", "2"],
 ])
 def test_argparse_errors_print_one_line(capsys, argv):
     code, out, err = _run(capsys, argv)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    if len(argv) == 3:  # a command, one flag and its value: the error names the flag
+        assert err.startswith(f"error: argument {argv[1]}: ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -487,11 +512,13 @@ FLOAT_TEXT = st.one_of(st.floats().map(repr), st.sampled_from(
 INT_TEXT = st.one_of(st.integers(-10**20, 10**20).map(str), st.sampled_from(
     ["2030", "2035", "2040", "0", "-1", "1.5", "x"]))
 SMALL_INT_TEXT = st.sampled_from(["-1", "0", "1", "3", "2.5", "x"])
-ID_TEXT = st.sampled_from(["B1", "B5", "B7", "B9", "", "B1,B5", "B5,B5"])
+ID_TEXT = st.sampled_from(["B1", "B5", "B7", "B9", "", "B1,B5", "B5,B5", "B5,", ","])
 FLAGS = {
     "link-budget": {"--sensor": ID_TEXT, "--freq": FLOAT_TEXT, "--g-tx": FLOAT_TEXT},
-    "leakage": {"--orders": st.sampled_from(["7", "3,9", "0", "-2", "1000000", "x"]),
-                "--guards": st.sampled_from(["25", "0,50", "-5", "60", "nan", "x"]),
+    "leakage": {"--orders": st.sampled_from(["7", "3,9", "0", "-2", "1000000", "x", "3,x",
+                                             "", ","]),
+                "--guards": st.sampled_from(["25", "0,50", "-5", "60", "nan", "x", "25,,30",
+                                             "25,inf", ","]),
                 "--sensors": ID_TEXT, "--ripple": FLOAT_TEXT},
     "adoption": {"--scenario": FLOAT_TEXT, "--year": INT_TEXT},
     "deploy": {"--year": INT_TEXT, "--rate": FLOAT_TEXT, "--scenario": FLOAT_TEXT,
@@ -499,9 +526,11 @@ FLAGS = {
     "simulate": {"--year": INT_TEXT, "--rate": FLOAT_TEXT, "--scenario": FLOAT_TEXT,
                  "--guard": FLOAT_TEXT, "--trials": SMALL_INT_TEXT,
                  "--jobs": st.sampled_from(["1", "0", "-1", "99999", "x"])},
-    "sweep-guard": {"--years": INT_TEXT, "--trials": SMALL_INT_TEXT,
+    "sweep-guard": {"--years": st.one_of(INT_TEXT, st.sampled_from(
+                        ["2030,2040", "2030,x", "2030,", ",", "2030;2040"])),
+                    "--trials": SMALL_INT_TEXT,
                     "--guards": st.sampled_from(["20:30:10", "0:50:25", "30:20:5", "0:50:0",
-                                                 "0:60:30", "nan:5:5", "1:2"]),
+                                                 "0:60:30", "nan:5:5", "1:2", "0:50:inf"]),
                     "--jobs": st.sampled_from(["1", "2", "x"])},
     "compliance": {"--ptx": FLOAT_TEXT, "--guard": FLOAT_TEXT, "--order": INT_TEXT,
                    "--eval-freq": FLOAT_TEXT, "--limit": FLOAT_TEXT},

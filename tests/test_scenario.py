@@ -188,6 +188,39 @@ def test_kernel_power_matches_a_plain_fixed_point_loop(rate_bps):
     np.testing.assert_allclose(p_tx, q_new.sum(axis=1), rtol=1e-12)
 
 
+def _newton_power_after(steps, grams, gam, noise):
+    """Total downlink power after `steps` Newton steps from the zero-forcing
+    powers on every trial, with no stop test: the kernel's update and downlink
+    solve, restated."""
+    eye, diag = np.eye(grams.shape[1]), np.arange(grams.shape[1])
+    q = gam * noise * np.real(np.diagonal(np.linalg.inv(grams), axis1=1, axis2=2))
+    scale = gam / (1 + gam)
+    for _ in range(steps):
+        a = grams @ np.linalg.inv(noise * eye + q[:, :, None] * grams)
+        x = np.real(np.diagonal(a, axis1=1, axis2=2))
+        jac = eye - (scale / x ** 2)[:, :, None] * np.abs(a) ** 2
+        q = q - np.linalg.solve(jac, (q - scale / x)[:, :, None])[:, :, 0]
+    b = np.linalg.inv(noise * eye + q[:, :, None] * grams)
+    b = b / np.sqrt(np.real(np.einsum("tik,tij,tjk->tk", b.conj(), grams, b)))[:, None, :]
+    c2 = np.abs(grams @ b) ** 2
+    tight = -c2
+    tight[:, diag, diag] = c2[:, diag, diag] / gam
+    return np.linalg.solve(tight, np.full(q.shape + (1,), noise))[:, :, 0].sum(axis=1)
+
+
+def test_kernel_stops_at_the_rounding_floor_of_a_high_target():
+    # At 5 Gbps (gamma about 1e6) rounding keeps most trials' steps above
+    # _TOL; each must stop once its step no longer shrinks.
+    cell = CellConfig(los_mode="nlos", noise_temp_k=1e5)
+    cfg = ScenarioConfig(trials=40, seed=0, rate_bps=5e9)
+    grams = draw_channels(cell, cfg.seed, cfg.trials)
+    gam = np.full(cell.n_users, sinr_target(cfg.rate_bps, cfg.bandwidth_hz))
+    noise = noise_power_w(cell.noise_temp_k, cfg.bandwidth_hz)
+    p_tx, _, converged, iterations = precoder._solve_grams(grams, gam, noise, math.inf)[:4]
+    assert converged.all() and iterations.max() <= 10
+    np.testing.assert_allclose(p_tx, _newton_power_after(1000, grams, gam, noise), rtol=1e-12)
+
+
 def test_zero_rate_reports_zero_power(monkeypatch, counties):
     def no_solve(*args, **kwargs):
         raise AssertionError("rate 0 needs no channel or solve")
