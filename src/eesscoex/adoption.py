@@ -11,7 +11,6 @@ from dataclasses import dataclass, replace
 from math import exp, log
 
 import numpy as np
-from scipy.optimize import least_squares
 
 __all__ = [
     "AdoptionModel",
@@ -123,6 +122,8 @@ def fit_gompertz(series: PenetrationSeries, init: AdoptionModel) -> GompertzFit:
     time-origin ambiguity.  Non-convergence and parameter-boundary hits
     are flagged, with the last iterate and residual retained.
     """
+    from scipy.optimize import least_squares  # imported here so no command pays for it
+
     if len(series) < 4:
         raise ValueError(f"need at least 4 data points to fit, got {len(series)}")
     years = np.asarray(series.years, dtype=float)

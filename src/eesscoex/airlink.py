@@ -89,6 +89,13 @@ def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
                                                         spawn_key=(trial,)))
 
 
+def _distances(cfg: CellConfig, u):
+    """2D distances for uniforms u on [0, 1), per `cfg.distance_mode`."""
+    if cfg.distance_mode == "uniform-distance":
+        return cfg.r_min_m + (cfg.r_cell_m - cfg.r_min_m) * u
+    return np.sqrt(cfg.r_min_m**2 + (cfg.r_cell_m**2 - cfg.r_min_m**2) * u)
+
+
 def sample_positions(cfg: CellConfig, rng: np.random.Generator):
     """Draw K user positions on the serving annulus.
 
@@ -96,11 +103,7 @@ def sample_positions(cfg: CellConfig, rng: np.random.Generator):
     distance uniformly on [r_min, r_cell]; "uniform-area" instead spreads
     users uniformly over the annulus area.
     """
-    u = rng.uniform(size=cfg.n_users)
-    if cfg.distance_mode == "uniform-distance":
-        d = cfg.r_min_m + (cfg.r_cell_m - cfg.r_min_m) * u
-    else:
-        d = np.sqrt(cfg.r_min_m**2 + (cfg.r_cell_m**2 - cfg.r_min_m**2) * u)
+    d = _distances(cfg, rng.uniform(size=cfg.n_users))
     angles = rng.uniform(0.0, 2.0 * np.pi, size=cfg.n_users)
     return d, angles
 
@@ -157,31 +160,59 @@ def path_loss(d2d_m, los, cfg: CellConfig, rng: np.random.Generator = None):
     if np.any(d2d < cfg.r_min_m):
         raise ValueError(f"distances below the exclusion radius {cfg.r_min_m} m")
     los = np.atleast_1d(np.asarray(los, dtype=bool))
-    pl = np.where(los, umi_los_path_loss_db(d2d, cfg), umi_nlos_path_loss_db(d2d, cfg))
-    if cfg.shadowing:
-        if rng is None:
-            raise ValueError("shadowing enabled but no generator supplied")
-        sigma = np.where(los, SHADOW_SIGMA_LOS_DB, SHADOW_SIGMA_NLOS_DB)
-        sf = rng.standard_normal(d2d.shape) * sigma
-    else:
-        sf = 0.0
-    g = 10.0 ** ((cfg.tx_gain_users_db - pl - sf) / 10.0)
+    if cfg.shadowing and rng is None:
+        raise ValueError("shadowing enabled but no generator supplied")
+    normals = rng.standard_normal(d2d.shape) if cfg.shadowing else None
+    g = _gains(d2d, los, cfg, normals)
     return float(g[0]) if np.isscalar(d2d_m) else g
 
 
-def generate_channel(cfg: CellConfig, rng: np.random.Generator) -> ChannelRealization:
-    """Draw one full realization: positions -> LOS -> g -> h.
-
-    Draw order is fixed (positions, LOS uniforms, shadowing normals,
-    fading) so a given substream always yields the same realization.
-    """
-    distances, _ = sample_positions(cfg, rng)
-    if cfg.los_mode == "model":
-        los = rng.uniform(size=cfg.n_users) < los_probability(distances)
+def _gains(d2d, los, cfg: CellConfig, shadow_normals):
+    """Linear gains of links at distances d2d with LOS flags `los`; the
+    shadowing fades are `shadow_normals` times the state's sigma, or none
+    when `shadow_normals` is None."""
+    pl = np.where(los, umi_los_path_loss_db(d2d, cfg), umi_nlos_path_loss_db(d2d, cfg))
+    if shadow_normals is None:
+        sf = 0.0
     else:
-        rng.uniform(size=cfg.n_users)  # keep stream alignment across LOS modes
-        los = np.full(cfg.n_users, cfg.los_mode == "los")
-    g = path_loss(distances, los, cfg, rng)
-    h = (rng.standard_normal((cfg.n_users, cfg.n_antennas))
-         + 1j * rng.standard_normal((cfg.n_users, cfg.n_antennas))) / np.sqrt(2.0)
-    return ChannelRealization(h=h, g=np.atleast_1d(g), los=los)
+        sf = shadow_normals * np.where(los, SHADOW_SIGMA_LOS_DB, SHADOW_SIGMA_NLOS_DB)
+    return 10.0 ** ((cfg.tx_gain_users_db - pl - sf) / 10.0)
+
+
+def _draw_trials(cfg: CellConfig, rngs) -> tuple:
+    """One realization per generator in `rngs`, as stacked arrays
+    (h (n, K, N), g (n, K), los (n, K)).
+
+    Each generator is read in the fixed draw order (position uniforms,
+    angle uniforms, LOS uniforms, shadowing normals, real then imaginary
+    fading) into preallocated arrays; the gains and fading are then formed
+    once over the whole stack.  The LOS uniforms are drawn in every LOS
+    mode, so a substream's fading does not depend on it.
+    """
+    n, k, m = len(rngs), cfg.n_users, cfg.n_antennas
+    u_pos, u_angle, u_los, normals = np.empty((4, n, k))
+    re, im = np.empty((2, n, k, m))
+    for i, rng in enumerate(rngs):
+        rng.random(out=u_pos[i])
+        rng.random(out=u_angle[i])  # the model uses no angle; drawn to keep the order
+        rng.random(out=u_los[i])
+        if cfg.shadowing:
+            rng.standard_normal(out=normals[i])
+        rng.standard_normal(out=re[i])
+        rng.standard_normal(out=im[i])
+    d = _distances(cfg, u_pos)
+    if cfg.los_mode == "model":
+        los = u_los < los_probability(d)
+    else:
+        los = np.full((n, k), cfg.los_mode == "los")
+    g = _gains(d, los, cfg, normals if cfg.shadowing else None)
+    h = (re + 1j * im) / np.sqrt(2.0)
+    return h, g, los
+
+
+def generate_channel(cfg: CellConfig, rng: np.random.Generator) -> ChannelRealization:
+    """Draw one full realization: positions -> LOS -> g -> h, the one-trial
+    case of `_draw_trials`, so a given substream always yields the same
+    realization."""
+    h, g, los = _draw_trials(cfg, [rng])
+    return ChannelRealization(h=h[0], g=g[0], los=los[0])

@@ -29,7 +29,7 @@ import numpy as np
 
 from .adoption import BASELINE_MODEL, scenario_penetration
 from ._fields import bounded, check_fields
-from .airlink import CellConfig, generate_channel, noise_power_w, trial_rng
+from .airlink import CellConfig, _draw_trials, noise_power_w, trial_rng
 from .deployment import build_snapshot, load_bundled_counties, worst_case_footprint
 from .filterbank import FilterSpec, leakage_fraction, worst_victim_window
 from .linkbudget import DEFAULT_G_TX_DB, load_sensor_catalog, lookup_sensor, net_gain_db
@@ -63,6 +63,7 @@ CANONICAL_YEARS = (2030, 2035, 2040)
 GUARD_GRID_MHZ = tuple(range(0, 55, 5))
 LEAKAGE_ORDERS = (3, 5, 7, 9)
 SENSOR_IDS = ("B1", "B3", "B4", "B5", "B7")
+_DRAW_BLOCK_TRIALS = 32
 
 
 @dataclass(frozen=True)
@@ -188,15 +189,18 @@ class GuardSweepRow:
     max_rate_mbps: int
 
 
-def _gram(channel) -> np.ndarray:
-    h_eff = channel.h * np.sqrt(channel.g)[:, None]
-    return h_eff.conj() @ h_eff.T  # G[k, j] = h_k^H h_j, effective channels
-
-
 def draw_channels(cell: CellConfig, seed: int, trials: int) -> np.ndarray:
     """(trials, K, K) stack of effective-channel Gram matrices, one per trial
-    substream; each (K, N) draw is dropped as soon as it is reduced."""
-    return np.array([_gram(generate_channel(cell, trial_rng(seed, t))) for t in range(trials)])
+    substream, drawn `_DRAW_BLOCK_TRIALS` trials at a time so the live (K, N)
+    draws scale with the block, not with `trials`."""
+    grams = np.empty((trials, cell.n_users, cell.n_users), dtype=complex)
+    for start in range(0, trials, _DRAW_BLOCK_TRIALS):
+        stop = min(start + _DRAW_BLOCK_TRIALS, trials)
+        h, g, _ = _draw_trials(cell, [trial_rng(seed, t) for t in range(start, stop)])
+        h_eff = h * np.sqrt(g)[..., None]
+        # G[k, j] = h_k^H h_j, effective channels
+        np.matmul(h_eff.conj(), h_eff.transpose(0, 2, 1), out=grams[start:stop])
+    return grams
 
 
 def _solve_block(args) -> tuple:

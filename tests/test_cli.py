@@ -4,6 +4,8 @@ import dataclasses
 import io
 import json
 import os
+import subprocess
+import sys
 from importlib import resources
 from unittest import mock
 
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import eesscoex
 from eesscoex import scenario
 from eesscoex.cli import build_parser, main
 
@@ -656,3 +659,22 @@ def test_any_command_line_exits_0_2_or_3_without_a_traceback(tmp_path_factory, c
         assert out.getvalue() == "", argv
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+
+
+def test_a_command_runs_without_importing_scipy(tmp_path):
+    # scipy is imported only by adoption.fit_gompertz, which no command calls;
+    # a fresh interpreter shows what importing the CLI and running it pulls in.
+    script = (
+        "import sys\n"
+        "from eesscoex.cli import main\n"
+        f"code = main(['--seed', '0', '--out-dir', {str(tmp_path)!r}, 'simulate',\n"
+        "             '--trials', '2', '--year', '2040', '--rate', '500e6'])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(eesscoex.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"

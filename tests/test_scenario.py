@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -63,14 +64,30 @@ def test_mean_power_single_user_closed_form():
 
 
 def test_draw_channels_is_gram_stack():
-    cell = CellConfig(n_users=4, n_antennas=32)
-    grams = draw_channels(cell, 3, 6)
-    assert grams.shape == (6, 4, 4)
-    assert np.array_equal(grams, np.conj(np.swapaxes(grams, 1, 2)))
-    for t, gram in enumerate(grams):
-        c = generate_channel(cell, trial_rng(3, t))
-        np.testing.assert_allclose(np.real(np.diagonal(gram)),
-                                   c.g * np.linalg.norm(c.h, axis=1) ** 2, rtol=1e-12)
+    # Whole matrices, bitwise, against each trial drawn alone, in every
+    # geometry mode; the trial count crosses a block boundary of the draw.
+    trials = scenario._DRAW_BLOCK_TRIALS + 3
+    for distance_mode, los_mode, shadowing in itertools.product(
+            ("uniform-distance", "uniform-area"), ("model", "los", "nlos"), (True, False)):
+        cell = CellConfig(n_users=4, n_antennas=32, distance_mode=distance_mode,
+                          los_mode=los_mode, shadowing=shadowing)
+        grams = draw_channels(cell, 3, trials)
+        assert grams.shape == (trials, 4, 4)
+        assert np.array_equal(grams, np.conj(np.swapaxes(grams, 1, 2)))
+        for t, gram in enumerate(grams):
+            c = generate_channel(cell, trial_rng(3, t))
+            h_eff = c.h * np.sqrt(c.g)[:, None]
+            assert np.array_equal(gram, h_eff.conj() @ h_eff.T), (cell, t)
+        for n in (1, scenario._DRAW_BLOCK_TRIALS, trials - 1):
+            assert np.array_equal(draw_channels(cell, 3, n), grams[:n]), (cell, n)
+
+
+def test_fading_does_not_depend_on_the_los_mode():
+    for shadowing in (True, False):
+        h = [generate_channel(CellConfig(n_users=4, n_antennas=32, los_mode=mode,
+                                         shadowing=shadowing), trial_rng(5, 2)).h
+             for mode in ("model", "los", "nlos")]
+        assert np.array_equal(h[0], h[1]) and np.array_equal(h[1], h[2])
 
 
 @pytest.mark.parametrize("rate_bps, budget", [
