@@ -22,7 +22,7 @@ from .filterbank import (DEFAULT_SPURIOUS_LIMIT_DBM_MHZ, EDGE_EVAL_FREQ_GHZ, edg
 from .linkbudget import (DEFAULT_EVAL_FREQ_GHZ, build_link_budget, load_sensor_catalog,
                          lookup_sensor)
 from .reports import (_json_safe, emit_guard_sweep, emit_leakage_table, emit_report, emit_rows,
-                      format_row)
+                      format_row, row_dict)
 from .scenario import (
     CANONICAL_YEARS,
     GUARD_GRID_MHZ,
@@ -200,7 +200,7 @@ def _cmd_deploy(args, cfg, cell):
         }
         for fips, count in snapshot.counts.items()
     ]
-    header = {k: v for k, v in dataclasses.asdict(snapshot).items() if k != "counts"}
+    header = {k: v for k, v in vars(snapshot).items() if k != "counts"}
     if args.out_dir:
         _print_json(emit_rows(rows, args.out_dir, "deployment", header=header))
     else:
@@ -215,7 +215,7 @@ def _cmd_simulate(args, cfg, cell):
     else:
         _print_json({"config": report.config,
                      "worst_sensor": report.worst_sensor_id,
-                     "rows": [dataclasses.asdict(r) for r in report.rows]})
+                     "rows": [row_dict(r) for r in report.rows]})
     return 0
 
 
@@ -229,7 +229,7 @@ def _cmd_sweep_guard(args, cfg, cell):
         _print_json(emit_guard_sweep(rows, args.out_dir, header=header))
     else:
         for row in rows:
-            print(",".join(format_row(dataclasses.asdict(row))))
+            print(",".join(format_row(row_dict(row))))
     return 0
 
 

@@ -169,6 +169,10 @@ def footprint_bs_count(n_bs: int, a_sat_km2: float, a_county_km2: float) -> int:
         raise ValueError("areas must be positive")
     if n_bs < 0:
         raise ValueError(f"n_bs must be >= 0, got {n_bs}")
+    return _footprint_count(n_bs, a_sat_km2, a_county_km2)
+
+
+def _footprint_count(n_bs, a_sat_km2, a_county_km2):
     return floor(min(a_sat_km2, a_county_km2) / a_county_km2 * n_bs)
 
 
@@ -205,15 +209,18 @@ def build_snapshot(records, year: int, adoption_factor: float, rate_bps: float,
 
 
 def worst_case_footprint(records, snapshot: DeploymentSnapshot, sensor):
-    """County maximizing the footprint BS count for a sensor; ties to lowest FIPS."""
-    by_fips = {r.fips: r for r in records}
-    if not by_fips:
-        raise ValueError("empty county record set")
+    """County maximizing the footprint BS count for a sensor; ties to lowest FIPS.
+
+    Record areas, the sensor's footprint area and the snapshot's counts are
+    checked where they are made, so the count is taken unchecked."""
     best = None
-    for fips in sorted(by_fips):
-        record = by_fips[fips]
-        count = footprint_bs_count(snapshot.counts[fips], sensor.footprint_area_km2,
-                                   record.land_area_km2)
-        if best is None or count > best[1]:
+    a_sat = sensor.footprint_area_km2
+    counts = snapshot.counts
+    for record in records:
+        count = _footprint_count(counts[record.fips], a_sat, record.land_area_km2)
+        if (best is None or count > best[1]
+                or (count == best[1] and record.fips < best[0].fips)):
             best = (record, count)
+    if best is None:
+        raise ValueError("empty county record set")
     return best

@@ -9,9 +9,9 @@ import csv
 import json
 import math
 import os
-from dataclasses import asdict
 
-__all__ = ["emit_report", "emit_guard_sweep", "emit_leakage_table", "emit_rows", "format_row"]
+__all__ = ["emit_report", "emit_guard_sweep", "emit_leakage_table", "emit_rows", "format_row",
+           "row_dict"]
 
 _FLOAT_FORMATS = {
     "rate_mbps": "{:.1f}",
@@ -29,12 +29,9 @@ _FLOAT_FORMATS = {
 
 def _format_value(key, value):
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "-inf" if value < 0 else "inf"
-        fmt = _FLOAT_FORMATS.get(key, "{:.6f}")
-        return fmt.format(value)
+        if math.isfinite(value):
+            return _FLOAT_FORMATS.get(key, "{:.6f}").format(value)
+        return "nan" if math.isnan(value) else ("-inf" if value < 0 else "inf")
     return str(value)
 
 
@@ -44,7 +41,9 @@ def format_row(row):
 
 
 def _json_safe(value):
-    if isinstance(value, float) and (math.isnan(value) or math.isinf(value)):
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return value
         return None if math.isnan(value) else ("-inf" if value < 0 else "inf")
     if isinstance(value, dict):
         return {k: _json_safe(v) for k, v in value.items()}
@@ -61,27 +60,52 @@ def _open_out(out_dir, name):
         raise OSError(f"cannot write report to {os.path.join(out_dir, name)}: {exc}") from exc
 
 
+# Encodes one flat row as the body of its indent=2 entry in the report's
+# "rows" list.  Without `indent` the encoder runs in C.
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+_NESTED = {list, dict}  # _json_safe turns every list, tuple and dict into these
+
+
+def row_dict(row):
+    """A report row dataclass as a dict of its fields in field order.  Every
+    field is a scalar, so a shallow copy is the whole row."""
+    return dict(vars(row))
+
+
 def emit_rows(rows, out_dir, basename, header=None):
-    """Write dict rows as CSV (with a commented config header) and JSON; the
-    columns are the first row's keys."""
+    """Write flat dict rows as CSV (with a commented config header) and JSON
+    (sorted keys, 2-space indent).  The columns are the first row's keys; a
+    row with other keys, or in another order, or with a list, tuple or dict
+    value raises ValueError naming its index, and leaves both files
+    incomplete."""
     if not rows:
         raise ValueError("nothing to emit: empty row set")
-    paths = {}
+    columns = tuple(rows[0])
+    if not columns:
+        raise ValueError("nothing to emit: rows have no columns")
     header = header or {}
-    with _open_out(out_dir, f"{basename}.csv") as fh:
+    config = json.dumps(_json_safe(header), indent=2, sort_keys=True).replace("\n", "\n  ")
+    with _open_out(out_dir, f"{basename}.csv") as csv_fh, \
+            _open_out(out_dir, f"{basename}.json") as json_fh:
         for key in sorted(header):
-            fh.write(f"# {key}={_json_safe(header[key])}\n")
-        writer = csv.writer(fh)
-        writer.writerow(rows[0])
-        for row in rows:
+            csv_fh.write(f"# {key}={_json_safe(header[key])}\n")
+        writer = csv.writer(csv_fh)
+        writer.writerow(columns)
+        json_fh.write(f'{{\n  "config": {config},\n  "rows": [\n    ')
+        for index, row in enumerate(rows):
+            if tuple(row) != columns:
+                raise ValueError(f"row {index}: columns {list(row)} are not the first "
+                                 f"row's {list(columns)}")
+            safe = _json_safe(row)
+            if not _NESTED.isdisjoint(map(type, safe.values())):
+                raise ValueError(f"row {index}: a report row must be flat, got a list, "
+                                 "tuple or dict value")
             writer.writerow(format_row(row))
-        paths["csv"] = fh.name
-    with _open_out(out_dir, f"{basename}.json") as fh:
-        json.dump({"config": _json_safe(header), "rows": _json_safe(rows)},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
-        paths["json"] = fh.name
-    return paths
+            if index:
+                json_fh.write(",\n    ")
+            json_fh.write("{\n      " + _ROW_ENCODER.encode(safe)[1:-1] + "\n    }")
+        json_fh.write("\n  ]\n}\n")
+    return {"csv": csv_fh.name, "json": json_fh.name}
 
 
 def emit_report(reports, out_dir):
@@ -99,7 +123,7 @@ def emit_report(reports, out_dir):
     for report in reports:
         if not report.rows:
             raise ValueError("nothing to emit: report has no sensor rows")
-        rows.extend(asdict(r) for r in report.rows)
+        rows.extend(map(row_dict, report.rows))
     header = {key: value for key, value in reports[0].config.items()
               if key not in ("year", "rate_bps", "penetration_per_100")
               and all(r.config.get(key) == value for r in reports)}
@@ -107,7 +131,7 @@ def emit_report(reports, out_dir):
 
 
 def emit_guard_sweep(rows, out_dir, header=None):
-    return emit_rows([asdict(r) for r in rows], out_dir, "guard_sweep", header=header)
+    return emit_rows([row_dict(r) for r in rows], out_dir, "guard_sweep", header=header)
 
 
 def emit_leakage_table(rows, out_dir, header=None):

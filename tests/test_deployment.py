@@ -168,6 +168,31 @@ def test_worst_case_footprint_matches_argmax_oracle(counties, catalog):
                                        sensor.footprint_area_km2, best.land_area_km2)
 
 
+def _worst_case_footprint_by_sorted_fips(records, snapshot, sensor):
+    # The checked, sorted-FIPS scan worst_case_footprint replaced, kept as its reference.
+    by_fips = {r.fips: r for r in records}
+    best = None
+    for fips in sorted(by_fips):
+        count = footprint_bs_count(snapshot.counts[fips], sensor.footprint_area_km2,
+                                   by_fips[fips].land_area_km2)
+        if best is None or count > best[1]:
+            best = (by_fips[fips], count)
+    return best
+
+
+def test_worst_case_footprint_matches_sorted_scan_on_bundled_counties(counties, catalog):
+    for year in (2030, 2035, 2040):
+        for factor in (0.5, 1.0, 1.5):
+            for rate in (100e6, 200e6, 300e6, 400e6, 500e6):
+                snapshot = build_snapshot(counties, year, factor, rate, 50.0, 250e6,
+                                          scenario_penetration(year, factor))
+                for sensor in catalog.values():
+                    expected = _worst_case_footprint_by_sorted_fips(counties, snapshot, sensor)
+                    for records in (counties, counties[::-1]):
+                        got = worst_case_footprint(records, snapshot, sensor)
+                        assert got == expected and got[0] is expected[0], (year, rate, sensor)
+
+
 def test_worst_case_single_county(catalog):
     records = [LA]
     snapshot = build_snapshot(records, 2030, 1.0, 100e6, 50.0, 250e6, 1.0)
