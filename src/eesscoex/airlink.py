@@ -8,7 +8,8 @@ i.i.d. Rayleigh across the array.
 
 All randomness flows from the generator handed in; per-trial substreams
 are derived from (master seed, trial index) so serial and parallel runs
-agree draw for draw.
+agree draw for draw.  `draw_channels` keeps of each trial only the effective
+Gram matrix the power solve reads.
 """
 
 from dataclasses import dataclass
@@ -23,12 +24,11 @@ __all__ = [
     "CellConfig",
     "ChannelRealization",
     "noise_power_w",
-    "sample_positions",
     "los_probability",
     "umi_los_path_loss_db",
     "umi_nlos_path_loss_db",
-    "path_loss",
     "generate_channel",
+    "draw_channels",
     "trial_rng",
 ]
 
@@ -38,6 +38,7 @@ SPEED_OF_LIGHT_M_S = 3.0e8  # propagation constant used by the 38.901 breakpoint
 SHADOW_SIGMA_LOS_DB = 4.0
 SHADOW_SIGMA_NLOS_DB = 7.82
 _EFFECTIVE_ENV_HEIGHT_M = 1.0  # UMi h_E
+_DRAW_BLOCK_TRIALS = 32
 
 
 @dataclass(frozen=True)
@@ -96,18 +97,6 @@ def _distances(cfg: CellConfig, u):
     return np.sqrt(cfg.r_min_m**2 + (cfg.r_cell_m**2 - cfg.r_min_m**2) * u)
 
 
-def sample_positions(cfg: CellConfig, rng: np.random.Generator):
-    """Draw K user positions on the serving annulus.
-
-    Returns (distances_m, angles_rad).  The default samples the 2D
-    distance uniformly on [r_min, r_cell]; "uniform-area" instead spreads
-    users uniformly over the annulus area.
-    """
-    d = _distances(cfg, rng.uniform(size=cfg.n_users))
-    angles = rng.uniform(0.0, 2.0 * np.pi, size=cfg.n_users)
-    return d, angles
-
-
 def los_probability(d2d_m):
     """UMi-Street Canyon outdoor LOS probability (TR 38.901 Table 7.4.2-1)."""
     d = np.asarray(d2d_m, dtype=float)
@@ -147,24 +136,6 @@ def umi_nlos_path_loss_db(d2d_m, cfg: CellConfig):
                 - 0.3 * (cfg.ut_height_m - 1.5))
     out = np.maximum(umi_los_path_loss_db(d2d_m, cfg), pl_prime)
     return float(out) if out.ndim == 0 else out
-
-
-def path_loss(d2d_m, los, cfg: CellConfig, rng: np.random.Generator = None):
-    """Large-scale linear gain g for one or more links.
-
-    g = 10^((tx_gain - PL - SF)/10) with log-normal shadowing SF (sigma 4 dB
-    LOS / 7.82 dB NLOS) when enabled; rng may be omitted only with
-    shadowing disabled.
-    """
-    d2d = np.atleast_1d(np.asarray(d2d_m, dtype=float))
-    if np.any(d2d < cfg.r_min_m):
-        raise ValueError(f"distances below the exclusion radius {cfg.r_min_m} m")
-    los = np.atleast_1d(np.asarray(los, dtype=bool))
-    if cfg.shadowing and rng is None:
-        raise ValueError("shadowing enabled but no generator supplied")
-    normals = rng.standard_normal(d2d.shape) if cfg.shadowing else None
-    g = _gains(d2d, los, cfg, normals)
-    return float(g[0]) if np.isscalar(d2d_m) else g
 
 
 def _gains(d2d, los, cfg: CellConfig, shadow_normals):
@@ -216,3 +187,17 @@ def generate_channel(cfg: CellConfig, rng: np.random.Generator) -> ChannelRealiz
     realization."""
     h, g, los = _draw_trials(cfg, [rng])
     return ChannelRealization(h=h[0], g=g[0], los=los[0])
+
+
+def draw_channels(cell: CellConfig, seed: int, trials: int) -> np.ndarray:
+    """(trials, K, K) stack of effective-channel Gram matrices, one per trial
+    substream, drawn `_DRAW_BLOCK_TRIALS` trials at a time so the live (K, N)
+    draws scale with the block, not with `trials`."""
+    grams = np.empty((trials, cell.n_users, cell.n_users), dtype=complex)
+    for start in range(0, trials, _DRAW_BLOCK_TRIALS):
+        stop = min(start + _DRAW_BLOCK_TRIALS, trials)
+        h, g, _ = _draw_trials(cell, [trial_rng(seed, t) for t in range(start, stop)])
+        h_eff = h * np.sqrt(g)[..., None]
+        # G[k, j] = h_k^H h_j, effective channels
+        np.matmul(h_eff.conj(), h_eff.transpose(0, 2, 1), out=grams[start:stop])
+    return grams

@@ -21,8 +21,7 @@ from .filterbank import (DEFAULT_SPURIOUS_LIMIT_DBM_MHZ, EDGE_EVAL_FREQ_GHZ, edg
                          leaked_psd_dbm_per_mhz)
 from .linkbudget import (DEFAULT_EVAL_FREQ_GHZ, build_link_budget, load_sensor_catalog,
                          lookup_sensor)
-from .reports import (_json_safe, emit_guard_sweep, emit_leakage_table, emit_report, emit_rows,
-                      format_row, row_dict)
+from .reports import _json_safe, emit_guard_sweep, emit_report, emit_rows, format_row, row_dict
 from .scenario import (
     CANONICAL_YEARS,
     GUARD_GRID_MHZ,
@@ -101,10 +100,13 @@ def _comma_list(item):
     """The type of a flag that takes a comma-separated list of `item` values."""
     def parse(text):
         try:
-            return tuple(item(x) for x in text.split(","))
+            values = tuple(item(x) for x in text.split(","))
         except (ValueError, argparse.ArgumentTypeError):
             raise argparse.ArgumentTypeError(
                 f"must be comma-separated {item.__name__} values, got {text!r}") from None
+        if len(set(values)) < len(values):  # a repeat would repeat its report rows
+            raise argparse.ArgumentTypeError(f"must not repeat a value, got {text!r}")
+        return values
     return parse
 
 
@@ -161,7 +163,7 @@ def _cmd_link_budget(args, cfg, cell):
 def _cmd_leakage(args, cfg, cell):
     rows = leakage_table(cfg, args.orders, args.guards)
     if args.out_dir:
-        _print_json(emit_leakage_table(rows, args.out_dir, header={
+        _print_json(emit_rows(rows, args.out_dir, "leakage", header={
             "ripple_db": cfg.ripple_db,
             "grid_step_mhz": cfg.grid_step_mhz,
             "ref_bandwidth_mhz": cfg.ref_bandwidth_mhz,
@@ -344,6 +346,9 @@ def main(argv=None) -> int:
         return args.func(args, *_build_configs(args))
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # sizes past the machine: --trials, n_antennas, n_users
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
 
 

@@ -20,10 +20,8 @@ __all__ = [
     "IngestError",
     "DeploymentSnapshot",
     "ingest_counties",
-    "bundled_county_paths",
     "load_bundled_counties",
     "bs_count",
-    "footprint_bs_count",
     "build_snapshot",
     "worst_case_footprint",
 ]
@@ -131,15 +129,11 @@ def ingest_counties(county_csv, gazetteer_csv) -> CountyIngest:
     return CountyIngest(records=records, rejected=rejected, n_nonmetro=n_nonmetro)
 
 
-def bundled_county_paths():
-    """Paths of the bundled sample county and gazetteer CSVs."""
-    data = resources.files("eesscoex.data")
-    return data.joinpath("counties_metro_sample.csv"), data.joinpath("county_land_area_km2.csv")
-
-
 def load_bundled_counties() -> CountyIngest:
-    county_csv, gazetteer_csv = bundled_county_paths()
-    return ingest_counties(str(county_csv), str(gazetteer_csv))
+    """The bundled sample county and gazetteer CSVs, ingested."""
+    data = resources.files("eesscoex.data")
+    return ingest_counties(str(data.joinpath("counties_metro_sample.csv")),
+                           str(data.joinpath("county_land_area_km2.csv")))
 
 
 def bs_count(county: CountyRecord, penetration_per_100: float, rate_bps: float,
@@ -159,20 +153,12 @@ def bs_count(county: CountyRecord, penetration_per_100: float, rate_bps: float,
     return ceil(demand / (eta_bps_per_hz * bandwidth_hz))
 
 
-def footprint_bs_count(n_bs: int, a_sat_km2: float, a_county_km2: float) -> int:
+def _footprint_count(n_bs, a_sat_km2, a_county_km2):
     """Stations from one county inside a satellite footprint.
 
     Uniform density with the footprint fully inside the county (worst
     case): floor(min(A_sat, A_county)/A_county * N_BS).
     """
-    if a_sat_km2 <= 0 or a_county_km2 <= 0:
-        raise ValueError("areas must be positive")
-    if n_bs < 0:
-        raise ValueError(f"n_bs must be >= 0, got {n_bs}")
-    return _footprint_count(n_bs, a_sat_km2, a_county_km2)
-
-
-def _footprint_count(n_bs, a_sat_km2, a_county_km2):
     return floor(min(a_sat_km2, a_county_km2) / a_county_km2 * n_bs)
 
 

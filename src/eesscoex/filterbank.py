@@ -154,14 +154,13 @@ def worst_victim_window(sensor_span_ghz: tuple, ref_bw_mhz: float,
     return VictimWindow(f_low_ghz=span_high - width_ghz, f_high_ghz=span_high)
 
 
-def leakage_fraction(spec: FilterSpec, window: VictimWindow, bs_bandwidth_mhz: float,
-                     response=None) -> LeakageProfile:
+def leakage_fraction(spec: FilterSpec, window: VictimWindow,
+                     bs_bandwidth_mhz: float) -> LeakageProfile:
     """Fraction of transmit power leaked into `window`.
 
     Trapezoidal integration of the power response over the window on the
     spec's frequency grid, normalized by the occupied BS bandwidth.
-    `response` can override the integrand (used by the test oracles);
-    this models adjacent-band leakage only, so the window must not
+    This models adjacent-band leakage only, so the window must not
     overlap the passband.
     """
     if bs_bandwidth_mhz <= 0:
@@ -173,12 +172,10 @@ def leakage_fraction(spec: FilterSpec, window: VictimWindow, bs_bandwidth_mhz: f
             f"the passband [{spec.passband_low_ghz}, {spec.passband_high_ghz}] GHz; "
             "co-channel leakage is out of scope"
         )
-    if response is None:
-        response = lambda f: power_response(spec, f)
     step_ghz = spec.grid_step_mhz / 1e3
     n = max(int(np.ceil((window.f_high_ghz - window.f_low_ghz) / step_ghz)), 1)
     freqs = np.linspace(window.f_low_ghz, window.f_high_ghz, n + 1)
-    integral_ghz = np.trapezoid(response(freqs), freqs)
+    integral_ghz = np.trapezoid(power_response(spec, freqs), freqs)
     delta = float(integral_ghz * 1e3 / bs_bandwidth_mhz)
     return LeakageProfile(delta=delta)
 

@@ -10,8 +10,7 @@ import json
 import math
 import os
 
-__all__ = ["emit_report", "emit_guard_sweep", "emit_leakage_table", "emit_rows", "format_row",
-           "row_dict"]
+__all__ = ["emit_report", "emit_guard_sweep", "emit_rows", "format_row", "row_dict"]
 
 _FLOAT_FORMATS = {
     "rate_mbps": "{:.1f}",
@@ -132,7 +131,3 @@ def emit_report(reports, out_dir):
 
 def emit_guard_sweep(rows, out_dir, header=None):
     return emit_rows([row_dict(r) for r in rows], out_dir, "guard_sweep", header=header)
-
-
-def emit_leakage_table(rows, out_dir, header=None):
-    return emit_rows(rows, out_dir, "leakage", header=header)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .adoption import BASELINE_MODEL, scenario_penetration
 from ._fields import bounded, check_fields
-from .airlink import CellConfig, _draw_trials, noise_power_w, trial_rng
+from .airlink import CellConfig, draw_channels, noise_power_w
 from .deployment import build_snapshot, load_bundled_counties, worst_case_footprint
 from .filterbank import FilterSpec, leakage_fraction, worst_victim_window
 from .linkbudget import DEFAULT_G_TX_DB, load_sensor_catalog, lookup_sensor, net_gain_db
@@ -63,7 +63,6 @@ CANONICAL_YEARS = (2030, 2035, 2040)
 GUARD_GRID_MHZ = tuple(range(0, 55, 5))
 LEAKAGE_ORDERS = (3, 5, 7, 9)
 SENSOR_IDS = ("B1", "B3", "B4", "B5", "B7")
-_DRAW_BLOCK_TRIALS = 32
 
 
 @dataclass(frozen=True)
@@ -97,6 +96,8 @@ class ScenarioConfig:
         check_fields(self)
         if not self.sensor_ids:
             raise ValueError("empty sensor set")
+        if len(set(self.sensor_ids)) < len(self.sensor_ids):
+            raise ValueError(f"'sensor_ids' must not repeat an id, got {list(self.sensor_ids)}")
         self.filter_spec  # order, ripple and grid step are checked here, for every command
 
     @property
@@ -187,20 +188,6 @@ class GuardSweepRow:
     year: int
     guard_mhz: float
     max_rate_mbps: int
-
-
-def draw_channels(cell: CellConfig, seed: int, trials: int) -> np.ndarray:
-    """(trials, K, K) stack of effective-channel Gram matrices, one per trial
-    substream, drawn `_DRAW_BLOCK_TRIALS` trials at a time so the live (K, N)
-    draws scale with the block, not with `trials`."""
-    grams = np.empty((trials, cell.n_users, cell.n_users), dtype=complex)
-    for start in range(0, trials, _DRAW_BLOCK_TRIALS):
-        stop = min(start + _DRAW_BLOCK_TRIALS, trials)
-        h, g, _ = _draw_trials(cell, [trial_rng(seed, t) for t in range(start, stop)])
-        h_eff = h * np.sqrt(g)[..., None]
-        # G[k, j] = h_k^H h_j, effective channels
-        np.matmul(h_eff.conj(), h_eff.transpose(0, 2, 1), out=grams[start:stop])
-    return grams
 
 
 def _solve_block(args) -> tuple:

@@ -1,50 +1,58 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from eesscoex import airlink
 from eesscoex.airlink import (
     BOLTZMANN_J_PER_K,
     CellConfig,
+    _distances,
+    _gains,
+    draw_channels,
     generate_channel,
     los_probability,
     noise_power_w,
-    path_loss,
-    sample_positions,
     trial_rng,
     umi_los_path_loss_db,
     umi_nlos_path_loss_db,
 )
 
 CFG = CellConfig()
+MODES = ("uniform-distance", "uniform-area")
 
 
 def test_positions_within_annulus():
-    rng = np.random.default_rng(0)
-    cfg = CellConfig(n_users=1000, n_antennas=1000)
-    d, angles = sample_positions(cfg, rng)
-    assert np.all((d >= 10.0) & (d <= 150.0))
-    assert np.all((angles >= 0.0) & (angles < 2 * np.pi))
+    u = np.random.default_rng(0).random(1000)
+    for mode in MODES:
+        cfg = CellConfig(distance_mode=mode)
+        d = _distances(cfg, u)
+        assert np.all((d >= 10.0) & (d <= 150.0))
+        assert _distances(cfg, np.array([0.0]))[0] == 10.0
+        assert _distances(cfg, np.array([1.0]))[0] == pytest.approx(150.0, rel=1e-15)
 
 
 def test_uniform_distance_mean():
-    rng = np.random.default_rng(1)
-    cfg = CellConfig(n_users=100_000, n_antennas=100_000)
-    d, _ = sample_positions(cfg, rng)
+    d = _distances(CFG, np.random.default_rng(1).random(100_000))
     assert abs(d.mean() - 80.0) < 1.0
 
 
 def test_uniform_area_mean():
-    rng = np.random.default_rng(2)
-    cfg = CellConfig(n_users=100_000, n_antennas=100_000, distance_mode="uniform-area")
-    d, _ = sample_positions(cfg, rng)
+    cfg = CellConfig(distance_mode="uniform-area")
+    d = _distances(cfg, np.random.default_rng(2).random(100_000))
     expected = (2.0 / 3.0) * (150.0**3 - 10.0**3) / (150.0**2 - 10.0**2)
     assert abs(d.mean() - expected) < 1.0
 
 
 def test_positions_deterministic():
-    d1, a1 = sample_positions(CFG, trial_rng(123, 5))
-    d2, a2 = sample_positions(CFG, trial_rng(123, 5))
-    assert np.array_equal(d1, d2) and np.array_equal(a1, a2)
+    # A trial's distances are its substream's first K uniforms, so with the
+    # LOS state forced and no shadowing its gains follow from them alone.
+    for mode in MODES:
+        cfg = CellConfig(distance_mode=mode, los_mode="los", shadowing=False)
+        d = _distances(cfg, trial_rng(123, 5).random(cfg.n_users))
+        expected = _gains(d, np.ones(cfg.n_users, dtype=bool), cfg, None)
+        assert np.array_equal(generate_channel(cfg, trial_rng(123, 5)).g, expected)
 
 
 def test_los_probability_values():
@@ -90,18 +98,11 @@ def test_nlos_at_least_los():
 
 def test_path_loss_without_shadowing_deterministic():
     cfg = CellConfig(shadowing=False)
-    g1 = path_loss(np.array([50.0]), np.array([True]), cfg)
-    g2 = path_loss(np.array([50.0]), np.array([True]), cfg)
-    assert g1 == g2
-    expected = 10 ** ((15.0 - umi_los_path_loss_db(50.0, cfg)) / 10.0)
-    assert g1[0] == pytest.approx(expected, rel=1e-12)
-
-
-def test_path_loss_rejects_exclusion_zone():
-    with pytest.raises(ValueError):
-        path_loss(np.array([5.0]), np.array([True]), CFG, trial_rng(0, 0))
-    with pytest.raises(ValueError):
-        path_loss(np.array([50.0]), np.array([True]), CFG)  # shadowing, no rng
+    d, los = np.array([50.0, 120.0]), np.array([True, False])
+    g = _gains(d, los, cfg, None)
+    assert np.array_equal(g, _gains(d, los, cfg, None))
+    pl = [umi_los_path_loss_db(50.0, cfg), umi_nlos_path_loss_db(120.0, cfg)]
+    assert g == pytest.approx(10 ** ((15.0 - np.array(pl)) / 10.0), rel=1e-12)
 
 
 def test_shadowing_statistics():
@@ -113,7 +114,7 @@ def test_shadowing_statistics():
     for los, sigma in ((True, 4.0), (False, 7.82)):
         d = np.full(n, 90.0)
         flags = np.full(n, los)
-        g_db = 10 * np.log10(path_loss(d, flags, cfg, rng))
+        g_db = 10 * np.log10(_gains(d, flags, cfg, rng.standard_normal(n)))
         pl = (umi_los_path_loss_db(90.0, cfg) if los
               else umi_nlos_path_loss_db(90.0, cfg))
         center = 15.0 - pl
@@ -181,3 +182,30 @@ def test_config_validation():
         CellConfig(los_mode="sometimes")
     with pytest.raises(ValueError):
         CellConfig(carrier_ghz=float("nan"))
+
+
+def test_draw_channels_is_gram_stack():
+    # Whole matrices, bitwise, against each trial drawn alone, in every
+    # geometry mode; the trial count crosses a block boundary of the draw.
+    trials = airlink._DRAW_BLOCK_TRIALS + 3
+    for distance_mode, los_mode, shadowing in itertools.product(
+            MODES, ("model", "los", "nlos"), (True, False)):
+        cell = CellConfig(n_users=4, n_antennas=32, distance_mode=distance_mode,
+                          los_mode=los_mode, shadowing=shadowing)
+        grams = draw_channels(cell, 3, trials)
+        assert grams.shape == (trials, 4, 4)
+        assert np.array_equal(grams, np.conj(np.swapaxes(grams, 1, 2)))
+        for t, gram in enumerate(grams):
+            c = generate_channel(cell, trial_rng(3, t))
+            h_eff = c.h * np.sqrt(c.g)[:, None]
+            assert np.array_equal(gram, h_eff.conj() @ h_eff.T), (cell, t)
+        for n in (1, airlink._DRAW_BLOCK_TRIALS, trials - 1):
+            assert np.array_equal(draw_channels(cell, 3, n), grams[:n]), (cell, n)
+
+
+def test_fading_does_not_depend_on_the_los_mode():
+    for shadowing in (True, False):
+        h = [generate_channel(CellConfig(n_users=4, n_antennas=32, los_mode=mode,
+                                         shadowing=shadowing), trial_rng(5, 2)).h
+             for mode in ("model", "los", "nlos")]
+        assert np.array_equal(h[0], h[1]) and np.array_equal(h[1], h[2])

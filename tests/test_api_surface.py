@@ -1,19 +1,68 @@
-"""The package's public surface: exported names exist, and the entry
-points the benchmark (perfbench/workloads.py) calls keep their keywords."""
+"""The package's public surface: exported names exist, every exported
+function has a user, and the entry points the benchmark
+(perfbench/workloads.py) calls keep their keywords."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import eesscoex
 from eesscoex import scenario
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _modules():
+    for info in pkgutil.iter_modules(eesscoex.__path__):
+        yield importlib.import_module(f"eesscoex.{info.name}")
+
+
+def _uses(path):
+    """Names a file uses: loaded names, attributes and whole string constants
+    (getattr and tracer targets), outside `__all__` and each name's own def."""
+    used = set()
+
+    def visit(node, own):
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            own = own | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            name = None
+        if name not in own:
+            used.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    return used
+
 
 def test_all_names_resolve():
-    for info in pkgutil.iter_modules(eesscoex.__path__):
-        module = importlib.import_module(f"eesscoex.{info.name}")
+    for module in _modules():
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
-        assert not missing, (info.name, missing)
+        assert not missing, (module.__name__, missing)
+
+
+def test_every_exported_function_has_a_user():
+    # A command, a report, the benchmark or an acceptance criterion must
+    # reach each public function; a name only unit tests call is not API.
+    files = [*Path(eesscoex.__file__).parent.glob("*.py"), *(ROOT / "perfbench").rglob("*.py"),
+             ROOT / "tests" / "test_acceptance.py"]
+    used = set().union(*map(_uses, files))
+    unused = [f"{module.__name__}.{name}" for module in _modules()
+              for name in getattr(module, "__all__", ())
+              if inspect.isfunction(getattr(module, name)) and name not in used]
+    assert not unused
 
 
 def test_scenario_keeps_benchmark_entry_points():

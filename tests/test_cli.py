@@ -182,6 +182,7 @@ def _write_config(tmp_path, config):
     ({"scenario": {"ref_bandwidth_mhz": 10**400}}, "scenario", "ref_bandwidth_mhz"),
     ({"scenario": {"sensor_ids": [["B5"]]}}, "scenario", "sensor_ids"),
     ({"scenario": {"trials": 5, "guard_mhz": 60}}, "scenario", "guard_mhz"),
+    ({"scenario": {"sensor_ids": ["B5", "B5"]}}, "scenario", "sensor_ids"),
 ])
 def test_config_key_errors(tmp_path, capsys, config, section, key):
     path = _write_config(tmp_path, config)
@@ -248,6 +249,22 @@ def test_out_of_range_field_is_named(capsys, argv, field):
     code, out, err = _run(capsys, argv)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith(f"error: '{field}' must be ")
+
+
+@pytest.mark.parametrize("message", [
+    "Unable to allocate 954. GiB for an array with shape (1000000000, 8, 8) and data type "
+    "complex128",
+    "",
+])
+def test_memory_error_exits_2_with_one_line(capsys, monkeypatch, message):
+    # The failing draw is faked: a real one would first try to fill the memory.
+    def no_memory(cell, seed, trials):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(scenario, "draw_channels", no_memory)
+    code, out, err = _run(capsys, ["simulate", "--trials", "2"])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: out of memory: {message or 'allocation failed'}"]
 
 
 def test_config_file_value_is_checked_under_an_overriding_flag(tmp_path, capsys):
@@ -446,6 +463,10 @@ def test_every_flag_value_is_parsed_where_the_flag_is_declared():
     ["sweep-guard", "--guards", "0:50:inf"],
     ["simulate", "--jobs", "0"],
     ["sweep-guard", "--jobs", "2"],
+    ["leakage", "--sensors", "B5,B5"],
+    ["leakage", "--orders", "7,7"],
+    ["leakage", "--guards", "25,25.0"],
+    ["sweep-guard", "--years", "2030,2030"],
 ])
 def test_argparse_errors_print_one_line(capsys, argv):
     code, out, err = _run(capsys, argv)

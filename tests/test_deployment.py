@@ -6,9 +6,9 @@ from eesscoex.deployment import (
     METRO_RUCC_CODES,
     CountyRecord,
     IngestError,
+    _footprint_count,
     bs_count,
     build_snapshot,
-    footprint_bs_count,
     ingest_counties,
     load_bundled_counties,
     worst_case_footprint,
@@ -113,9 +113,9 @@ def test_bs_count_ceil():
 
 
 def test_footprint_count_examples():
-    assert footprint_bs_count(100, 209.0, 1000.0) == 20
-    assert footprint_bs_count(100, 2000.0, 1000.0) == 100  # footprint covers county
-    assert footprint_bs_count(4000, 209.0, 10510.0) == 79
+    assert _footprint_count(100, 209.0, 1000.0) == 20
+    assert _footprint_count(100, 2000.0, 1000.0) == 100  # footprint covers county
+    assert _footprint_count(4000, 209.0, 10510.0) == 79
 
 
 @settings(max_examples=60, deadline=None)
@@ -123,7 +123,7 @@ def test_footprint_count_examples():
        a_sat=st.floats(min_value=1.0, max_value=5e4),
        a_county=st.floats(min_value=1.0, max_value=5e4))
 def test_footprint_never_exceeds_bs_count(n, a_sat, a_county):
-    assert 0 <= footprint_bs_count(n, a_sat, a_county) <= n
+    assert 0 <= _footprint_count(n, a_sat, a_county) <= n
 
 
 def test_snapshot_deterministic(counties):
@@ -159,13 +159,13 @@ def test_worst_case_footprint_matches_argmax_oracle(counties, catalog):
     county, count = worst_case_footprint(counties, snapshot, sensor)
     best = max(
         counties,
-        key=lambda r: (footprint_bs_count(snapshot.counts[r.fips],
-                                          sensor.footprint_area_km2,
-                                          r.land_area_km2), -int(r.fips)),
+        key=lambda r: (_footprint_count(snapshot.counts[r.fips],
+                                        sensor.footprint_area_km2,
+                                        r.land_area_km2), -int(r.fips)),
     )
     assert county.fips == best.fips
-    assert count == footprint_bs_count(snapshot.counts[best.fips],
-                                       sensor.footprint_area_km2, best.land_area_km2)
+    assert count == _footprint_count(snapshot.counts[best.fips],
+                                     sensor.footprint_area_km2, best.land_area_km2)
 
 
 def _worst_case_footprint_by_sorted_fips(records, snapshot, sensor):
@@ -173,8 +173,8 @@ def _worst_case_footprint_by_sorted_fips(records, snapshot, sensor):
     by_fips = {r.fips: r for r in records}
     best = None
     for fips in sorted(by_fips):
-        count = footprint_bs_count(snapshot.counts[fips], sensor.footprint_area_km2,
-                                   by_fips[fips].land_area_km2)
+        count = _footprint_count(snapshot.counts[fips], sensor.footprint_area_km2,
+                                 by_fips[fips].land_area_km2)
         if best is None or count > best[1]:
             best = (by_fips[fips], count)
     return best

