@@ -16,13 +16,17 @@ worst-case county footprint count.
 effective Gram matrix, all the power solve needs, drawn from the substream
 (master seed, trial); `mean_bs_power` is the one power path over such a stack,
 solving each block of it in one trial-batched precoder call, and the grid
-shares one stack across rates, guards and years.  Leakage fractions are
-integrated once per process for each distinct filter, window and bandwidth.
+shares one stack across rates, guards and years.  The rate-free inputs are
+reused per process by value: leakage fractions are integrated once for each
+distinct filter, window and bandwidth, sensor geometry and RFI budget once for
+each distinct set of sensor specs and guard settings, and worst-case
+footprints once for each distinct county set, sensor specs, penetration and
+demand sizing.  Each cache is bounded and holds immutable values, so reports
+are unchanged by which points ran before.
 """
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -218,6 +222,7 @@ def mean_bs_power(cfg: ScenarioConfig, cell: CellConfig, budget: RfiBudget = Non
     if len(blocks) == 1:
         solved = [_solve_block(blocks[0])]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a parallel batch pays its import
         with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
             solved = list(pool.map(_solve_block, blocks))
     powers, feasible, converged = (np.concatenate(column) for column in zip(*solved))
@@ -262,13 +267,30 @@ def _leakage_delta(spec: FilterSpec, window, bs_bandwidth_mhz: float) -> float:
     return leakage_fraction(spec, window, bs_bandwidth_mhz).delta
 
 
+# The ScenarioConfig fields that, with the sensor specs, set a guard's sensor
+# geometry and RFI budget; read raw, since `filter_spec` builds and checks a
+# FilterSpec on every access.
+_GEOMETRY_FIELDS = ("guard_mhz", "filter_order", "ripple_db", "grid_step_mhz",
+                    "ref_bandwidth_mhz", "use_published_gain", "g_tx_db", "p_bs_dbw",
+                    "threshold_dbw")
+
+
 def _sensor_geometries(cfg: ScenarioConfig, catalog: dict) -> tuple:
     """Per-sensor geometry at the config's guard, and the per-BS budget
     binding at the most tightly coupled sensor."""
+    sensors = tuple(lookup_sensor(catalog, sid) for sid in cfg.sensor_ids)
+    return _geometry_at(cfg.sensor_ids, sensors,
+                        tuple(getattr(cfg, name) for name in _GEOMETRY_FIELDS))
+
+
+@functools.lru_cache(maxsize=256)
+def _geometry_at(sensor_ids: tuple, sensors: tuple, fields: tuple) -> tuple:
+    """`_sensor_geometries` for the given sensors and `_GEOMETRY_FIELDS`
+    values, computed once per process for each distinct value of them."""
+    cfg = ScenarioConfig(**dict(zip(_GEOMETRY_FIELDS, fields)))
     spec = cfg.filter_spec
     out = []
-    for sid in cfg.sensor_ids:
-        sensor = lookup_sensor(catalog, sid)
+    for sid, sensor in zip(sensor_ids, sensors):
         window = worst_victim_window(sensor.channel_span_ghz, cfg.ref_bandwidth_mhz,
                                      cfg.tn_band_ghz)
         delta = _leakage_delta(spec, window, cfg.bandwidth_hz / 1e6)
@@ -281,8 +303,8 @@ def _sensor_geometries(cfg: ScenarioConfig, catalog: dict) -> tuple:
             g_sat_linear=10.0 ** (gain_db / 10.0),
         ))
     worst = max(out, key=lambda s: s.g_sat_linear * s.delta)
-    return out, RfiBudget(p_bs_w=cfg.p_bs_w, i_sat_max_w=cfg.i_sat_max_w,
-                          g_sat_linear=worst.g_sat_linear, delta=worst.delta)
+    return tuple(out), RfiBudget(p_bs_w=cfg.p_bs_w, i_sat_max_w=cfg.i_sat_max_w,
+                                 g_sat_linear=worst.g_sat_linear, delta=worst.delta)
 
 
 def _inputs(cell: CellConfig, counties: list, catalog: dict) -> tuple:
@@ -292,25 +314,44 @@ def _inputs(cell: CellConfig, counties: list, catalog: dict) -> tuple:
             catalog if catalog is not None else load_sensor_catalog())
 
 
+def _penetration(cfg: ScenarioConfig) -> float:
+    return scenario_penetration(cfg.year, cfg.adoption_factor,
+                                use_published=cfg.use_published_penetration)
+
+
 def deployment_snapshot(cfg: ScenarioConfig, counties: list):
     """Per-county BS counts sized for the config's peak demand `max_demand_bps`."""
-    penetration = scenario_penetration(cfg.year, cfg.adoption_factor,
-                                       use_published=cfg.use_published_penetration)
     return build_snapshot(counties, cfg.year, cfg.adoption_factor,
                           cfg.max_demand_bps, cfg.eta_bps_per_hz,
-                          cfg.bandwidth_hz, penetration_per_100=penetration)
+                          cfg.bandwidth_hz, penetration_per_100=_penetration(cfg))
 
 
-def _footprints(cfg: ScenarioConfig, counties: list, catalog: dict):
+def _footprints(cfg: ScenarioConfig, counties: list, catalog: dict) -> tuple:
     """Penetration and each sensor's worst-case (county, BS count); rate-free."""
-    snapshot = deployment_snapshot(cfg, counties)
-    footprints = [worst_case_footprint(counties, snapshot, catalog[sid])
-                  for sid in cfg.sensor_ids]
-    return snapshot.penetration_per_100, footprints
+    sensors = tuple(lookup_sensor(catalog, sid) for sid in cfg.sensor_ids)
+    if not counties:
+        raise ValueError("empty county record set")
+    penetration = _penetration(cfg)
+    return penetration, _footprints_at(tuple(counties), sensors, penetration,
+                                       cfg.max_demand_bps, cfg.eta_bps_per_hz,
+                                       cfg.bandwidth_hz)
 
 
-def _compose_report(cfg: ScenarioConfig, cell: CellConfig, geometries: list,
-                    power: MeanPowerResult, penetration: float, footprints: list) -> RfiReport:
+@functools.lru_cache(maxsize=256)
+def _footprints_at(counties: tuple, sensors: tuple, penetration: float,
+                   max_demand_bps: float, eta_bps_per_hz: float,
+                   bandwidth_hz: float) -> tuple:
+    """Each sensor's worst-case (county, BS count), computed once per process
+    for each distinct value of what the counts depend on.  Year and adoption
+    factor reach the counts only through the penetration, so the snapshot
+    carries neither and points that share a penetration share an entry."""
+    snapshot = build_snapshot(counties, None, None, max_demand_bps, eta_bps_per_hz,
+                              bandwidth_hz, penetration_per_100=penetration)
+    return tuple(worst_case_footprint(counties, snapshot, sensor) for sensor in sensors)
+
+
+def _compose_report(cfg: ScenarioConfig, cell: CellConfig, geometries: tuple,
+                    power: MeanPowerResult, penetration: float, footprints: tuple) -> RfiReport:
     """One grid point's report from its power batch, geometry and footprints."""
     rows = []
     for geom, (county, n_fp) in zip(geometries, footprints):

@@ -1,7 +1,26 @@
 import pytest
 
+from eesscoex import scenario
 from eesscoex.deployment import load_bundled_counties
 from eesscoex.linkbudget import load_sensor_catalog
+
+
+def _clear_scenario_caches():
+    for cache in (scenario._leakage_delta, scenario._geometry_at, scenario._footprints_at):
+        cache.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def _cold_scenario_caches():
+    """Every test starts with scenario's per-process caches empty, so call
+    counts and cold answers do not depend on which tests ran before."""
+    _clear_scenario_caches()
+
+
+@pytest.fixture
+def clear_scenario_caches():
+    """Empties scenario's per-process caches when called."""
+    return _clear_scenario_caches
 
 
 @pytest.fixture(scope="session")

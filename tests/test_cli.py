@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import contextlib
 import dataclasses
 import io
@@ -228,7 +229,7 @@ def test_out_of_range_numbers_exit_2(capsys, monkeypatch, argv):
     def no_pool(*args, **kwargs):
         raise AssertionError("worker pool started for rejected input")
 
-    monkeypatch.setattr(scenario, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -672,7 +673,7 @@ def test_any_command_line_exits_0_2_or_3_without_a_traceback(tmp_path_factory, c
     def no_pool(*args, **kwargs):
         raise AssertionError("worker pool started")
 
-    with mock.patch.object(scenario, "ProcessPoolExecutor", no_pool), \
+    with mock.patch.object(concurrent.futures, "ProcessPoolExecutor", no_pool), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 2, 3), argv
@@ -683,14 +684,16 @@ def test_any_command_line_exits_0_2_or_3_without_a_traceback(tmp_path_factory, c
 
 
 def test_a_command_runs_without_importing_scipy(tmp_path):
-    # scipy is imported only by adoption.fit_gompertz, which no command calls;
-    # a fresh interpreter shows what importing the CLI and running it pulls in.
+    # scipy is imported only by adoption.fit_gompertz, which no command calls,
+    # and the process pool only by a batch split over several workers; a fresh
+    # interpreter shows what importing the CLI and running it pulls in.
     script = (
         "import sys\n"
         "from eesscoex.cli import main\n"
         f"code = main(['--seed', '0', '--out-dir', {str(tmp_path)!r}, 'simulate',\n"
-        "             '--trials', '2', '--year', '2040', '--rate', '500e6'])\n"
-        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "             '--trials', '2', '--year', '2040', '--rate', '500e6', '--jobs', '1'])\n"
+        "print(code, sorted(m for m in sys.modules\n"
+        "                   if m.split('.')[0] in ('scipy', 'multiprocessing')))\n"
     )
     src = os.path.dirname(os.path.dirname(eesscoex.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

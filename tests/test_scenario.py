@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 from dataclasses import replace
@@ -251,7 +252,7 @@ def test_mean_power_parallel_identical():
 
 
 def _inline_executor(monkeypatch):
-    """Replaces scenario's ProcessPoolExecutor with an in-process stand-in;
+    """Replaces the ProcessPoolExecutor with an in-process stand-in;
     returns the list of max_workers it was started with."""
     started = []
 
@@ -267,7 +268,7 @@ def _inline_executor(monkeypatch):
 
         map = staticmethod(map)
 
-    monkeypatch.setattr(scenario, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     return started
 
 
@@ -358,11 +359,11 @@ def _count_calls(monkeypatch, names):
 GRID_YEARS = (2030, 2040)
 GRID_GUARDS = (10.0, 25.0, 40.0)
 GRID_RATES = (100, 500)
+GRID_FACTORS = (1.0, 1.5)
 
 
 def test_rfi_grid_computes_once_per_dependency(monkeypatch, counties):
     cfg = ScenarioConfig(trials=5, seed=1)
-    scenario._leakage_delta.cache_clear()  # earlier tests may have cached these fractions
     counts = _count_calls(monkeypatch, ("leakage_fraction", "build_snapshot",
                                         "mean_bs_power"))
     grid = rfi_grid(cfg, GRID_YEARS, GRID_GUARDS, GRID_RATES, counties=counties)
@@ -374,6 +375,93 @@ def test_rfi_grid_computes_once_per_dependency(monkeypatch, counties):
     for (year, guard, rate), report in grid.items():
         assert {(row.year, row.guard_mhz, row.rate_mbps) for row in report.rows} == {
             (year, guard, float(rate))}
+
+
+def _grid_points(cfg: ScenarioConfig) -> list:
+    return [replace(cfg, year=y, adoption_factor=f, guard_mhz=g, rate_bps=r * 1e6)
+            for y in GRID_YEARS for f in GRID_FACTORS for g in GRID_GUARDS for r in GRID_RATES]
+
+
+def _power_table(cfg: ScenarioConfig, counties) -> dict:
+    table = {}
+    rfi_grid(cfg, GRID_YEARS[:1], GRID_GUARDS, GRID_RATES, counties=counties,
+             power_cache=table)
+    return table
+
+
+def test_simulate_warm_caches_give_the_cold_answer(counties, clear_scenario_caches):
+    cfg = ScenarioConfig(trials=5, seed=1)
+    table = _power_table(cfg, counties)
+    points = _grid_points(cfg)
+    warm = [simulate(p, counties=counties, power=table[(p.guard_mhz, p.rate_bps / 1e6)])
+            for p in points]
+    for point, report in zip(points, warm):
+        clear_scenario_caches()
+        power = table[(point.guard_mhz, point.rate_bps / 1e6)]
+        assert simulate(point, counties=counties, power=power) == report
+
+
+def test_simulate_computes_once_per_dependency(monkeypatch, counties, clear_scenario_caches):
+    cfg = ScenarioConfig(trials=5, seed=1)
+    table = _power_table(cfg, counties)
+    clear_scenario_caches()
+    counts = _count_calls(monkeypatch, ("build_snapshot", "leakage_fraction", "net_gain_db"))
+    points = _grid_points(cfg)
+    for point in points:
+        simulate(point, counties=counties, power=table[(point.guard_mhz, point.rate_bps / 1e6)])
+    penetrations = {scenario._penetration(p) for p in points}
+    assert len(penetrations) == 3  # 2030's penetration does not depend on the factor
+    assert counts == {"build_snapshot": 3 * len(GRID_GUARDS),
+                      "leakage_fraction": 2 * len(GRID_GUARDS),
+                      "net_gain_db": len(cfg.sensor_ids) * len(GRID_GUARDS)}
+
+
+def test_simulate_cache_keys_are_values(counties, catalog, clear_scenario_caches):
+    cfg = ScenarioConfig(trials=5, seed=1, year=2040)
+    power = mean_bs_power(cfg, CellConfig())
+    base = simulate(cfg, counties=counties, power=power)
+
+    # A county list edited in place: its worst county for B5 grows tenfold.
+    edited = list(counties)
+    worst = next(i for i, r in enumerate(edited) if r.fips == base.row("B5").worst_county_fips)
+    simulate(cfg, counties=edited, power=power)
+    edited[worst] = replace(edited[worst], population=10 * edited[worst].population)
+    warm = simulate(cfg, counties=edited, power=power)
+    clear_scenario_caches()
+    assert simulate(cfg, counties=edited, power=power) == warm
+    assert warm.row("B5").n_footprint > base.row("B5").n_footprint
+
+    # Another catalog whose B5 sees a larger footprint area and another gain.
+    b5 = catalog["B5"]
+    other = {**catalog, "B5": replace(b5, footprint_area_km2=4 * b5.footprint_area_km2,
+                                      published_net_gain_db=b5.published_net_gain_db - 3)}
+    simulate(cfg, counties=counties, catalog=catalog, power=power)
+    warm = simulate(cfg, counties=counties, catalog=other, power=power)
+    clear_scenario_caches()
+    assert simulate(cfg, counties=counties, catalog=other, power=power) == warm
+    assert warm.row("B5").n_footprint != base.row("B5").n_footprint
+    assert warm.row("B5").net_gain_db == base.row("B5").net_gain_db - 3
+
+    # The same sensors in another order.
+    reordered = replace(cfg, sensor_ids=tuple(reversed(cfg.sensor_ids)))
+    simulate(cfg, counties=counties, power=power)
+    warm = simulate(reordered, counties=counties, power=power)
+    clear_scenario_caches()
+    assert simulate(reordered, counties=counties, power=power) == warm
+    assert [r.sensor_id for r in warm.rows] == list(reordered.sensor_ids)
+    for row in warm.rows:
+        assert row == base.row(row.sensor_id)
+
+
+def test_simulate_bad_inputs_raise_before_any_cache_entry(counties):
+    cfg = ScenarioConfig(trials=5, seed=1)
+    power = mean_bs_power(cfg, CellConfig())
+    with pytest.raises(ValueError, match=r"^unknown sensor 'B9'; have \['B1', 'B3'"):
+        simulate(replace(cfg, sensor_ids=("B5", "B9")), counties=counties, power=power)
+    with pytest.raises(ValueError, match="^empty county record set$"):
+        simulate(cfg, counties=[], power=power)
+    assert scenario._footprints_at.cache_info().currsize == 0
+    assert scenario._geometry_at.cache_info().currsize == 1  # from the valid sensors
 
 
 def test_rfi_grid_reads_and_fills_power_cache(monkeypatch, counties):
