@@ -43,7 +43,10 @@ _SCENARIO_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)}
 
 def _load_config_file(path):
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     unknown = sorted(set(payload) - set(_SECTIONS))
@@ -135,8 +138,10 @@ def _guard_grid(spec):
 
 
 def _counties(args):
-    if getattr(args, "counties", None):
-        if not getattr(args, "gazetteer", None):
+    if args.gazetteer and not args.counties:
+        raise ValueError("--gazetteer requires --counties")
+    if args.counties:
+        if not args.gazetteer:
             raise ValueError("--counties requires --gazetteer")
         result = ingest_counties(args.counties, args.gazetteer)
     else:

@@ -7,6 +7,7 @@ inside the county (worst case).
 """
 
 import csv
+import io
 from dataclasses import dataclass, field
 from importlib import resources
 from math import ceil, floor
@@ -61,17 +62,27 @@ class CountyIngest:
     n_nonmetro: int = 0
 
 
+def _read_csv(path) -> csv.DictReader:
+    """The rows of the UTF-8 CSV file `path`; text that is not UTF-8 raises an
+    IngestError naming the file."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: {exc}") from None
+    return csv.DictReader(io.StringIO(text, newline=""))
+
+
 def _read_gazetteer(path) -> dict:
     areas = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "fips" not in reader.fieldnames:
-            raise IngestError(f"{path}: gazetteer must have a 'fips' column")
-        for row in reader:
-            try:
-                areas[row["fips"].strip().zfill(5)] = float(row["land_area_km2"])
-            except (KeyError, TypeError, ValueError):
-                continue
+    reader = _read_csv(path)
+    if reader.fieldnames is None or "fips" not in reader.fieldnames:
+        raise IngestError(f"{path}: gazetteer must have a 'fips' column")
+    for row in reader:
+        try:
+            areas[row["fips"].strip().zfill(5)] = float(row["land_area_km2"])
+        except (KeyError, TypeError, ValueError):
+            continue
     return areas
 
 
@@ -88,43 +99,41 @@ def ingest_counties(county_csv, gazetteer_csv) -> CountyIngest:
     rejected = []
     seen = {}
     n_nonmetro = 0
-    with open(county_csv, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"fips", "name", "state", "rucc_code", "population"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise IngestError(f"{county_csv}: header must contain {sorted(required)}")
-        for line, row in enumerate(reader, start=2):
-            fips = (row.get("fips") or "").strip().zfill(5)
-            try:
-                rucc = int(row["rucc_code"])
-                population = int(row["population"])
-            except (KeyError, TypeError, ValueError) as exc:
-                rejected.append(RowDiagnostic(line, f"malformed row: {exc}"))
-                continue
-            if fips in seen:
-                raise IngestError(
-                    f"duplicate FIPS {fips} at line {line} (first seen at line {seen[fips]})"
-                )
-            seen[fips] = line
-            if rucc not in METRO_RUCC_CODES:
-                n_nonmetro += 1
-                continue
-            if fips not in areas:
-                rejected.append(RowDiagnostic(line, f"FIPS {fips}: no land area in gazetteer"))
-                continue
-            try:
-                record = CountyRecord(
-                    fips=fips,
-                    name=(row.get("name") or "").strip(),
-                    state=(row.get("state") or "").strip(),
-                    rucc_code=rucc,
-                    population=population,
-                    land_area_km2=areas[fips],
-                )
-            except ValueError as exc:
-                rejected.append(RowDiagnostic(line, f"FIPS {fips}: {exc}"))
-                continue
-            records.append(record)
+    reader = _read_csv(county_csv)
+    required = {"fips", "name", "state", "rucc_code", "population"}
+    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        raise IngestError(f"{county_csv}: header must contain {sorted(required)}")
+    for line, row in enumerate(reader, start=2):
+        fips = (row.get("fips") or "").strip().zfill(5)
+        try:
+            rucc = int(row["rucc_code"])
+            population = int(row["population"])
+        except (KeyError, TypeError, ValueError) as exc:
+            rejected.append(RowDiagnostic(line, f"malformed row: {exc}"))
+            continue
+        if fips in seen:
+            raise IngestError(f"{county_csv}: duplicate FIPS {fips} at line {line} "
+                              f"(first seen at line {seen[fips]})")
+        seen[fips] = line
+        if rucc not in METRO_RUCC_CODES:
+            n_nonmetro += 1
+            continue
+        if fips not in areas:
+            rejected.append(RowDiagnostic(line, f"FIPS {fips}: no land area in gazetteer"))
+            continue
+        try:
+            record = CountyRecord(
+                fips=fips,
+                name=(row.get("name") or "").strip(),
+                state=(row.get("state") or "").strip(),
+                rucc_code=rucc,
+                population=population,
+                land_area_km2=areas[fips],
+            )
+        except ValueError as exc:
+            rejected.append(RowDiagnostic(line, f"FIPS {fips}: {exc}"))
+            continue
+        records.append(record)
     records.sort(key=lambda r: r.fips)
     return CountyIngest(records=records, rejected=rejected, n_nonmetro=n_nonmetro)
 

@@ -155,15 +155,15 @@ def load_sensor_catalog(path=None) -> dict:
 
     A malformed catalog raises ValueError naming the file and the bad entry.
     """
-    if path is None:
-        text = resources.files("eesscoex.data").joinpath("sensors.json").read_text()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
     name = path or "sensors.json"
     try:
+        if path is None:
+            text = resources.files("eesscoex.data").joinpath("sensors.json").read_text()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{name}: {exc}") from None
     rows = payload.get("sensors") if isinstance(payload, dict) else None
     if not isinstance(rows, list):

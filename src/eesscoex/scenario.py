@@ -11,18 +11,19 @@ the minimum-power precoder, the leakage fraction from the filter design
 at the configured guard band, the cataloged net link gain, and the
 worst-case county footprint count.
 
-`rfi_grid` is the one sweep path; `max_feasible_rate` and
-`sweep_guard_bands` read their answers off it.  A channel is held only as its
-effective Gram matrix, all the power solve needs, drawn from the substream
-(master seed, trial); `mean_bs_power` is the one power path over such a stack,
-solving each block of it in one trial-batched precoder call, and the grid
-shares one stack across rates, guards and years.  The rate-free inputs are
-reused per process by value: leakage fractions are integrated once for each
-distinct filter, window and bandwidth, sensor geometry and RFI budget once for
-each distinct set of sensor specs and guard settings, and worst-case
-footprints once for each distinct county set, sensor specs, penetration and
-demand sizing.  Each cache is bounded and holds immutable values, so reports
-are unchanged by which points ran before.
+`simulate` is the one path from a grid point to its report.  `rfi_grid` is a
+loop of `simulate` calls over years, guards and rates that share power batches;
+`max_feasible_rate` and `sweep_guard_bands` read their answers off it.  A
+channel is held only as its effective Gram matrix, all the power solve needs,
+drawn from the substream (master seed, trial); `mean_bs_power` is the one power
+path over such a stack, solving each block of it in one trial-batched
+precoder call, and the grid shares one stack across rates, guards and years.
+Two per-process caches, keyed by value, hold the rate-free inputs: sensor
+geometry and RFI budget once for each distinct set of sensor specs and guard
+settings (integrating each distinct victim window's leakage once), and
+worst-case footprints once for each distinct county set, sensor specs,
+penetration and demand sizing.  Each cache is bounded and holds immutable
+values, so reports are unchanged by which points ran before.
 """
 
 import functools
@@ -260,13 +261,6 @@ class _SensorGeometry:
     g_sat_linear: float
 
 
-@functools.lru_cache(maxsize=256)
-def _leakage_delta(spec: FilterSpec, window, bs_bandwidth_mhz: float) -> float:
-    """`leakage_fraction(...).delta`, a pure function of its frozen inputs,
-    integrated once per process for each distinct (spec, window, bandwidth)."""
-    return leakage_fraction(spec, window, bs_bandwidth_mhz).delta
-
-
 # The ScenarioConfig fields that, with the sensor specs, set a guard's sensor
 # geometry and RFI budget; read raw, since `filter_spec` builds and checks a
 # FilterSpec on every access.
@@ -275,30 +269,29 @@ _GEOMETRY_FIELDS = ("guard_mhz", "filter_order", "ripple_db", "grid_step_mhz",
                     "threshold_dbw")
 
 
-def _sensor_geometries(cfg: ScenarioConfig, catalog: dict) -> tuple:
-    """Per-sensor geometry at the config's guard, and the per-BS budget
-    binding at the most tightly coupled sensor."""
-    sensors = tuple(lookup_sensor(catalog, sid) for sid in cfg.sensor_ids)
-    return _geometry_at(cfg.sensor_ids, sensors,
-                        tuple(getattr(cfg, name) for name in _GEOMETRY_FIELDS))
+def _geometry_key(cfg: ScenarioConfig) -> tuple:
+    return tuple(getattr(cfg, name) for name in _GEOMETRY_FIELDS)
 
 
 @functools.lru_cache(maxsize=256)
-def _geometry_at(sensor_ids: tuple, sensors: tuple, fields: tuple) -> tuple:
-    """`_sensor_geometries` for the given sensors and `_GEOMETRY_FIELDS`
-    values, computed once per process for each distinct value of them."""
+def _sensor_geometries(sensors: tuple, fields: tuple) -> tuple:
+    """Per-sensor geometry at the `_GEOMETRY_FIELDS` values `fields`, and the
+    per-BS budget binding at the most tightly coupled sensor; computed once
+    per process for each distinct value of the arguments."""
     cfg = ScenarioConfig(**dict(zip(_GEOMETRY_FIELDS, fields)))
     spec = cfg.filter_spec
+    windows = [worst_victim_window(sensor.channel_span_ghz, cfg.ref_bandwidth_mhz,
+                                   cfg.tn_band_ghz) for sensor in sensors]
+    # Sensors that share a victim window share its leakage fraction.
+    deltas = {window: leakage_fraction(spec, window, cfg.bandwidth_hz / 1e6).delta
+              for window in dict.fromkeys(windows)}
     out = []
-    for sid, sensor in zip(sensor_ids, sensors):
-        window = worst_victim_window(sensor.channel_span_ghz, cfg.ref_bandwidth_mhz,
-                                     cfg.tn_band_ghz)
-        delta = _leakage_delta(spec, window, cfg.bandwidth_hz / 1e6)
+    for sensor, window in zip(sensors, windows):
         gain_db = net_gain_db(sensor, use_published=cfg.use_published_gain,
                               g_tx_db=cfg.g_tx_db)
         out.append(_SensorGeometry(
-            sensor_id=sid,
-            delta=delta,
+            sensor_id=sensor.sensor_id,
+            delta=deltas[window],
             net_gain_db=gain_db,
             g_sat_linear=10.0 ** (gain_db / 10.0),
         ))
@@ -307,11 +300,17 @@ def _geometry_at(sensor_ids: tuple, sensors: tuple, fields: tuple) -> tuple:
                                  g_sat_linear=worst.g_sat_linear, delta=worst.delta)
 
 
-def _inputs(cell: CellConfig, counties: list, catalog: dict) -> tuple:
-    """The given cell, counties and catalog, or the default cell and bundled data."""
-    return (cell if cell is not None else CellConfig(),
-            counties if counties is not None else load_bundled_counties().records,
-            catalog if catalog is not None else load_sensor_catalog())
+def _inputs(cfg: ScenarioConfig, cell: CellConfig, counties: list, catalog: dict) -> tuple:
+    """The given cell, counties and catalog, or the default cell and bundled
+    data, and the catalog's spec of each of the config's sensors.  Bad input
+    raises here, before any work."""
+    cell = cell if cell is not None else CellConfig()
+    counties = counties if counties is not None else load_bundled_counties().records
+    catalog = catalog if catalog is not None else load_sensor_catalog()
+    sensors = tuple(lookup_sensor(catalog, sid) for sid in cfg.sensor_ids)
+    if not counties:
+        raise ValueError("empty county record set")
+    return cell, counties, catalog, sensors
 
 
 def _penetration(cfg: ScenarioConfig) -> float:
@@ -326,21 +325,9 @@ def deployment_snapshot(cfg: ScenarioConfig, counties: list):
                           cfg.bandwidth_hz, penetration_per_100=_penetration(cfg))
 
 
-def _footprints(cfg: ScenarioConfig, counties: list, catalog: dict) -> tuple:
-    """Penetration and each sensor's worst-case (county, BS count); rate-free."""
-    sensors = tuple(lookup_sensor(catalog, sid) for sid in cfg.sensor_ids)
-    if not counties:
-        raise ValueError("empty county record set")
-    penetration = _penetration(cfg)
-    return penetration, _footprints_at(tuple(counties), sensors, penetration,
-                                       cfg.max_demand_bps, cfg.eta_bps_per_hz,
-                                       cfg.bandwidth_hz)
-
-
 @functools.lru_cache(maxsize=256)
-def _footprints_at(counties: tuple, sensors: tuple, penetration: float,
-                   max_demand_bps: float, eta_bps_per_hz: float,
-                   bandwidth_hz: float) -> tuple:
+def _footprints(counties: tuple, sensors: tuple, penetration: float,
+                max_demand_bps: float, eta_bps_per_hz: float, bandwidth_hz: float) -> tuple:
     """Each sensor's worst-case (county, BS count), computed once per process
     for each distinct value of what the counts depend on.  Year and adoption
     factor reach the counts only through the penetration, so the snapshot
@@ -350,9 +337,17 @@ def _footprints_at(counties: tuple, sensors: tuple, penetration: float,
     return tuple(worst_case_footprint(counties, snapshot, sensor) for sensor in sensors)
 
 
-def _compose_report(cfg: ScenarioConfig, cell: CellConfig, geometries: tuple,
-                    power: MeanPowerResult, penetration: float, footprints: tuple) -> RfiReport:
-    """One grid point's report from its power batch, geometry and footprints."""
+def simulate(cfg: ScenarioConfig, cell: CellConfig = None, counties: list = None,
+             n_jobs: int = 1, catalog: dict = None, power: MeanPowerResult = None) -> RfiReport:
+    """Aggregate RFI per sensor for one scenario grid point; without a
+    `power` batch, one is run over `n_jobs` worker processes."""
+    cell, counties, catalog, sensors = _inputs(cfg, cell, counties, catalog)
+    geometries, budget = _sensor_geometries(sensors, _geometry_key(cfg))
+    if power is None:
+        power = mean_bs_power(cfg, cell, budget=budget, n_jobs=n_jobs)
+    penetration = _penetration(cfg)
+    footprints = _footprints(tuple(counties), sensors, penetration, cfg.max_demand_bps,
+                             cfg.eta_bps_per_hz, cfg.bandwidth_hz)
     rows = []
     for geom, (county, n_fp) in zip(geometries, footprints):
         if power.degenerate:
@@ -385,42 +380,27 @@ def _compose_report(cfg: ScenarioConfig, cell: CellConfig, geometries: tuple,
     return RfiReport(config=header, rows=rows, worst_sensor_id=worst.sensor_id)
 
 
-def simulate(cfg: ScenarioConfig, cell: CellConfig = None, counties: list = None,
-             n_jobs: int = 1, catalog: dict = None, power: MeanPowerResult = None) -> RfiReport:
-    """Aggregate RFI per sensor for one scenario grid point; without a
-    `power` batch, one is run over `n_jobs` worker processes."""
-    cell, counties, catalog = _inputs(cell, counties, catalog)
-    geometries, budget = _sensor_geometries(cfg, catalog)
-    if power is None:
-        power = mean_bs_power(cfg, cell, budget=budget, n_jobs=n_jobs)
-    return _compose_report(cfg, cell, geometries, power,
-                           *_footprints(cfg, counties, catalog))
-
-
 def rfi_grid(cfg: ScenarioConfig, years, guards_mhz, rates_mbps, *,
              cell: CellConfig = None, counties: list = None, catalog: dict = None,
              channels: np.ndarray = None, power_cache: dict = None) -> dict:
-    """Reports keyed (year, guard, rate).  Geometry and RFI budget are computed
-    per guard, deployment footprints per (year, guard), and one power batch per
-    (guard, rate) over one shared `draw_channels` Gram stack, read from or
-    filled into `power_cache`."""
-    cell, counties, catalog = _inputs(cell, counties, catalog)
+    """Reports keyed (year, guard, rate), each from `simulate` given one power
+    batch per (guard, rate) over one shared `draw_channels` Gram stack, read
+    from or filled into `power_cache`."""
+    cell, counties, catalog, sensors = _inputs(cfg, cell, counties, catalog)
     power_cache = {} if power_cache is None else power_cache
     grid = {}
     for guard in guards_mhz:
-        at_guard = replace(cfg, guard_mhz=float(guard))
-        geometries, budget = _sensor_geometries(at_guard, catalog)
         for year in years:
-            deployment = _footprints(replace(at_guard, year=year), counties, catalog)
             for rate in rates_mbps:
-                point = replace(at_guard, year=year, rate_bps=rate * 1e6)
+                point = replace(cfg, guard_mhz=float(guard), year=year, rate_bps=rate * 1e6)
                 if (guard, rate) not in power_cache:
                     if channels is None:
                         channels = draw_channels(cell, cfg.seed, cfg.trials)
+                    _, budget = _sensor_geometries(sensors, _geometry_key(point))
                     power_cache[(guard, rate)] = mean_bs_power(point, cell, budget=budget,
                                                                channels=channels)
-                grid[(year, guard, rate)] = _compose_report(
-                    point, cell, geometries, power_cache[(guard, rate)], *deployment)
+                grid[(year, guard, rate)] = simulate(point, cell, counties, catalog=catalog,
+                                                     power=power_cache[(guard, rate)])
     return grid
 
 

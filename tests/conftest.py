@@ -5,8 +5,13 @@ from eesscoex.deployment import load_bundled_counties
 from eesscoex.linkbudget import load_sensor_catalog
 
 
+def _scenario_caches() -> list:
+    """Every per-process cache of the scenario module, found by its `cache_clear`."""
+    return [value for value in vars(scenario).values() if hasattr(value, "cache_clear")]
+
+
 def _clear_scenario_caches():
-    for cache in (scenario._leakage_delta, scenario._geometry_at, scenario._footprints_at):
+    for cache in _scenario_caches():
         cache.cache_clear()
 
 
@@ -21,6 +26,12 @@ def _cold_scenario_caches():
 def clear_scenario_caches():
     """Empties scenario's per-process caches when called."""
     return _clear_scenario_caches
+
+
+@pytest.fixture
+def scenario_caches():
+    """The scenario module's per-process caches."""
+    return _scenario_caches()
 
 
 @pytest.fixture(scope="session")

@@ -324,6 +324,43 @@ def test_malformed_catalog_exits_2_naming_the_file(tmp_path, capsys, catalog, re
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: {reason}")
 
 
+NOT_UTF8 = (b"fips\xff\n", "'utf-8' codec can't decode byte 0xff in position 4")
+
+
+@pytest.mark.parametrize("flag, body, reason", [
+    ("--config", b'{"scenario":\n', "Expecting value: line 2 column 1"),
+    ("--config", *NOT_UTF8),
+    ("--counties", *NOT_UTF8),
+    ("--gazetteer", *NOT_UTF8),
+    ("--catalog", *NOT_UTF8),
+])
+def test_unreadable_input_file_exits_2_naming_the_file(tmp_path, capsys, flag, body, reason):
+    path = tmp_path / "bad"
+    path.write_bytes(body)
+    if flag == "--catalog":
+        argv = ["link-budget", "--sensor", "B5", "--catalog", str(path)]
+    else:
+        argv = ["deploy", "--year", "2030"] + _write_counties(tmp_path, ["10510.0", "5478.6"])
+        if flag == "--config":
+            argv = ["--config", str(path)] + argv
+        else:
+            argv[argv.index(flag) + 1] = str(path)
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: {reason}")
+
+
+@pytest.mark.parametrize("command", ["deploy --year 2030", "simulate --trials 2",
+                                     "sweep-guard --years 2030 --guards 25:25:1 --trials 2"])
+@pytest.mark.parametrize("given, missing", [("--counties", "--gazetteer"),
+                                            ("--gazetteer", "--counties")])
+def test_county_and_gazetteer_files_come_together(tmp_path, capsys, command, given, missing):
+    argv = command.split() + [given, str(tmp_path / "nonexistent.csv")]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: {given} requires {missing}"]
+
+
 def test_simulate_stdout_is_strict_json(tmp_path, capsys):
     counties = tmp_path / "c.csv"
     counties.write_text("fips,name,state,rucc_code,population\n"

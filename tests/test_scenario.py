@@ -453,15 +453,33 @@ def test_simulate_cache_keys_are_values(counties, catalog, clear_scenario_caches
         assert row == base.row(row.sensor_id)
 
 
-def test_simulate_bad_inputs_raise_before_any_cache_entry(counties):
+def test_simulate_bad_inputs_raise_before_any_cache_entry(counties, scenario_caches):
     cfg = ScenarioConfig(trials=5, seed=1)
     power = mean_bs_power(cfg, CellConfig())
     with pytest.raises(ValueError, match=r"^unknown sensor 'B9'; have \['B1', 'B3'"):
         simulate(replace(cfg, sensor_ids=("B5", "B9")), counties=counties, power=power)
     with pytest.raises(ValueError, match="^empty county record set$"):
         simulate(cfg, counties=[], power=power)
-    assert scenario._footprints_at.cache_info().currsize == 0
-    assert scenario._geometry_at.cache_info().currsize == 1  # from the valid sensors
+    assert scenario_caches
+    assert all(cache.cache_info().currsize == 0 for cache in scenario_caches)
+
+
+@pytest.mark.parametrize("call", [
+    lambda cfg, **kw: simulate(cfg, **kw),
+    lambda cfg, **kw: rfi_grid(cfg, GRID_YEARS, GRID_GUARDS, GRID_RATES, **kw),
+    lambda cfg, **kw: max_feasible_rate(cfg, **kw),
+], ids=["simulate", "rfi_grid", "max_feasible_rate"])
+@pytest.mark.parametrize("sensor_ids, no_counties, message", [
+    (scenario.SENSOR_IDS, True, "^empty county record set$"),
+    (("B5", "B9"), False, "^unknown sensor 'B9'"),
+], ids=["no-counties", "unknown-sensor"])
+def test_bad_inputs_raise_before_any_draw_or_power_batch(monkeypatch, counties, call,
+                                                         sensor_ids, no_counties, message):
+    counts = _count_calls(monkeypatch, ("draw_channels", "mean_bs_power"))
+    cfg = ScenarioConfig(trials=5, seed=1, sensor_ids=sensor_ids)
+    with pytest.raises(ValueError, match=message):
+        call(cfg, counties=[] if no_counties else counties)
+    assert counts == {"draw_channels": 0, "mean_bs_power": 0}
 
 
 def test_rfi_grid_reads_and_fills_power_cache(monkeypatch, counties):
