@@ -9,12 +9,20 @@ targets with equality; the uplink/downlink power match serves as the
 optimality certificate.
 
 All linear algebra stays in the K-dimensional user space: the power solve
-needs only the K x K Gram matrix, which `solve_power_min` builds, O(N K^2).
-The private kernel `_solve_grams` solves a whole (T, K, K) stack of trials
-with stacked LAPACK/BLAS calls, each trial leaving the iteration once it
-converges; `solve_power_min` is its T = 1 case.  The fixed point is found by
-Newton steps from the zero-forcing powers (Boche & Schubert, IEEE/ACM Trans.
-Netw. 2008), a few iterations per trial where the plain iteration takes tens.
+needs only the K x K Gram matrix G, which `solve_power_min` builds, O(N K^2),
+and inverts.  The private kernel `_solve_grams` takes a (P, K, K) stack of
+inverse Gram matrices G^{-1}, one problem each with its own SINR targets,
+noise power and power cap, and solves the whole stack with stacked
+LAPACK/BLAS calls, each problem leaving the iteration once it converges;
+`solve_power_min` is its P = 1 case.  The fixed point is found by Newton steps
+from the zero-forcing powers, read off diag(G^{-1}) (Boche & Schubert, IEEE/ACM
+Trans. Netw. 2008), a few iterations per problem where the plain iteration
+takes tens.  By the push-through identity G (sigma^2 I + diag(q) G)^{-1} =
+(sigma^2 G^{-1} + diag(q))^{-1} (Henderson & Searle, SIAM Review 1981), each
+Newton step makes one K x K inverse and no product with G, and the MMSE
+directions come from the inverse of the last step: a problem costs one
+inverse per Newton step, 3 in the usual case, and a caller inverts a Gram
+stack once for every problem that shares it.
 """
 
 from dataclasses import dataclass
@@ -98,45 +106,58 @@ class PrecodeSolution:
     duality_gap: float
 
 
-def _solve_grams(grams, gam, noise_w, p_max_w) -> tuple:
-    """Minimum total power for positive SINR targets `gam` from a (T, K, K)
-    stack of Gram matrices G of the effective channels, one trial per matrix;
-    a trial is feasible if converged and <= `p_max_w`.  Returns per-trial
+def _solve_grams(inv_grams, gam, noise_w, p_max_w) -> tuple:
+    """Minimum total power for positive SINR targets from a (P, K, K) stack of
+    inverse Gram matrices G^{-1} of the effective channels, one problem per
+    matrix, with per-problem targets `gam` (P, K), noise powers `noise_w` (P,)
+    and power caps `p_max_w` (P,); a (K,) target row or a scalar broadcasts.
+    A problem is feasible if converged and <= its cap.  Returns per-problem
     arrays (p_tx, feasible, converged, iterations, q, p, directions).
 
     The dual uplink powers solve q_k = (gamma_k / (1 + gamma_k)) / x_k(q) with
     x_k(q) = [A]_kk, A = G (sigma^2 I + diag(q) G)^{-1} (Schubert & Boche, IEEE
-    TVT 2004).  Newton steps on F(q) = q - scale / x(q), whose Jacobian is
-    I - (scale / x^2) |A|^2 elementwise, start at the zero-forcing powers
-    gamma sigma^2 diag(G^{-1}).  MMSE SINR is at least ZF SINR, so the start
-    lies above the fixed point, where the iterates fall monotonically onto it
-    (Boche & Schubert, IEEE/ACM Trans. Netw. 2008).  Each trial converges on
-    its own, once its step is within `_TOL` of q or, after the first, no
-    longer shrinks: at high targets rounding error sets the step before
-    `_TOL` is met.  A converged trial leaves the active set and its q and
-    iteration count freeze, so a batch equals each trial solved alone.  MMSE
-    directions and the exact downlink power load follow from the converged q.
+    TVT 2004).  By the push-through identity (Henderson & Searle, SIAM Review
+    1981), A = (sigma^2 G^{-1} + diag(q))^{-1}: given G^{-1}, A is one inverse,
+    the only one of a Newton step.  Newton steps on F(q) = q - scale / x(q),
+    whose Jacobian is I - (scale / x^2) |A|^2 elementwise, start at the
+    zero-forcing powers gamma sigma^2 diag(G^{-1}).  MMSE SINR is at least ZF
+    SINR, so the start lies above the fixed point, where the iterates fall
+    monotonically onto it (Boche & Schubert, IEEE/ACM Trans. Netw. 2008).  Each
+    problem converges on its own, once its step is within `_TOL` of q or, after
+    the first, no longer shrinks: at high targets rounding error sets the step
+    before `_TOL` is met.  A converged problem leaves the active set and its q,
+    iteration count and last A freeze, so a call equals each problem solved
+    alone.  The MMSE directions come from that last A, with no further
+    inverse: the unnormed direction coefficients are G^{-1} A, the users see
+    them through G G^{-1} A = A, and their squared norms are
+    Re diag(A^H G^{-1} A).  The exact downlink power load follows.
     """
-    n_trials, ka = grams.shape[:2]
-    eye = np.eye(ka)
+    n_problems, ka = inv_grams.shape[:2]
+    gam = np.broadcast_to(gam, (n_problems, ka))
+    noise_w = np.broadcast_to(noise_w, (n_problems,))
     diag = np.arange(ka)
+    eye = np.eye(ka)
 
     # Uplink powers by Newton steps from the zero-forcing powers, over the
-    # active trials.
-    q = gam * noise_w * np.real(np.linalg.inv(grams)[:, diag, diag])
+    # active problems.
+    q = gam * noise_w[:, None] * np.real(inv_grams[:, diag, diag])
     scale = gam / (1.0 + gam)
-    converged = np.zeros(n_trials, dtype=bool)
-    iterations = np.zeros(n_trials, dtype=int)
-    last_step = np.full(n_trials, np.inf)
-    active = np.arange(n_trials)
+    noise_inv_grams = noise_w[:, None, None] * inv_grams
+    a_last = np.empty_like(inv_grams)
+    converged = np.zeros(n_problems, dtype=bool)
+    iterations = np.zeros(n_problems, dtype=int)
+    last_step = np.full(n_problems, np.inf)
+    active = np.arange(n_problems)
     for iteration in range(1, _MAX_ITERATIONS + 1):
         if not len(active):
             break
-        g_act, q_act = grams[active], q[active]
-        a = g_act @ np.linalg.inv(noise_w * eye + q_act[:, :, None] * g_act)
+        q_act, scale_act = q[active], scale[active]
+        m = noise_inv_grams[active]
+        m[:, diag, diag] += q_act
+        a = np.linalg.inv(m)  # A = (sigma^2 G^{-1} + diag(q))^{-1}
         x = np.real(a[:, diag, diag])
-        jac = eye - (scale / x ** 2)[:, :, None] * np.abs(a) ** 2  # dx/dq = -|A|^2
-        q_new = q_act - np.linalg.solve(jac, (q_act - scale / x)[:, :, None])[:, :, 0]
+        jac = eye - (scale_act / x ** 2)[:, :, None] * np.abs(a) ** 2  # dx/dq = -|A|^2
+        q_new = q_act - np.linalg.solve(jac, (q_act - scale_act / x)[:, :, None])[:, :, 0]
         step = np.max(np.abs(q_new - q_act), axis=1)
         done = ((step <= _TOL * np.maximum(np.max(q_new, axis=1), 1e-300))
                 | ((iteration > 1) & (step >= last_step[active])))
@@ -144,19 +165,23 @@ def _solve_grams(grams, gam, noise_w, p_max_w) -> tuple:
         q[active] = q_new
         iterations[active] = iteration
         converged[active[done]] = True
+        leaving = done | (iteration == _MAX_ITERATIONS)
+        a_last[active[leaving]] = a[leaving]
         active = active[~done]
 
-    # MMSE beam directions from the converged uplink powers.
-    coeffs = np.linalg.inv(noise_w * eye + q[:, :, None] * grams)  # columns b_k
-    beam_norms = np.sqrt(np.real(np.einsum("tik,tij,tjk->tk", coeffs.conj(), grams, coeffs)))
-    coeffs = coeffs / beam_norms[:, None, :]
-    cross = grams @ coeffs                  # cross[t, k, j] = h_k^H u_j
-    c2 = np.abs(cross) ** 2
+    # MMSE beam directions from each problem's last A: coefficients
+    # b_k = G^{-1} a_k, squared norms b_k^H G b_k = Re (A^H G^{-1} A)_kk, and
+    # cross gains G b_k = a_k.
+    coeffs = inv_grams @ a_last
+    beam_norms = np.sqrt(np.real(np.sum(a_last.conj() * coeffs, axis=1)))[:, None, :]
+    coeffs = coeffs / beam_norms
+    c2 = np.abs(a_last / beam_norms) ** 2  # |h_k^H u_j|^2
 
-    # Downlink powers solving each trial's K x K tight-SINR system.
-    m_dl = -c2.astype(float)
+    # Downlink powers solving each problem's K x K tight-SINR system.
+    m_dl = -c2
     m_dl[:, diag, diag] = c2[:, diag, diag] / gam
-    p = np.linalg.solve(m_dl, np.full((n_trials, ka, 1), noise_w))[:, :, 0]
+    p = np.linalg.solve(m_dl, np.broadcast_to(noise_w[:, None, None], (n_problems, ka, 1)))
+    p = p[:, :, 0]
     p_tx = np.sum(p, axis=1)
     feasible = converged & (p_tx <= p_max_w * (1.0 + 1e-9))
     return p_tx, feasible, converged, iterations, q, p, coeffs
@@ -196,7 +221,8 @@ def solve_power_min(h: np.ndarray, g: np.ndarray, targets: SinrTargets,
     gram = h_eff.conj() @ h_eff.T  # G[k, j] = h_k^H h_j over the active users
     p_max_w = budget.p_sum_max_w if budget is not None else np.inf
     p_tx, feasible, converged, iterations, q, p, coeffs = (
-        out[0] for out in _solve_grams(gram[None], gamma[active], noise_w, p_max_w))
+        out[0] for out in _solve_grams(np.linalg.inv(gram)[None], gamma[active], noise_w,
+                                       p_max_w))
     p_tx = float(p_tx)
     duality_gap = abs(p_tx - float(np.sum(q))) / max(p_tx, 1e-300)
 

@@ -15,9 +15,12 @@ worst-case county footprint count.
 loop of `simulate` calls over years, guards and rates that share power batches;
 `max_feasible_rate` and `sweep_guard_bands` read their answers off it.  A
 channel is held only as its effective Gram matrix, all the power solve needs,
-drawn from the substream (master seed, trial); `mean_bs_power` is the one power
-path over such a stack, solving each block of it in one trial-batched
-precoder call, and the grid shares one stack across rates, guards and years.
+drawn from the substream (master seed, trial).  One power path serves every
+batch: it inverts such a stack once and solves the trials of all its batches
+in stacked precoder calls, packing whole batches up to a fixed number of
+problems a call.  `mean_bs_power`
+is its one-batch case; the grid sends every (guard, rate) batch it lacks
+through it at once, over one stack shared across rates, guards and years.
 Two per-process caches, keyed by value, hold the rate-free inputs: sensor
 geometry and RFI budget once for each distinct set of sensor specs and guard
 settings (integrating each distinct victim window's leakage once), and
@@ -195,46 +198,87 @@ class GuardSweepRow:
     max_rate_mbps: int
 
 
+# Whole power batches are packed into kernel calls of at most this many
+# problems; a batch of at least as many trials keeps a call of its own.
+_CALL_PROBLEMS = 128
+
+
+def _power_batch(cfg: ScenarioConfig, cell: CellConfig, budget: RfiBudget) -> tuple:
+    """The kernel's per-problem (gamma, noise_w, p_max_w) at the config's rate and guard."""
+    return (sinr_target(cfg.rate_bps, cfg.bandwidth_hz),
+            noise_power_w(cell.noise_temp_k, cfg.bandwidth_hz),
+            budget.p_sum_max_w if budget is not None else math.inf)
+
+
 def _solve_block(args) -> tuple:
-    # (p_tx_w, feasible, converged) arrays over the block's trials
+    # (p_tx_w, feasible, converged) arrays over one kernel call's problems
     return _solve_grams(*args)[:3]
+
+
+def _mean_power(powers, feasible, converged) -> MeanPowerResult:
+    # One batch's per-trial outcomes, reduced in trial order.
+    n_feasible = int(np.count_nonzero(feasible))
+    return MeanPowerResult(
+        mean_p_w=float(powers[feasible].sum() / n_feasible) if n_feasible else float("nan"),
+        infeasibility_rate=1.0 - n_feasible / len(powers),
+        n_feasible=n_feasible,
+        n_unconverged=int(np.count_nonzero(~converged)),
+    )
+
+
+def _mean_powers(cfg: ScenarioConfig, cell: CellConfig, batches: list,
+                 channels: np.ndarray = None, n_jobs: int = 1) -> list:
+    """`MeanPowerResult` of each `_power_batch` in `batches`, each over the
+    first `cfg.trials` trials of `channels` (a `draw_channels` stack, drawn
+    here if some batch has a positive target), which is inverted once.  With
+    one worker, whole batches are packed into stacked kernel calls of at most
+    `_CALL_PROBLEMS` problems; with min(n_jobs, trials) > 1 workers, each
+    batch's trials are split into that many blocks, solved in worker
+    processes.  A problem's solve does not depend on the others in its call
+    and each batch is reduced in trial order, so the outcome depends on
+    neither the packing nor `n_jobs`.  A zero target needs no channel."""
+    if channels is not None and len(channels) < cfg.trials:
+        raise ValueError(f"need {cfg.trials} precomputed channels, got {len(channels)}")
+    zero = MeanPowerResult(mean_p_w=0.0, infeasibility_rate=0.0,
+                           n_feasible=cfg.trials, n_unconverged=0)
+    solve = [batch for batch in batches if batch[0] != 0]
+    if not solve:
+        return [zero] * len(batches)
+    grams = draw_channels(cell, cfg.seed, cfg.trials) if channels is None else channels
+    inv_grams = np.linalg.inv(grams[:cfg.trials])
+    # One problem per (batch, trial), batch-major; each call is a span of them.
+    params = np.repeat(np.array(solve), cfg.trials, axis=0)
+    trial = np.tile(np.arange(cfg.trials), len(solve))
+    workers = min(n_jobs, cfg.trials)
+    if workers == 1:
+        starts = range(0, len(params), cfg.trials * max(1, _CALL_PROBLEMS // cfg.trials))
+    else:
+        starts = [first + block[0] for first in range(0, len(params), cfg.trials)
+                  for block in np.array_split(range(cfg.trials), workers)]
+    calls = ((inv_grams[trial[lo:hi]], params[lo:hi, :1], params[lo:hi, 1], params[lo:hi, 2])
+             for lo, hi in zip(starts, [*starts[1:], len(params)]))
+    if workers == 1:
+        solved = map(_solve_block, calls)
+    else:
+        from concurrent.futures import ProcessPoolExecutor  # only a parallel batch pays its import
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            solved = list(pool.map(_solve_block, calls))
+    outcomes = zip(*(np.concatenate(column).reshape(len(solve), cfg.trials)
+                     for column in zip(*solved)))
+    return [zero if batch[0] == 0 else _mean_power(*next(outcomes)) for batch in batches]
 
 
 def mean_bs_power(cfg: ScenarioConfig, cell: CellConfig, budget: RfiBudget = None,
                   channels: np.ndarray = None, n_jobs: int = 1) -> MeanPowerResult:
     """Mean minimum transmit power over the feasible trials of `channels` (a
-    `draw_channels` stack, drawn here if absent), solved in min(n_jobs, trials)
-    blocks of one batched kernel call each, in process or over worker
-    processes, and reduced in trial order.  Each trial's solve does not depend
-    on the others in its block, so the outcome is independent of `n_jobs`."""
+    `draw_channels` stack, drawn here if absent): the one-batch case of the
+    grid's power path, its trials solved in min(n_jobs, trials) blocks, in
+    process or over worker processes, and reduced in trial order.  Each
+    trial's solve does not depend on the others, so the outcome is
+    independent of `n_jobs`."""
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-    if channels is not None and len(channels) < cfg.trials:
-        raise ValueError(f"need {cfg.trials} precomputed channels, got {len(channels)}")
-    gamma = sinr_target(cfg.rate_bps, cfg.bandwidth_hz)
-    if gamma == 0:
-        return MeanPowerResult(mean_p_w=0.0, infeasibility_rate=0.0,
-                               n_feasible=cfg.trials, n_unconverged=0)
-    grams = draw_channels(cell, cfg.seed, cfg.trials) if channels is None else channels
-    shared = (np.full(cell.n_users, gamma), noise_power_w(cell.noise_temp_k, cfg.bandwidth_hz),
-              budget.p_sum_max_w if budget is not None else math.inf)
-    blocks = [(block, *shared) for block in np.array_split(grams[:cfg.trials],
-                                                          min(n_jobs, cfg.trials))]
-    if len(blocks) == 1:
-        solved = [_solve_block(blocks[0])]
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # only a parallel batch pays its import
-        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-            solved = list(pool.map(_solve_block, blocks))
-    powers, feasible, converged = (np.concatenate(column) for column in zip(*solved))
-    n_feasible = int(np.count_nonzero(feasible))
-    mean_p = float(powers[feasible].sum() / n_feasible) if n_feasible else float("nan")
-    return MeanPowerResult(
-        mean_p_w=mean_p,
-        infeasibility_rate=1.0 - n_feasible / cfg.trials,
-        n_feasible=n_feasible,
-        n_unconverged=int(np.count_nonzero(~converged)),
-    )
+    return _mean_powers(cfg, cell, [_power_batch(cfg, cell, budget)], channels, n_jobs)[0]
 
 
 def aggregate_rfi_dbw(mean_p_tx_w: float, delta: float, net_gain_db: float,
@@ -385,23 +429,23 @@ def rfi_grid(cfg: ScenarioConfig, years, guards_mhz, rates_mbps, *,
              channels: np.ndarray = None, power_cache: dict = None) -> dict:
     """Reports keyed (year, guard, rate), each from `simulate` given one power
     batch per (guard, rate) over one shared `draw_channels` Gram stack, read
-    from or filled into `power_cache`."""
+    from `power_cache` or, for the keys it lacks, solved together in stacked
+    kernel calls over one inversion of the stack and filled into it."""
     cell, counties, catalog, sensors = _inputs(cfg, cell, counties, catalog)
     power_cache = {} if power_cache is None else power_cache
-    grid = {}
-    for guard in guards_mhz:
-        for year in years:
-            for rate in rates_mbps:
-                point = replace(cfg, guard_mhz=float(guard), year=year, rate_bps=rate * 1e6)
-                if (guard, rate) not in power_cache:
-                    if channels is None:
-                        channels = draw_channels(cell, cfg.seed, cfg.trials)
-                    _, budget = _sensor_geometries(sensors, _geometry_key(point))
-                    power_cache[(guard, rate)] = mean_bs_power(point, cell, budget=budget,
-                                                               channels=channels)
-                grid[(year, guard, rate)] = simulate(point, cell, counties, catalog=catalog,
-                                                     power=power_cache[(guard, rate)])
-    return grid
+    points = {(year, guard, rate): replace(cfg, guard_mhz=float(guard), year=year,
+                                           rate_bps=rate * 1e6)
+              for guard in guards_mhz for year in years for rate in rates_mbps}
+    missing = {}
+    for (_, guard, rate), point in points.items():
+        if (guard, rate) not in power_cache and (guard, rate) not in missing:
+            _, budget = _sensor_geometries(sensors, _geometry_key(point))
+            missing[(guard, rate)] = _power_batch(point, cell, budget)
+    if missing:
+        power_cache.update(zip(missing, _mean_powers(cfg, cell, list(missing.values()),
+                                                     channels)))
+    return {key: simulate(point, cell, counties, catalog=catalog, power=power_cache[key[1:]])
+            for key, point in points.items()}
 
 
 def _compliant(rfi_dbw: float, threshold_dbw: float) -> bool:

@@ -1,3 +1,4 @@
+import collections
 import concurrent.futures
 import json
 import math
@@ -96,9 +97,20 @@ def _kernel_inputs(rate_bps, trials=12, seed=0, guard_mhz=25.0):
             noise_power_w(cell.noise_temp_k, cfg.bandwidth_hz))
 
 
+def _solve(grams, gam, noise, p_max_w):
+    """The kernel on the inverse of a Gram stack."""
+    return precoder._solve_grams(np.linalg.inv(grams), gam, noise, p_max_w)
+
+
 def _assert_trials_solve_alone_bitwise(batch, grams, gam, noise, p_max_w):
-    for t in range(len(grams)):
-        alone = precoder._solve_grams(grams[t:t + 1], gam, noise, p_max_w)
+    """Each problem of a kernel call over `grams`, with per-problem or shared
+    targets, noise and cap, is bitwise that problem solved alone with its
+    own scalars."""
+    n = len(grams)
+    gam = np.broadcast_to(gam, (n, grams.shape[1]))
+    noise, p_max_w = np.broadcast_to(noise, (n,)), np.broadcast_to(p_max_w, (n,))
+    for t in range(n):
+        alone = _solve(grams[t:t + 1], gam[t], float(noise[t]), float(p_max_w[t]))
         for whole, single in zip(batch, alone):
             assert whole.dtype == single.dtype
             assert whole[t:t + 1].tobytes() == single.tobytes()
@@ -111,7 +123,7 @@ def _assert_trials_solve_alone_bitwise(batch, grams, gam, noise, p_max_w):
 ])
 def test_kernel_batch_equals_each_trial_alone(rate_bps, p_max_w):
     grams, gam, noise = _kernel_inputs(rate_bps)
-    batch = precoder._solve_grams(grams, gam, noise, p_max_w)
+    batch = _solve(grams, gam, noise, p_max_w)
     p_tx, feasible, converged, iterations = batch[:4]
     assert p_tx.shape == feasible.shape == iterations.shape == (len(grams),)
     assert converged.all()
@@ -120,16 +132,34 @@ def test_kernel_batch_equals_each_trial_alone(rate_bps, p_max_w):
     _assert_trials_solve_alone_bitwise(batch, grams, gam, noise, p_max_w)
 
 
+def test_kernel_call_mixing_targets_noise_and_caps_equals_each_problem_alone():
+    # Three batches of one Gram stack, as a grid packs them: each with its own
+    # guard's noise and rate's targets, one with per-user targets, one capped.
+    batches = [_kernel_inputs(rate, guard_mhz=guard) for rate, guard in
+               [(100e6, 0.0), (500e6, 25.0), (300e6, 50.0)]]
+    grams = np.concatenate([grams for grams, _, _ in batches])
+    trials = len(batches[0][0])
+    gam = np.concatenate([np.broadcast_to(gam, (trials, len(gam))) for _, gam, _ in batches])
+    gam[2 * trials:] *= np.linspace(0.5, 2.0, gam.shape[1])
+    noise = np.repeat([noise for _, _, noise in batches], trials)
+    p_max_w = np.repeat([math.inf, 1e-3, 1.0], trials)
+    call = _solve(grams, gam, noise, p_max_w)
+    feasible, converged = call[1:3]
+    assert converged.all()
+    assert feasible[:trials].all() and 0 < feasible[trials:2 * trials].sum() < trials
+    _assert_trials_solve_alone_bitwise(call, grams, gam, noise, p_max_w)
+
+
 def test_kernel_freezes_converged_trials_under_an_iteration_cap(monkeypatch):
     grams, gam, noise = _kernel_inputs(500e6, trials=20)
     # Diagonal Gram matrices first: zero-forcing is exact there, so they
     # converge at iteration 1 and the seed's trials do not.
     diagonal = np.array([np.diag(np.diagonal(gram)) for gram in grams[:4]])
     grams = np.concatenate([diagonal, grams])
-    uncapped = precoder._solve_grams(grams, gam, noise, math.inf)
+    uncapped = _solve(grams, gam, noise, math.inf)
     cap = 2
     monkeypatch.setattr(precoder, "_MAX_ITERATIONS", cap)
-    capped = precoder._solve_grams(grams, gam, noise, math.inf)
+    capped = _solve(grams, gam, noise, math.inf)
     converged, iterations = capped[2], capped[3]
     assert 0 < converged.sum() < len(grams)
     assert not capped[1][~converged].any()
@@ -144,7 +174,7 @@ def test_kernel_freezes_converged_trials_under_an_iteration_cap(monkeypatch):
 @pytest.mark.parametrize("rate_bps", [100e6, 300e6, 500e6])
 def test_kernel_converges_in_a_few_newton_steps(rate_bps, guard_mhz):
     grams, gam, noise = _kernel_inputs(rate_bps, trials=20, guard_mhz=guard_mhz)
-    converged, iterations = precoder._solve_grams(grams, gam, noise, math.inf)[2:4]
+    converged, iterations = _solve(grams, gam, noise, math.inf)[2:4]
     assert converged.all()
     assert iterations.max() <= 4
 
@@ -158,7 +188,7 @@ def _uplink_x(grams, q, noise):
 @pytest.mark.parametrize("rate_bps", [100e6, 300e6, 500e6])
 def test_kernel_q_is_the_uplink_fixed_point(rate_bps):
     grams, gam, noise = _kernel_inputs(rate_bps)
-    q = precoder._solve_grams(grams, gam, noise, math.inf)[4]
+    q = _solve(grams, gam, noise, math.inf)[4]
     np.testing.assert_allclose(q * _uplink_x(grams, q, noise),
                                np.broadcast_to(gam / (1 + gam), q.shape), rtol=1e-12)
 
@@ -166,7 +196,7 @@ def test_kernel_q_is_the_uplink_fixed_point(rate_bps):
 @pytest.mark.parametrize("rate_bps", [100e6, 300e6, 500e6])
 def test_kernel_power_matches_a_plain_fixed_point_loop(rate_bps):
     grams, gam, noise = _kernel_inputs(rate_bps)
-    p_tx = precoder._solve_grams(grams, gam, noise, math.inf)[0]
+    p_tx = _solve(grams, gam, noise, math.inf)[0]
     # Picard iteration from zero, run past the kernel's tolerance; by
     # uplink-downlink duality the downlink total power is sum(q).
     q = np.zeros(grams.shape[:2])
@@ -181,7 +211,8 @@ def test_kernel_power_matches_a_plain_fixed_point_loop(rate_bps):
 def _newton_power_after(steps, grams, gam, noise):
     """Total downlink power after `steps` Newton steps from the zero-forcing
     powers on every trial, with no stop test: the kernel's update and downlink
-    solve, restated."""
+    solve, restated in Gram form, A = G (sigma^2 I + diag(q) G)^-1, with the
+    directions taken at the final powers."""
     eye, diag = np.eye(grams.shape[1]), np.arange(grams.shape[1])
     q = gam * noise * np.real(np.diagonal(np.linalg.inv(grams), axis1=1, axis2=2))
     scale = gam / (1 + gam)
@@ -206,7 +237,7 @@ def test_kernel_stops_at_the_rounding_floor_of_a_high_target():
     grams = draw_channels(cell, cfg.seed, cfg.trials)
     gam = np.full(cell.n_users, sinr_target(cfg.rate_bps, cfg.bandwidth_hz))
     noise = noise_power_w(cell.noise_temp_k, cfg.bandwidth_hz)
-    p_tx, _, converged, iterations = precoder._solve_grams(grams, gam, noise, math.inf)[:4]
+    p_tx, _, converged, iterations = _solve(grams, gam, noise, math.inf)[:4]
     assert converged.all() and iterations.max() <= 10
     np.testing.assert_allclose(p_tx, _newton_power_after(1000, grams, gam, noise), rtol=1e-12)
 
@@ -223,6 +254,9 @@ def test_zero_rate_reports_zero_power(monkeypatch, counties):
     report = simulate(cfg, counties=counties)
     for row in report.rows:
         assert row.mean_p_tx_dbw == float("-inf") and row.rfi_dbw == float("-inf")
+    cache = {}
+    rfi_grid(cfg, GRID_YEARS, GRID_GUARDS, (0,), counties=counties, power_cache=cache)
+    assert cache == {(guard, 0): power for guard in GRID_GUARDS}
 
 
 def test_mean_power_same_seed_identical():
@@ -362,19 +396,102 @@ GRID_RATES = (100, 500)
 GRID_FACTORS = (1.0, 1.5)
 
 
+def _record_kernel_calls(monkeypatch) -> list:
+    """Wraps the scenario's kernel; returns the list of its calls' arguments,
+    with targets, noise and cap broadcast to one row or value per problem."""
+    calls = []
+    original = scenario._solve_grams
+
+    def recorded(inv_grams, gam, noise_w, p_max_w):
+        n, k = inv_grams.shape[:2]
+        calls.append((inv_grams, np.broadcast_to(gam, (n, k)), np.broadcast_to(noise_w, (n,)),
+                      np.broadcast_to(p_max_w, (n,))))
+        return original(inv_grams, gam, noise_w, p_max_w)
+
+    monkeypatch.setattr(scenario, "_solve_grams", recorded)
+    return calls
+
+
+def _record_inverted_matrices(monkeypatch) -> list:
+    """Wraps numpy's matrix inverse; returns the list of every matrix it inverts."""
+    inverted = []
+    original = np.linalg.inv
+
+    def recorded(a):
+        inverted.extend(np.reshape(a, (-1,) + np.shape(a)[-2:]))
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "inv", recorded)
+    return inverted
+
+
 def test_rfi_grid_computes_once_per_dependency(monkeypatch, counties):
     cfg = ScenarioConfig(trials=5, seed=1)
-    counts = _count_calls(monkeypatch, ("leakage_fraction", "build_snapshot",
-                                        "mean_bs_power"))
+    grams = draw_channels(CellConfig(), cfg.seed, cfg.trials)
+    counts = _count_calls(monkeypatch, ("leakage_fraction", "build_snapshot"))
+    calls = _record_kernel_calls(monkeypatch)
+    inverted = _record_inverted_matrices(monkeypatch)
     grid = rfi_grid(cfg, GRID_YEARS, GRID_GUARDS, GRID_RATES, counties=counties)
     # B1, B3, B4 and B7 share one victim window, so each guard has 2 distinct fractions.
-    assert counts == {"leakage_fraction": 3 * 2, "build_snapshot": 2 * 3,
-                      "mean_bs_power": 3 * 2}
+    assert counts == {"leakage_fraction": 3 * 2, "build_snapshot": 2 * 3}
+    # Each (guard, rate) batch is solved once: its target and noise reach the
+    # kernel as `trials` problems, and nothing else does.
+    problems = collections.Counter(
+        (gam[0], noise) for _, gams, noises, _ in calls for gam, noise in zip(gams, noises))
+    assert sum(problems.values()) == cfg.trials * len(GRID_GUARDS) * len(GRID_RATES)
+    assert set(problems.values()) == {cfg.trials}
+    assert len(problems) == len(GRID_GUARDS) * len(GRID_RATES)
+    # The Gram stack is inverted once, not once per batch or per call.
+    assert sum(any(np.array_equal(matrix, gram) for gram in grams)
+               for matrix in inverted) == cfg.trials
     assert list(grid) == [(y, g, r) for g in GRID_GUARDS for y in GRID_YEARS
                           for r in GRID_RATES]
     for (year, guard, rate), report in grid.items():
         assert {(row.year, row.guard_mhz, row.rate_mbps) for row in report.rows} == {
             (year, guard, float(rate))}
+
+
+@pytest.mark.parametrize("trials", [5, 50, scenario._CALL_PROBLEMS])
+def test_rfi_grid_power_equals_mean_bs_power_of_each_point(monkeypatch, counties, catalog,
+                                                           trials):
+    # A 1 mW hardware cap leaves some trials infeasible at 100 and 500 Mbps,
+    # and the low threshold sets a tighter RFI cap at the 10 MHz guard.
+    cfg = ScenarioConfig(trials=trials, seed=1, p_bs_dbw=-30.0, threshold_dbw=-190.0)
+    cell = CellConfig()
+    channels = draw_channels(cell, cfg.seed, trials)
+    rates = (0,) + GRID_RATES
+    calls = _record_kernel_calls(monkeypatch)
+    cache = {}
+    rfi_grid(cfg, GRID_YEARS[:1], GRID_GUARDS, rates, counties=counties, catalog=catalog,
+             channels=channels, power_cache=cache)
+    # Whole batches share calls up to the cap; a batch as large keeps its own.
+    per_call = max(1, scenario._CALL_PROBLEMS // trials)
+    solved = len(GRID_GUARDS) * len(GRID_RATES)
+    assert [len(call[0]) for call in calls] == [
+        trials * min(per_call, solved - first) for first in range(0, solved, per_call)]
+    assert len({float(cap) for call in calls for cap in call[3]}) == 2
+    assert any(0 < power.n_feasible < trials for power in cache.values())
+    sensors = tuple(catalog[sid] for sid in cfg.sensor_ids)
+    for (guard, rate), power in cache.items():
+        point = replace(cfg, guard_mhz=float(guard), rate_bps=rate * 1e6)
+        _, budget = scenario._sensor_geometries(sensors, scenario._geometry_key(point))
+        assert power == mean_bs_power(point, cell, budget=budget, channels=channels)
+
+
+@pytest.mark.parametrize("call", [
+    lambda cfg, channels: mean_bs_power(cfg, CellConfig(), channels=channels),
+    lambda cfg, channels: rfi_grid(cfg, GRID_YEARS, GRID_GUARDS, GRID_RATES,
+                                   channels=channels),
+], ids=["mean_bs_power", "rfi_grid"])
+def test_short_channel_stack_raises_before_any_solve(monkeypatch, call):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved with too few channels")
+
+    monkeypatch.setattr(scenario, "_solve_grams", no_solve)
+    monkeypatch.setattr(np.linalg, "inv", no_solve)
+    cfg = ScenarioConfig(trials=5, seed=1)
+    with pytest.raises(ValueError, match="^need 5 precomputed channels, got 4$"):
+        call(cfg, draw_channels(CellConfig(), cfg.seed, 4))
 
 
 def _grid_points(cfg: ScenarioConfig) -> list:
@@ -475,11 +592,11 @@ def test_simulate_bad_inputs_raise_before_any_cache_entry(counties, scenario_cac
 ], ids=["no-counties", "unknown-sensor"])
 def test_bad_inputs_raise_before_any_draw_or_power_batch(monkeypatch, counties, call,
                                                          sensor_ids, no_counties, message):
-    counts = _count_calls(monkeypatch, ("draw_channels", "mean_bs_power"))
+    counts = _count_calls(monkeypatch, ("draw_channels", "mean_bs_power", "_solve_grams"))
     cfg = ScenarioConfig(trials=5, seed=1, sensor_ids=sensor_ids)
     with pytest.raises(ValueError, match=message):
         call(cfg, counties=[] if no_counties else counties)
-    assert counts == {"draw_channels": 0, "mean_bs_power": 0}
+    assert counts == {"draw_channels": 0, "mean_bs_power": 0, "_solve_grams": 0}
 
 
 def test_rfi_grid_reads_and_fills_power_cache(monkeypatch, counties):
