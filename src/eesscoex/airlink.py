@@ -150,54 +150,72 @@ def _gains(d2d, los, cfg: CellConfig, shadow_normals):
     return 10.0 ** ((cfg.tx_gain_users_db - pl - sf) / 10.0)
 
 
-def _draw_trials(cfg: CellConfig, rngs) -> tuple:
-    """One realization per generator in `rngs`, as stacked arrays
-    (h (n, K, N), g (n, K), los (n, K)).
+def _draw_buffers(cfg: CellConfig, n: int) -> tuple:
+    """Uninitialised buffers for `n` trials of `_draw_trials`: uniforms
+    (n, 3, K), normals (n, K + 2KN), or (n, 2KN) without shadowing, and
+    fading (n, K, N)."""
+    k, m = cfg.n_users, cfg.n_antennas
+    n_normals = (k if cfg.shadowing else 0) + 2 * k * m
+    return np.empty((n, 3, k)), np.empty((n, n_normals)), np.empty((n, k, m), dtype=complex)
+
+
+def _draw_trials(cfg: CellConfig, rngs, u, z, h) -> tuple:
+    """One realization per generator in `rngs`, read into the leading rows
+    of the caller's `_draw_buffers` (u, z, h); h receives the unit-variance
+    fading, and (g (n, K), los (n, K)) is returned.
 
     Each generator is read in the fixed draw order (position uniforms,
     angle uniforms, LOS uniforms, shadowing normals, real then imaginary
-    fading) into preallocated arrays; the gains and fading are then formed
-    once over the whole stack.  The LOS uniforms are drawn in every LOS
-    mode, so a substream's fading does not depend on it.
+    fading) by one uniform fill and one normal fill; a generator keeps no
+    state between fills, so this is the stream of one call per vector.  The
+    gains and fading are then formed once over the whole block.  The LOS
+    uniforms are drawn in every LOS mode, so a substream's fading does not
+    depend on it.
     """
     n, k, m = len(rngs), cfg.n_users, cfg.n_antennas
-    u_pos, u_angle, u_los, normals = np.empty((4, n, k))
-    re, im = np.empty((2, n, k, m))
     for i, rng in enumerate(rngs):
-        rng.random(out=u_pos[i])
-        rng.random(out=u_angle[i])  # the model uses no angle; drawn to keep the order
-        rng.random(out=u_los[i])
-        if cfg.shadowing:
-            rng.standard_normal(out=normals[i])
-        rng.standard_normal(out=re[i])
-        rng.standard_normal(out=im[i])
-    d = _distances(cfg, u_pos)
+        rng.random(out=u[i])  # the angle uniforms u[i, 1] go unused; drawn to keep the order
+        rng.standard_normal(out=z[i])
+    u, z, h = u[:n], z[:n], h[:n]
+    d = _distances(cfg, u[:, 0])
     if cfg.los_mode == "model":
-        los = u_los < los_probability(d)
+        los = u[:, 2] < los_probability(d)
     else:
         los = np.full((n, k), cfg.los_mode == "los")
-    g = _gains(d, los, cfg, normals if cfg.shadowing else None)
-    h = (re + 1j * im) / np.sqrt(2.0)
-    return h, g, los
+    s = k if cfg.shadowing else 0
+    g = _gains(d, los, cfg, z[:, :s] if cfg.shadowing else None)
+    fading = z[:, s:].reshape(n, 2, k, m)  # real parts, then imaginary parts
+    # (re + 1j*im) / sqrt(2) part by part: numpy divides a complex by a real
+    # by multiplying with its reciprocal, so this is that quotient bitwise.
+    scale = 1.0 / np.sqrt(2.0)
+    np.multiply(fading[:, 0], scale, out=h.real)
+    np.multiply(fading[:, 1], scale, out=h.imag)
+    return g, los
 
 
 def generate_channel(cfg: CellConfig, rng: np.random.Generator) -> ChannelRealization:
     """Draw one full realization: positions -> LOS -> g -> h, the one-trial
     case of `_draw_trials`, so a given substream always yields the same
     realization."""
-    h, g, los = _draw_trials(cfg, [rng])
+    u, z, h = _draw_buffers(cfg, 1)
+    g, los = _draw_trials(cfg, [rng], u, z, h)
     return ChannelRealization(h=h[0], g=g[0], los=los[0])
 
 
 def draw_channels(cell: CellConfig, seed: int, trials: int) -> np.ndarray:
     """(trials, K, K) stack of effective-channel Gram matrices, one per trial
-    substream, drawn `_DRAW_BLOCK_TRIALS` trials at a time so the live (K, N)
-    draws scale with the block, not with `trials`."""
+    substream, drawn `_DRAW_BLOCK_TRIALS` trials at a time into buffers
+    allocated once per call, so the live (K, N) draws scale with the block,
+    not with `trials`."""
     grams = np.empty((trials, cell.n_users, cell.n_users), dtype=complex)
+    u, z, h = _draw_buffers(cell, min(_DRAW_BLOCK_TRIALS, trials))
+    h_conj = np.empty_like(h)
     for start in range(0, trials, _DRAW_BLOCK_TRIALS):
         stop = min(start + _DRAW_BLOCK_TRIALS, trials)
-        h, g, _ = _draw_trials(cell, [trial_rng(seed, t) for t in range(start, stop)])
-        h_eff = h * np.sqrt(g)[..., None]
+        g, _ = _draw_trials(cell, [trial_rng(seed, t) for t in range(start, stop)], u, z, h)
+        h_eff = h[:stop - start]
+        h_eff *= np.sqrt(g)[..., None]
         # G[k, j] = h_k^H h_j, effective channels
-        np.matmul(h_eff.conj(), h_eff.transpose(0, 2, 1), out=grams[start:stop])
+        np.matmul(np.conjugate(h_eff, out=h_conj[:stop - start]), h_eff.transpose(0, 2, 1),
+                  out=grams[start:stop])
     return grams

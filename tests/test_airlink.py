@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,23 +185,80 @@ def test_config_validation():
         CellConfig(carrier_ghz=float("nan"))
 
 
+def _cells(**size):
+    """One cell per geometry mode: distance x LOS mode x shadowing."""
+    return [CellConfig(distance_mode=distance_mode, los_mode=los_mode, shadowing=shadowing,
+                       **size)
+            for distance_mode, los_mode, shadowing in itertools.product(
+                MODES, ("model", "los", "nlos"), (True, False))]
+
+
+def _assert_gram_stack(cell, seed, trials):
+    """`draw_channels` equals, whole matrix by whole matrix and bitwise,
+    the Gram matrices of each trial drawn alone; returns the stack."""
+    grams = draw_channels(cell, seed, trials)
+    assert grams.shape == (trials, cell.n_users, cell.n_users)
+    for t, gram in enumerate(grams):
+        c = generate_channel(cell, trial_rng(seed, t))
+        h_eff = c.h * np.sqrt(c.g)[:, None]
+        assert np.array_equal(gram, h_eff.conj() @ h_eff.T), (cell, t)
+    return grams
+
+
 def test_draw_channels_is_gram_stack():
     # Whole matrices, bitwise, against each trial drawn alone, in every
     # geometry mode; the trial count crosses a block boundary of the draw.
     trials = airlink._DRAW_BLOCK_TRIALS + 3
-    for distance_mode, los_mode, shadowing in itertools.product(
-            MODES, ("model", "los", "nlos"), (True, False)):
-        cell = CellConfig(n_users=4, n_antennas=32, distance_mode=distance_mode,
-                          los_mode=los_mode, shadowing=shadowing)
-        grams = draw_channels(cell, 3, trials)
-        assert grams.shape == (trials, 4, 4)
+    for cell in _cells(n_users=4, n_antennas=32):
+        grams = _assert_gram_stack(cell, 3, trials)
         assert np.array_equal(grams, np.conj(np.swapaxes(grams, 1, 2)))
-        for t, gram in enumerate(grams):
-            c = generate_channel(cell, trial_rng(3, t))
-            h_eff = c.h * np.sqrt(c.g)[:, None]
-            assert np.array_equal(gram, h_eff.conj() @ h_eff.T), (cell, t)
         for n in (1, airlink._DRAW_BLOCK_TRIALS, trials - 1):
             assert np.array_equal(draw_channels(cell, 3, n), grams[:n]), (cell, n)
+
+
+def test_draw_channels_is_gram_stack_for_the_default_cell():
+    # The block buffers are sized by the trial count: no trials (an empty
+    # (0, K, K) stack), one trial, and one trial past a full block, at the
+    # default K = 8, N = 256.
+    for cell in _cells():
+        for trials in (0, 1, airlink._DRAW_BLOCK_TRIALS + 1):
+            _assert_gram_stack(cell, 3, trials)
+
+
+def test_generate_channel_reads_the_documented_stream():
+    # The substream restated as one read per vector, in the README's order:
+    # position, angle and LOS uniforms, shadowing normals, real then
+    # imaginary fading, with the fading formed as (re + 1j im) / sqrt(2).
+    for cell in _cells():
+        k, m = cell.n_users, cell.n_antennas
+        for t in (0, 7):
+            rng = trial_rng(11, t)
+            u_pos, _, u_los = rng.random(k), rng.random(k), rng.random(k)
+            normals = rng.standard_normal(k) if cell.shadowing else None
+            re, im = rng.standard_normal((k, m)), rng.standard_normal((k, m))
+            d = _distances(cell, u_pos)
+            los = (u_los < los_probability(d) if cell.los_mode == "model"
+                   else np.full(k, cell.los_mode == "los"))
+            c = generate_channel(cell, trial_rng(11, t))
+            assert c.h.tobytes() == ((re + 1j * im) / np.sqrt(2.0)).tobytes(), (cell, t)
+            assert c.g.tobytes() == _gains(d, los, cell, normals).tobytes(), (cell, t)
+            assert np.array_equal(c.los, los), (cell, t)
+
+
+def test_draw_memory_scales_with_the_block_not_the_trials():
+    # Peak traced memory beyond the returned stack: the block buffers and
+    # one block's temporaries, the same at 1000 trials as at two blocks.
+    def overhead(trials):
+        tracemalloc.start()
+        try:
+            grams = draw_channels(CFG, 0, trials)
+            return tracemalloc.get_traced_memory()[1] - grams.nbytes
+        finally:
+            tracemalloc.stop()
+
+    draw_channels(CFG, 0, 1)  # one-time allocations outside the measurement
+    two_blocks = overhead(2 * airlink._DRAW_BLOCK_TRIALS)
+    assert overhead(1000) == pytest.approx(two_blocks, rel=0.05)
 
 
 def test_fading_does_not_depend_on_the_los_mode():
