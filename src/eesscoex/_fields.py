@@ -59,6 +59,17 @@ def from_json(tp, value):
     return value
 
 
+def unique_keys(pairs):
+    """A `json` object_pairs_hook: the object as a dict, or ValueError at a
+    repeated key, which would otherwise silently replace the earlier value."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"duplicate key {key!r}")
+        out[key] = value
+    return out
+
+
 def check_fields(obj):
     """Raise ValueError unless every field of the dataclass `obj` holds its
     declared type, is finite where it is a float, and meets its bounds."""

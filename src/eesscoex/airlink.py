@@ -6,10 +6,11 @@ loss (breakpoint LOS formulation; NLOS as max of LOS and the NLOS term)
 with log-normal shadowing, and models small-scale fading as spatially
 i.i.d. Rayleigh across the array.
 
-All randomness flows from the generator handed in; per-trial substreams
-are derived from (master seed, trial index) so serial and parallel runs
-agree draw for draw.  `draw_channels` keeps of each trial only the effective
-Gram matrix the power solve reads.
+All randomness flows from one master seed: trial t reads the substream
+(master seed, t), so serial and parallel runs agree draw for draw.
+`draw_channels` is the one draw path: it reads those substreams a block of
+trials at a time and keeps of each trial only the effective Gram matrix the
+power solve reads.
 """
 
 from dataclasses import dataclass
@@ -22,12 +23,10 @@ __all__ = [
     "BOLTZMANN_J_PER_K",
     "SPEED_OF_LIGHT_M_S",
     "CellConfig",
-    "ChannelRealization",
     "noise_power_w",
     "los_probability",
     "umi_los_path_loss_db",
     "umi_nlos_path_loss_db",
-    "generate_channel",
     "draw_channels",
     "trial_rng",
 ]
@@ -68,15 +67,6 @@ class CellConfig:
             raise ValueError(f"unknown distance mode {self.distance_mode!r}")
         if self.los_mode not in ("model", "los", "nlos"):
             raise ValueError(f"unknown LOS mode {self.los_mode!r}")
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One Monte Carlo draw of the K-user downlink."""
-
-    h: np.ndarray          # (K, N) unit-variance circular complex Gaussian rows
-    g: np.ndarray          # (K,) large-scale linear power gains
-    los: np.ndarray        # (K,) LOS flags
 
 
 def noise_power_w(temp_k: float, bandwidth_hz: float) -> float:
@@ -191,15 +181,6 @@ def _draw_trials(cfg: CellConfig, rngs, u, z, h) -> tuple:
     np.multiply(fading[:, 0], scale, out=h.real)
     np.multiply(fading[:, 1], scale, out=h.imag)
     return g, los
-
-
-def generate_channel(cfg: CellConfig, rng: np.random.Generator) -> ChannelRealization:
-    """Draw one full realization: positions -> LOS -> g -> h, the one-trial
-    case of `_draw_trials`, so a given substream always yields the same
-    realization."""
-    u, z, h = _draw_buffers(cfg, 1)
-    g, los = _draw_trials(cfg, [rng], u, z, h)
-    return ChannelRealization(h=h[0], g=g[0], los=los[0])
 
 
 def draw_channels(cell: CellConfig, seed: int, trials: int) -> np.ndarray:

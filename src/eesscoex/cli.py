@@ -13,7 +13,7 @@ import math
 import os
 import sys
 
-from ._fields import from_json
+from ._fields import from_json, unique_keys
 from .adoption import scenario_penetration
 from .airlink import CellConfig
 from .deployment import ingest_counties, load_bundled_counties
@@ -44,8 +44,8 @@ _SCENARIO_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)}
 def _load_config_file(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            payload = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            payload = json.load(fh, object_pairs_hook=unique_keys)
+        except ValueError as exc:  # undecodable text, bad JSON or a duplicate key
             raise ValueError(f"{path}: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: config must be a JSON object")

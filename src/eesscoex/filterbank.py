@@ -195,6 +195,16 @@ def leaked_psd_dbm_per_mhz(spec: FilterSpec, p_tx_dbw: float, f_ghz: float) -> f
 
 def edge_psd_margin(spec: FilterSpec, p_tx_dbw: float, eval_f_ghz: float,
                     limit_dbm_mhz: float = DEFAULT_SPURIOUS_LIMIT_DBM_MHZ) -> float:
-    """Margin of the leaked PSD against an emission limit (positive = compliant)."""
+    """Margin of the leaked PSD against an emission limit (positive = compliant).
+
+    The limit applies outside the passband; in band there is no leakage to
+    judge, so a frequency there raises ValueError.
+    """
+    if spec.passband_low_ghz <= eval_f_ghz <= spec.passband_high_ghz:
+        raise ValueError(
+            f"evaluation frequency {eval_f_ghz} GHz lies in the passband "
+            f"[{spec.passband_low_ghz}, {spec.passband_high_ghz}] GHz; the emission "
+            "limit applies outside it"
+        )
     psd = leaked_psd_dbm_per_mhz(spec, p_tx_dbw, eval_f_ghz)
     return float(limit_dbm_mhz - psd)

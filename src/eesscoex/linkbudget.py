@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from importlib import resources
 from math import asin, log10, radians, sin
 
-from ._fields import bounded, check_fields, from_json
+from ._fields import bounded, check_fields, from_json, unique_keys
 
 __all__ = [
     "EARTH_RADIUS_KM",
@@ -162,8 +162,8 @@ def load_sensor_catalog(path=None) -> dict:
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        payload = json.loads(text)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        payload = json.loads(text, object_pairs_hook=unique_keys)
+    except ValueError as exc:  # undecodable text, bad JSON or a duplicate key
         raise ValueError(f"{name}: {exc}") from None
     rows = payload.get("sensors") if isinstance(payload, dict) else None
     if not isinstance(rows, list):

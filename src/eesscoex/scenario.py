@@ -206,8 +206,7 @@ _CALL_PROBLEMS = 128
 def _power_batch(cfg: ScenarioConfig, cell: CellConfig, budget: RfiBudget) -> tuple:
     """The kernel's per-problem (gamma, noise_w, p_max_w) at the config's rate and guard."""
     return (sinr_target(cfg.rate_bps, cfg.bandwidth_hz),
-            noise_power_w(cell.noise_temp_k, cfg.bandwidth_hz),
-            budget.p_sum_max_w if budget is not None else math.inf)
+            noise_power_w(cell.noise_temp_k, cfg.bandwidth_hz), budget.p_sum_max_w)
 
 
 def _solve_block(args) -> tuple:
@@ -268,17 +267,17 @@ def _mean_powers(cfg: ScenarioConfig, cell: CellConfig, batches: list,
     return [zero if batch[0] == 0 else _mean_power(*next(outcomes)) for batch in batches]
 
 
-def mean_bs_power(cfg: ScenarioConfig, cell: CellConfig, budget: RfiBudget = None,
-                  channels: np.ndarray = None, n_jobs: int = 1) -> MeanPowerResult:
-    """Mean minimum transmit power over the feasible trials of `channels` (a
-    `draw_channels` stack, drawn here if absent): the one-batch case of the
-    grid's power path, its trials solved in min(n_jobs, trials) blocks, in
-    process or over worker processes, and reduced in trial order.  Each
-    trial's solve does not depend on the others, so the outcome is
+def mean_bs_power(cfg: ScenarioConfig, cell: CellConfig, budget: RfiBudget,
+                  n_jobs: int = 1) -> MeanPowerResult:
+    """Mean minimum transmit power, under the per-BS cap of `budget`, over
+    the feasible trials of the config's `draw_channels` stack: the one-batch
+    case of the grid's power path, its trials solved in min(n_jobs, trials)
+    blocks, in process or over worker processes, and reduced in trial order.
+    Each trial's solve does not depend on the others, so the outcome is
     independent of `n_jobs`."""
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-    return _mean_powers(cfg, cell, [_power_batch(cfg, cell, budget)], channels, n_jobs)[0]
+    return _mean_powers(cfg, cell, [_power_batch(cfg, cell, budget)], n_jobs=n_jobs)[0]
 
 
 def aggregate_rfi_dbw(mean_p_tx_w: float, delta: float, net_gain_db: float,

@@ -10,9 +10,10 @@ from eesscoex.airlink import (
     BOLTZMANN_J_PER_K,
     CellConfig,
     _distances,
+    _draw_buffers,
+    _draw_trials,
     _gains,
     draw_channels,
-    generate_channel,
     los_probability,
     noise_power_w,
     trial_rng,
@@ -22,6 +23,29 @@ from eesscoex.airlink import (
 
 CFG = CellConfig()
 MODES = ("uniform-distance", "uniform-area")
+
+
+def _draw_one(cell, rng):
+    """One trial's (h, g, los) from `_draw_trials`, the reader `draw_channels` runs."""
+    u, z, h = _draw_buffers(cell, 1)
+    g, los = _draw_trials(cell, [rng], u, z, h)
+    return h[0], g[0], los[0]
+
+
+def _restated_trial(cell, seed, t):
+    """Trial t's (h, g, los), restated as one read per vector of its substream
+    in the README's order: position, angle and LOS uniforms, shadowing
+    normals, real then imaginary fading, with the fading formed as
+    (re + 1j im) / sqrt(2)."""
+    k, m = cell.n_users, cell.n_antennas
+    rng = trial_rng(seed, t)
+    u_pos, _, u_los = rng.random(k), rng.random(k), rng.random(k)
+    normals = rng.standard_normal(k) if cell.shadowing else None
+    re, im = rng.standard_normal((k, m)), rng.standard_normal((k, m))
+    d = _distances(cell, u_pos)
+    los = (u_los < los_probability(d) if cell.los_mode == "model"
+           else np.full(k, cell.los_mode == "los"))
+    return (re + 1j * im) / np.sqrt(2.0), _gains(d, los, cell, normals), los
 
 
 def test_positions_within_annulus():
@@ -53,7 +77,7 @@ def test_positions_deterministic():
         cfg = CellConfig(distance_mode=mode, los_mode="los", shadowing=False)
         d = _distances(cfg, trial_rng(123, 5).random(cfg.n_users))
         expected = _gains(d, np.ones(cfg.n_users, dtype=bool), cfg, None)
-        assert np.array_equal(generate_channel(cfg, trial_rng(123, 5)).g, expected)
+        assert np.array_equal(_draw_one(cfg, trial_rng(123, 5))[1], expected)
 
 
 def test_los_probability_values():
@@ -133,24 +157,23 @@ def test_channel_norm_expectation():
     cfg = CellConfig(n_antennas=64, n_users=4)
     norms = []
     for t in range(2500):
-        real = generate_channel(cfg, trial_rng(5, t))
-        norms.extend(np.sum(np.abs(real.h) ** 2, axis=1))
+        h, _, _ = _draw_one(cfg, trial_rng(5, t))
+        norms.extend(np.sum(np.abs(h) ** 2, axis=1))
     assert abs(np.mean(norms) / cfg.n_antennas - 1.0) < 0.02
 
 
 def test_channel_determinism():
-    a = generate_channel(CFG, trial_rng(99, 3))
-    b = generate_channel(CFG, trial_rng(99, 3))
-    assert np.array_equal(a.h, b.h)
-    assert np.array_equal(a.g, b.g)
-    assert np.array_equal(a.los, b.los)
+    a = _draw_one(CFG, trial_rng(99, 3))
+    b = _draw_one(CFG, trial_rng(99, 3))
+    for x, y in zip(a, b):
+        assert np.array_equal(x, y)
 
 
 def test_channel_fields():
-    real = generate_channel(CFG, trial_rng(0, 0))
-    assert real.h.shape == (8, 256)
-    assert real.g.shape == (8,)
-    assert np.all(real.g > 0)
+    h, g, los = _draw_one(CFG, trial_rng(0, 0))
+    assert h.shape == (8, 256)
+    assert g.shape == los.shape == (8,)
+    assert np.all(g > 0)
 
 
 def test_los_fraction_matches_quadrature():
@@ -160,7 +183,7 @@ def test_los_fraction_matches_quadrature():
     cfg = CellConfig(n_users=100, n_antennas=100)
     hits = 0
     for t in range(1000):
-        hits += int(np.count_nonzero(generate_channel(cfg, trial_rng(21, t)).los))
+        hits += int(np.count_nonzero(_draw_one(cfg, trial_rng(21, t))[2]))
     fraction = hits / (1000 * cfg.n_users)
     assert abs(fraction - analytic) < 0.01
 
@@ -168,8 +191,8 @@ def test_los_fraction_matches_quadrature():
 def test_forced_los_modes():
     for mode, expected in (("los", True), ("nlos", False)):
         cfg = CellConfig(los_mode=mode)
-        real = generate_channel(cfg, trial_rng(4, 0))
-        assert np.all(real.los == expected)
+        _, _, los = _draw_one(cfg, trial_rng(4, 0))
+        assert np.all(los == expected)
 
 
 def test_config_validation():
@@ -194,20 +217,21 @@ def _cells(**size):
 
 
 def _assert_gram_stack(cell, seed, trials):
-    """`draw_channels` equals, whole matrix by whole matrix and bitwise,
-    the Gram matrices of each trial drawn alone; returns the stack."""
+    """`draw_channels` equals, whole matrix by whole matrix and bitwise, the
+    Gram matrices of each trial's restated stream; returns the stack."""
     grams = draw_channels(cell, seed, trials)
     assert grams.shape == (trials, cell.n_users, cell.n_users)
     for t, gram in enumerate(grams):
-        c = generate_channel(cell, trial_rng(seed, t))
-        h_eff = c.h * np.sqrt(c.g)[:, None]
+        h, g, _ = _restated_trial(cell, seed, t)
+        h_eff = h * np.sqrt(g)[:, None]
         assert np.array_equal(gram, h_eff.conj() @ h_eff.T), (cell, t)
     return grams
 
 
 def test_draw_channels_is_gram_stack():
-    # Whole matrices, bitwise, against each trial drawn alone, in every
-    # geometry mode; the trial count crosses a block boundary of the draw.
+    # Whole matrices, bitwise, against each trial's restated stream, in
+    # every geometry mode; the trial count crosses a block boundary of the
+    # draw.
     trials = airlink._DRAW_BLOCK_TRIALS + 3
     for cell in _cells(n_users=4, n_antennas=32):
         grams = _assert_gram_stack(cell, 3, trials)
@@ -225,24 +249,18 @@ def test_draw_channels_is_gram_stack_for_the_default_cell():
             _assert_gram_stack(cell, 3, trials)
 
 
-def test_generate_channel_reads_the_documented_stream():
-    # The substream restated as one read per vector, in the README's order:
-    # position, angle and LOS uniforms, shadowing normals, real then
-    # imaginary fading, with the fading formed as (re + 1j im) / sqrt(2).
+def test_draw_trials_reads_the_documented_stream():
+    # Every trial of one multi-trial call, the first and those after it,
+    # is bitwise its substream's restated stream.
+    trials = 8
     for cell in _cells():
-        k, m = cell.n_users, cell.n_antennas
-        for t in (0, 7):
-            rng = trial_rng(11, t)
-            u_pos, _, u_los = rng.random(k), rng.random(k), rng.random(k)
-            normals = rng.standard_normal(k) if cell.shadowing else None
-            re, im = rng.standard_normal((k, m)), rng.standard_normal((k, m))
-            d = _distances(cell, u_pos)
-            los = (u_los < los_probability(d) if cell.los_mode == "model"
-                   else np.full(k, cell.los_mode == "los"))
-            c = generate_channel(cell, trial_rng(11, t))
-            assert c.h.tobytes() == ((re + 1j * im) / np.sqrt(2.0)).tobytes(), (cell, t)
-            assert c.g.tobytes() == _gains(d, los, cell, normals).tobytes(), (cell, t)
-            assert np.array_equal(c.los, los), (cell, t)
+        u, z, h = _draw_buffers(cell, trials)
+        g, los = _draw_trials(cell, [trial_rng(11, t) for t in range(trials)], u, z, h)
+        for t in range(trials):
+            h_t, g_t, los_t = _restated_trial(cell, 11, t)
+            assert h[t].tobytes() == h_t.tobytes(), (cell, t)
+            assert g[t].tobytes() == g_t.tobytes(), (cell, t)
+            assert np.array_equal(los[t], los_t), (cell, t)
 
 
 def test_draw_memory_scales_with_the_block_not_the_trials():
@@ -263,7 +281,7 @@ def test_draw_memory_scales_with_the_block_not_the_trials():
 
 def test_fading_does_not_depend_on_the_los_mode():
     for shadowing in (True, False):
-        h = [generate_channel(CellConfig(n_users=4, n_antennas=32, los_mode=mode,
-                                         shadowing=shadowing), trial_rng(5, 2)).h
+        h = [_draw_one(CellConfig(n_users=4, n_antennas=32, los_mode=mode,
+                                  shadowing=shadowing), trial_rng(5, 2))[0]
              for mode in ("model", "los", "nlos")]
         assert np.array_equal(h[0], h[1]) and np.array_equal(h[1], h[2])

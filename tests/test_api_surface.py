@@ -1,11 +1,13 @@
 """The package's public surface: exported names exist, every exported
-function has a user, and the entry points the benchmark
-(perfbench/workloads.py) calls keep their keywords."""
+function has a user, the entry points the benchmark
+(perfbench/workloads.py) calls keep their keywords, and the README names
+only what exists."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import eesscoex
@@ -51,6 +53,16 @@ def test_all_names_resolve():
     for module in _modules():
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert not missing, (module.__name__, missing)
+
+
+def test_readme_api_references_resolve():
+    # Each `module.name` in the README whose module is a package submodule.
+    modules = {module.__name__.rpartition(".")[2]: module for module in _modules()}
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    refs = [(m, n) for m, n in re.findall(r"`(\w+)\.(\w+)`", text) if m in modules]
+    assert refs
+    missing = [f"{m}.{n}" for m, n in refs if not hasattr(modules[m], n)]
+    assert not missing
 
 
 def test_every_exported_function_has_a_user():

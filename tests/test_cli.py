@@ -133,6 +133,14 @@ def test_compliance_noncompliant_exit(capsys):
     assert not payload["compliant"]
 
 
+def test_compliance_in_the_passband_exits_2(capsys):
+    code, out, err = _run(capsys, ["compliance", "--guard", "25", "--eval-freq", "7.2"])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "error: evaluation frequency 7.2 GHz lies in the passband [7.15, 7.4] GHz; "
+        "the emission limit applies outside it"]
+
+
 def test_config_file_roundtrip(tmp_path, capsys):
     config = {"scenario": {"trials": 3, "seed": 11, "guard_mhz": 25.0},
               "cell": {"n_users": 4}}
@@ -322,6 +330,27 @@ def test_malformed_catalog_exits_2_naming_the_file(tmp_path, capsys, catalog, re
     code, out, err = _run(capsys, ["link-budget", "--sensor", "B5", "--catalog", str(path)])
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: {reason}")
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"scenario": {"guard_mhz": 10}, "scenario": {"max_demand_bps": 1e8}}', "scenario"),
+    ('{"scenario": {"guard_mhz": 10, "guard_mhz": 40}}', "guard_mhz"),
+])
+def test_config_file_duplicate_key_exits_2(tmp_path, capsys, text, key):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    code, out, err = _run(capsys, ["--config", str(path), "deploy", "--year", "2030"])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: {path}: duplicate key '{key}'"]
+
+
+def test_catalog_duplicate_key_exits_2(tmp_path, capsys):
+    row = json.dumps(BUNDLED_SENSORS[0])[:-1] + ', "sensor_id": "B9"}'
+    path = tmp_path / "cat.json"
+    path.write_text('{"sensors": [%s]}' % row)
+    code, out, err = _run(capsys, ["link-budget", "--sensor", "B5", "--catalog", str(path)])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: {path}: duplicate key 'sensor_id'"]
 
 
 NOT_UTF8 = (b"fips\xff\n", "'utf-8' codec can't decode byte 0xff in position 4")

@@ -177,6 +177,20 @@ def test_margin_zero_when_limit_equals_psd():
     assert edge_psd_margin(SPEC_25, -5.0, 7.1245, limit_dbm_mhz=psd) == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("f_ghz", [7.15, 7.2, 7.40])
+def test_edge_margin_rejects_a_passband_frequency(f_ghz):
+    with pytest.raises(ValueError, match=rf"^evaluation frequency {f_ghz} GHz lies in the "
+                                         r"passband \[7\.15, 7\.4\] GHz"):
+        edge_psd_margin(SPEC_25, -5.0, f_ghz)
+
+
+@pytest.mark.parametrize("f_ghz", [7.125, 7.1499, 7.4001, 7.5])
+def test_edge_margin_outside_the_passband_is_the_limit_less_the_psd(f_ghz):
+    # The guard band below the passband and the band above it stay legal.
+    psd = leaked_psd_dbm_per_mhz(SPEC_25, -5.0, f_ghz)
+    assert edge_psd_margin(SPEC_25, -5.0, f_ghz, limit_dbm_mhz=-13.0) == -13.0 - psd
+
+
 def test_edge_psd_rejects_nonfinite_power():
     with pytest.raises(ValueError):
         leaked_psd_dbm_per_mhz(SPEC_25, float("nan"), 7.1245)

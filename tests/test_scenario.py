@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from eesscoex import precoder, scenario
-from eesscoex.airlink import CellConfig, generate_channel, noise_power_w, trial_rng
+from eesscoex.airlink import CellConfig, _draw_buffers, _draw_trials, noise_power_w, trial_rng
 from eesscoex.precoder import RfiBudget, SinrTargets, sinr_target, solve_power_min
 from eesscoex.reports import emit_guard_sweep, emit_report, emit_rows
 from eesscoex.scenario import (
@@ -24,6 +24,15 @@ from eesscoex.scenario import (
     simulate,
     sweep_guard_bands,
 )
+
+UNCAPPED = RfiBudget(p_bs_w=math.inf)
+
+
+def _draw(cell, seed, trials):
+    """The (h, g) of trials 0 to `trials` - 1, drawn by `_draw_trials`."""
+    u, z, h = _draw_buffers(cell, trials)
+    g, _ = _draw_trials(cell, [trial_rng(seed, t) for t in range(trials)], u, z, h)
+    return h, g
 
 
 def test_config_band_invariants():
@@ -52,13 +61,12 @@ def test_config_validation():
 def test_mean_power_single_user_closed_form():
     cfg = ScenarioConfig(trials=10, seed=7, rate_bps=100e6)
     cell = CellConfig(n_users=1, n_antennas=16, shadowing=False, los_mode="los")
-    channels = [generate_channel(cell, trial_rng(cfg.seed, t)) for t in range(cfg.trials)]
+    h, g = _draw(cell, cfg.seed, cfg.trials)
     gamma = 2 ** (cfg.rate_bps / cfg.bandwidth_hz) - 1
     noise = noise_power_w(cell.noise_temp_k, cfg.bandwidth_hz)
-    expected = np.mean([
-        gamma * noise / (c.g[0] * np.linalg.norm(c.h[0]) ** 2) for c in channels
-    ])
-    result = mean_bs_power(cfg, cell)
+    expected = np.mean([gamma * noise / (g_t[0] * np.linalg.norm(h_t[0]) ** 2)
+                        for h_t, g_t in zip(h, g)])
+    result = mean_bs_power(cfg, cell, UNCAPPED)
     assert result.mean_p_w == pytest.approx(expected, rel=1e-9)
     assert result.infeasibility_rate == 0.0
     assert result.n_feasible == 10
@@ -70,21 +78,21 @@ def test_mean_power_single_user_closed_form():
     (500e6, RfiBudget(p_bs_w=1e-3)),  # tight: some trials infeasible
 ])
 def test_mean_power_equals_per_trial_reference(rate_bps, budget):
+    # A None budget is no cap.
+    budget = UNCAPPED if budget is None else budget
     cfg = ScenarioConfig(trials=12, seed=0, rate_bps=rate_bps)
     cell = CellConfig()
     gamma = 2 ** (cfg.rate_bps / cfg.bandwidth_hz) - 1
     noise = noise_power_w(cell.noise_temp_k, cfg.bandwidth_hz)
-    sols = []
-    for t in range(cfg.trials):
-        c = generate_channel(cell, trial_rng(cfg.seed, t))
-        sols.append(solve_power_min(c.h, c.g, SinrTargets.uniform(gamma, cell.n_users),
-                                    noise, budget=budget))
+    sols = [solve_power_min(h_t, g_t, SinrTargets.uniform(gamma, cell.n_users), noise,
+                            budget=budget)
+            for h_t, g_t in zip(*_draw(cell, cfg.seed, cfg.trials))]
     usable = [s.p_tx_w for s in sols if s.feasible and s.converged]
-    result = mean_bs_power(cfg, cell, budget=budget)
+    result = mean_bs_power(cfg, cell, budget)
     assert result.mean_p_w == float(np.array(usable).sum() / len(usable))
     assert result.n_feasible == len(usable)
     assert result.n_unconverged == sum(not s.converged for s in sols)
-    if budget is not None:
+    if budget is not UNCAPPED:
         assert 0 < len(usable) < cfg.trials
 
 
@@ -249,7 +257,7 @@ def test_zero_rate_reports_zero_power(monkeypatch, counties):
     monkeypatch.setattr(scenario, "_solve_grams", no_solve)
     monkeypatch.setattr(scenario, "draw_channels", no_solve)
     cfg = ScenarioConfig(trials=4, seed=0, rate_bps=0.0)
-    power = mean_bs_power(cfg, CellConfig())
+    power = mean_bs_power(cfg, CellConfig(), UNCAPPED)
     assert (power.mean_p_w, power.n_feasible, power.infeasibility_rate) == (0.0, 4, 0.0)
     report = simulate(cfg, counties=counties)
     for row in report.rows:
@@ -262,26 +270,25 @@ def test_zero_rate_reports_zero_power(monkeypatch, counties):
 def test_mean_power_same_seed_identical():
     cfg = ScenarioConfig(trials=5, seed=3)
     cell = CellConfig()
-    a = mean_bs_power(cfg, cell)
-    b = mean_bs_power(cfg, cell)
+    a = mean_bs_power(cfg, cell, UNCAPPED)
+    b = mean_bs_power(cfg, cell, UNCAPPED)
     assert a == b
 
 
 def test_mean_power_strictly_increasing_in_rate():
     cell = CellConfig()
-    channels = draw_channels(cell, 1, 20)
     means = []
     for rate in (100e6, 200e6, 400e6):
         cfg = ScenarioConfig(trials=20, seed=1, rate_bps=rate)
-        means.append(mean_bs_power(cfg, cell, channels=channels).mean_p_w)
+        means.append(mean_bs_power(cfg, cell, UNCAPPED).mean_p_w)
     assert means[0] < means[1] < means[2]
 
 
 def test_mean_power_parallel_identical():
     cfg = ScenarioConfig(trials=8, seed=5)
     cell = CellConfig()
-    serial = mean_bs_power(cfg, cell, n_jobs=1)
-    parallel = mean_bs_power(cfg, cell, n_jobs=2)
+    serial = mean_bs_power(cfg, cell, UNCAPPED, n_jobs=1)
+    parallel = mean_bs_power(cfg, cell, UNCAPPED, n_jobs=2)
     assert serial == parallel
 
 
@@ -310,12 +317,12 @@ def test_mean_power_workers_bounded_by_trials(monkeypatch):
     started = _inline_executor(monkeypatch)
     cfg = ScenarioConfig(trials=3, seed=5)
     cell = CellConfig()
-    sharded = mean_bs_power(cfg, cell, n_jobs=10_000)
+    sharded = mean_bs_power(cfg, cell, UNCAPPED, n_jobs=10_000)
     assert started == [3]
-    assert sharded == mean_bs_power(cfg, cell, n_jobs=1)
+    assert sharded == mean_bs_power(cfg, cell, UNCAPPED, n_jobs=1)
     assert started == [3]
     with pytest.raises(ValueError, match="n_jobs"):
-        mean_bs_power(cfg, cell, n_jobs=0)
+        mean_bs_power(cfg, cell, UNCAPPED, n_jobs=0)
 
 
 def test_mean_power_blocks_reduce_in_trial_order(monkeypatch):
@@ -323,8 +330,8 @@ def test_mean_power_blocks_reduce_in_trial_order(monkeypatch):
     cfg = ScenarioConfig(trials=20, seed=0, rate_bps=500e6)
     cell = CellConfig()
     budget = RfiBudget(p_bs_w=1e-3)  # tight: infeasible trials fall in several blocks
-    serial = mean_bs_power(cfg, cell, budget=budget, n_jobs=1)
-    sharded = mean_bs_power(cfg, cell, budget=budget, n_jobs=3)
+    serial = mean_bs_power(cfg, cell, budget, n_jobs=1)
+    sharded = mean_bs_power(cfg, cell, budget, n_jobs=3)
     assert started == [3]
     assert 0 < serial.n_feasible < cfg.trials
     assert repr(sharded) == repr(serial)
@@ -475,14 +482,13 @@ def test_rfi_grid_power_equals_mean_bs_power_of_each_point(monkeypatch, counties
     for (guard, rate), power in cache.items():
         point = replace(cfg, guard_mhz=float(guard), rate_bps=rate * 1e6)
         _, budget = scenario._sensor_geometries(sensors, scenario._geometry_key(point))
-        assert power == mean_bs_power(point, cell, budget=budget, channels=channels)
+        assert power == mean_bs_power(point, cell, budget)
 
 
 @pytest.mark.parametrize("call", [
-    lambda cfg, channels: mean_bs_power(cfg, CellConfig(), channels=channels),
     lambda cfg, channels: rfi_grid(cfg, GRID_YEARS, GRID_GUARDS, GRID_RATES,
                                    channels=channels),
-], ids=["mean_bs_power", "rfi_grid"])
+], ids=["rfi_grid"])
 def test_short_channel_stack_raises_before_any_solve(monkeypatch, call):
     def no_solve(*args, **kwargs):
         raise AssertionError("solved with too few channels")
@@ -535,7 +541,7 @@ def test_simulate_computes_once_per_dependency(monkeypatch, counties, clear_scen
 
 def test_simulate_cache_keys_are_values(counties, catalog, clear_scenario_caches):
     cfg = ScenarioConfig(trials=5, seed=1, year=2040)
-    power = mean_bs_power(cfg, CellConfig())
+    power = mean_bs_power(cfg, CellConfig(), UNCAPPED)
     base = simulate(cfg, counties=counties, power=power)
 
     # A county list edited in place: its worst county for B5 grows tenfold.
@@ -572,7 +578,7 @@ def test_simulate_cache_keys_are_values(counties, catalog, clear_scenario_caches
 
 def test_simulate_bad_inputs_raise_before_any_cache_entry(counties, scenario_caches):
     cfg = ScenarioConfig(trials=5, seed=1)
-    power = mean_bs_power(cfg, CellConfig())
+    power = mean_bs_power(cfg, CellConfig(), UNCAPPED)
     with pytest.raises(ValueError, match=r"^unknown sensor 'B9'; have \['B1', 'B3'"):
         simulate(replace(cfg, sensor_ids=("B5", "B9")), counties=counties, power=power)
     with pytest.raises(ValueError, match="^empty county record set$"):
