@@ -17,8 +17,8 @@ from ._fields import from_json, unique_keys
 from .adoption import scenario_penetration
 from .airlink import CellConfig
 from .deployment import ingest_counties, load_bundled_counties
-from .filterbank import (DEFAULT_SPURIOUS_LIMIT_DBM_MHZ, EDGE_EVAL_FREQ_GHZ, edge_psd_margin,
-                         leaked_psd_dbm_per_mhz)
+from .filterbank import (DEFAULT_SPURIOUS_LIMIT_DBM_MHZ, EDGE_EVAL_FREQ_GHZ,
+                         _check_out_of_band, leaked_psd_dbm_per_mhz)
 from .linkbudget import (DEFAULT_EVAL_FREQ_GHZ, build_link_budget, load_sensor_catalog,
                          lookup_sensor)
 from .reports import _json_safe, emit_guard_sweep, emit_report, emit_rows, format_row, row_dict
@@ -242,8 +242,10 @@ def _cmd_sweep_guard(args, cfg, cell):
 
 def _cmd_compliance(args, cfg, cell):
     spec = cfg.filter_spec
+    # edge_psd_margin's check and expression, over the one PSD that is reported.
+    _check_out_of_band(spec, args.eval_freq)
     psd = leaked_psd_dbm_per_mhz(spec, cfg.p_bs_dbw, args.eval_freq)
-    margin = edge_psd_margin(spec, cfg.p_bs_dbw, args.eval_freq, limit_dbm_mhz=args.limit)
+    margin = float(args.limit - psd)
     out = {
         "p_tx_dbw": cfg.p_bs_dbw,
         "guard_mhz": cfg.guard_mhz,
@@ -349,7 +351,7 @@ def main(argv=None) -> int:
         if args.out_dir and args.command in _PRINT_ONLY:
             raise ValueError(f"--out-dir: {args.command} writes no files")
         return args.func(args, *_build_configs(args))
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # sizes past the machine: --trials, n_antennas, n_users

@@ -99,15 +99,36 @@ class LeakageProfile:
         return float(10.0 * np.log10(self.delta)) if self.delta > 0 else float("-inf")
 
 
-def _chebyshev_magnitude(order: int, x: np.ndarray) -> np.ndarray:
-    """|T_n(x)| via the trig/hyperbolic forms (stable for large |x|)."""
-    x = np.abs(x)
-    out = np.empty_like(x)
-    inband = x <= 1.0
-    out[inband] = np.abs(np.cos(order * np.arccos(x[inband])))
-    with np.errstate(over="ignore"):
-        out[~inband] = np.cosh(order * np.arccosh(x[~inband]))
-    return out
+def _response_into(spec: FilterSpec, f: np.ndarray, out: np.ndarray,
+                   work: np.ndarray) -> np.ndarray:
+    """|H(f)|^2 at the positive frequencies `f` (GHz), written into `out`
+    with `work` as scratch (float arrays shaped like `f`); returns `out`.
+
+    |T_n(x)| takes the trig form in band and the hyperbolic form outside it
+    (stable for large |x|).  The products keep the order of the expression
+    `1 / (1 + eps2 * t * t)`, that is `(eps2 * t) * t`: `eps2 * (t * t)`
+    would move the last bits of every leakage fraction.
+    """
+    f0 = spec.center_ghz
+    eps2 = 10.0 ** (spec.ripple_db / 10.0) - 1.0
+    with np.errstate(over="ignore"):  # far out of band the response falls to 0
+        x = np.divide(f, f0, out=out)
+        np.subtract(x, np.divide(f0, f, out=work), out=x)
+        np.divide(x, spec.fractional_bandwidth, out=x)
+        np.abs(x, out=x)
+        t = work
+        band = np.less_equal(x, 1.0)
+        np.arccos(x, out=t, where=band)
+        np.multiply(spec.order, t, out=t, where=band)
+        np.cos(t, out=t, where=band)
+        np.abs(t, out=t, where=band)
+        band = np.logical_not(band, out=band)
+        np.arccosh(x, out=t, where=band)
+        np.multiply(spec.order, t, out=t, where=band)
+        np.cosh(t, out=t, where=band)
+        resp = np.multiply(np.multiply(eps2, t, out=out), t, out=out)
+        np.add(1.0, resp, out=resp)
+        return np.divide(1.0, resp, out=resp)
 
 
 def power_response(spec: FilterSpec, f_ghz):
@@ -121,12 +142,7 @@ def power_response(spec: FilterSpec, f_ghz):
     f = np.atleast_1d(f)
     if np.any(f <= 0):
         raise ValueError("frequencies must be positive")
-    f0 = spec.center_ghz
-    eps2 = 10.0 ** (spec.ripple_db / 10.0) - 1.0
-    with np.errstate(over="ignore"):  # far out of band the response falls to 0
-        omega = (f / f0 - f0 / f) / spec.fractional_bandwidth
-        t = _chebyshev_magnitude(spec.order, omega)
-        resp = 1.0 / (1.0 + eps2 * t * t)
+    resp = _response_into(spec, f, np.empty_like(f), np.empty_like(f))
     return float(resp[0]) if scalar else resp
 
 
@@ -175,7 +191,15 @@ def leakage_fraction(spec: FilterSpec, window: VictimWindow,
     step_ghz = spec.grid_step_mhz / 1e3
     n = max(int(np.ceil((window.f_high_ghz - window.f_low_ghz) / step_ghz)), 1)
     freqs = np.linspace(window.f_low_ghz, window.f_high_ghz, n + 1)
-    integral_ghz = np.trapezoid(power_response(spec, freqs), freqs)
+    resp, work = np.empty_like(freqs), np.empty_like(freqs)
+    _response_into(spec, freqs, resp, work)
+    # np.trapezoid(resp, freqs) in numpy's own order, sum((diff(freqs) *
+    # (resp[1:] + resp[:-1])) / 2.0), so bitwise the same, but through the
+    # two buffers instead of a fresh grid-sized temporary per step.
+    pair_sum = np.add(resp[1:], resp[:-1], out=work[:n])
+    area = np.subtract(freqs[1:], freqs[:-1], out=resp[:n])
+    np.multiply(area, pair_sum, out=area)
+    integral_ghz = np.divide(area, 2.0, out=area).sum()
     delta = float(integral_ghz * 1e3 / bs_bandwidth_mhz)
     return LeakageProfile(delta=delta)
 
@@ -193,6 +217,16 @@ def leaked_psd_dbm_per_mhz(spec: FilterSpec, p_tx_dbw: float, f_ghz: float) -> f
         return float(inband_psd + 10.0 * np.log10(power_response(spec, f_ghz)))
 
 
+def _check_out_of_band(spec: FilterSpec, eval_f_ghz: float) -> None:
+    """Raise ValueError for an evaluation frequency inside the passband."""
+    if spec.passband_low_ghz <= eval_f_ghz <= spec.passband_high_ghz:
+        raise ValueError(
+            f"evaluation frequency {eval_f_ghz} GHz lies in the passband "
+            f"[{spec.passband_low_ghz}, {spec.passband_high_ghz}] GHz; the emission "
+            "limit applies outside it"
+        )
+
+
 def edge_psd_margin(spec: FilterSpec, p_tx_dbw: float, eval_f_ghz: float,
                     limit_dbm_mhz: float = DEFAULT_SPURIOUS_LIMIT_DBM_MHZ) -> float:
     """Margin of the leaked PSD against an emission limit (positive = compliant).
@@ -200,11 +234,6 @@ def edge_psd_margin(spec: FilterSpec, p_tx_dbw: float, eval_f_ghz: float,
     The limit applies outside the passband; in band there is no leakage to
     judge, so a frequency there raises ValueError.
     """
-    if spec.passband_low_ghz <= eval_f_ghz <= spec.passband_high_ghz:
-        raise ValueError(
-            f"evaluation frequency {eval_f_ghz} GHz lies in the passband "
-            f"[{spec.passband_low_ghz}, {spec.passband_high_ghz}] GHz; the emission "
-            "limit applies outside it"
-        )
+    _check_out_of_band(spec, eval_f_ghz)
     psd = leaked_psd_dbm_per_mhz(spec, p_tx_dbw, eval_f_ghz)
     return float(limit_dbm_mhz - psd)

@@ -29,6 +29,7 @@ penetration and demand sizing.  Each cache is bounded and holds immutable
 values, so reports are unchanged by which points ran before.
 """
 
+import copy
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -423,6 +424,31 @@ def simulate(cfg: ScenarioConfig, cell: CellConfig = None, counties: list = None
     return RfiReport(config=header, rows=rows, worst_sensor_id=worst.sensor_id)
 
 
+def _grid_points(cfg: ScenarioConfig, years, guards_mhz, rates_mbps) -> dict:
+    """`replace(cfg, guard_mhz=float(guard), year=year, rate_bps=rate * 1e6)`
+    keyed (year, guard, rate), for every grid point, guard-major.
+
+    Each distinct axis value is checked once, by `replace` with that one
+    field, so a bad value raises the message it would at any point.  That
+    suffices: year, guard and rate enter no check across fields but the
+    guard's filter spec, which the guard's own `replace` builds.  Each point
+    is then a copy of `cfg` with the three checked values written in.
+    """
+    axes = (("year", years), ("guard_mhz", [float(guard) for guard in guards_mhz]),
+            ("rate_bps", [rate * 1e6 for rate in rates_mbps]))
+    for name, values in axes:
+        for value in dict.fromkeys(values):
+            replace(cfg, **{name: value})
+    points = {}
+    for guard in guards_mhz:
+        for year in years:
+            for rate in rates_mbps:
+                point = copy.copy(cfg)
+                vars(point).update(year=year, guard_mhz=float(guard), rate_bps=rate * 1e6)
+                points[(year, guard, rate)] = point
+    return points
+
+
 def rfi_grid(cfg: ScenarioConfig, years, guards_mhz, rates_mbps, *,
              cell: CellConfig = None, counties: list = None, catalog: dict = None,
              channels: np.ndarray = None, power_cache: dict = None) -> dict:
@@ -432,9 +458,7 @@ def rfi_grid(cfg: ScenarioConfig, years, guards_mhz, rates_mbps, *,
     kernel calls over one inversion of the stack and filled into it."""
     cell, counties, catalog, sensors = _inputs(cfg, cell, counties, catalog)
     power_cache = {} if power_cache is None else power_cache
-    points = {(year, guard, rate): replace(cfg, guard_mhz=float(guard), year=year,
-                                           rate_bps=rate * 1e6)
-              for guard in guards_mhz for year in years for rate in rates_mbps}
+    points = _grid_points(cfg, years, guards_mhz, rates_mbps)
     missing = {}
     for (_, guard, rate), point in points.items():
         if (guard, rate) not in power_cache and (guard, rate) not in missing:
@@ -495,10 +519,13 @@ def leakage_table(cfg: ScenarioConfig, orders, guards_mhz) -> list:
 
     Each fraction is normalized by the passband width `spec.bandwidth_mhz`;
     `cfg.bandwidth_hz / 1e6` is the same width but differs in the last bits,
-    which would change the table's digits.
+    which would change the table's digits.  Sensors that share a victim
+    window share its fractions: each distinct (order, guard, window) is
+    integrated once per call.
     """
     catalog = load_sensor_catalog()
     rows = []
+    profiles = {}
     for sid in cfg.sensor_ids:
         sensor = lookup_sensor(catalog, sid)
         for order in orders:
@@ -507,7 +534,10 @@ def leakage_table(cfg: ScenarioConfig, orders, guards_mhz) -> list:
                 spec = point.filter_spec
                 window = worst_victim_window(sensor.channel_span_ghz,
                                              point.ref_bandwidth_mhz, point.tn_band_ghz)
-                profile = leakage_fraction(spec, window, spec.bandwidth_mhz)
+                key = (order, float(guard), window)
+                if key not in profiles:
+                    profiles[key] = leakage_fraction(spec, window, spec.bandwidth_mhz)
+                profile = profiles[key]
                 rows.append({
                     "sensor_id": sid,
                     "order": order,

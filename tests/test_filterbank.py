@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from eesscoex.filterbank import (
     power_response,
     worst_victim_window,
 )
+from eesscoex.linkbudget import load_sensor_catalog
 from oracles import poly_power_response, simpson_delta
 
 SPEC_25 = FilterSpec(order=7, ripple_db=0.2, passband_low_ghz=7.15, passband_high_ghz=7.40)
@@ -204,3 +207,66 @@ def test_response_bounds_property(order, ripple, f):
     spec = FilterSpec(order=order, ripple_db=ripple)
     resp = power_response(spec, f)
     assert 0.0 <= resp <= 1.0 + 1e-12
+
+
+def _restated_response(spec, f):
+    """|H(f)|^2 as boolean-indexed numpy: the in-band and out-of-band
+    entries of |T_n| gathered, evaluated and scattered back."""
+    f0 = spec.center_ghz
+    eps2 = 10.0 ** (spec.ripple_db / 10.0) - 1.0
+    with np.errstate(over="ignore"):
+        x = np.abs((f / f0 - f0 / f) / spec.fractional_bandwidth)
+        t = np.empty_like(x)
+        inband = x <= 1.0
+        t[inband] = np.abs(np.cos(spec.order * np.arccos(x[inband])))
+        t[~inband] = np.cosh(spec.order * np.arccosh(x[~inband]))
+        return 1.0 / (1.0 + eps2 * t * t)
+
+
+def _restated_delta(spec, window, bs_bandwidth_mhz):
+    n = max(int(np.ceil((window.f_high_ghz - window.f_low_ghz)
+                        / (spec.grid_step_mhz / 1e3))), 1)
+    freqs = np.linspace(window.f_low_ghz, window.f_high_ghz, n + 1)
+    return float(np.trapezoid(_restated_response(spec, freqs), freqs) * 1e3
+                 / bs_bandwidth_mhz)
+
+
+@pytest.mark.parametrize("ripple_db", [0.01, 0.2, 10.0])
+@pytest.mark.parametrize("order", [1, 3, 7, 9, 50])
+def test_leakage_and_response_equal_the_restated_form_bitwise(order, ripple_db):
+    # At guard 0 a window touches the passband edge, so the in-band branch runs.
+    sensors = load_sensor_catalog().values()
+    freqs = np.linspace(6.5, 8.0, 3001)
+    for guard in (0.0, 0.1, 5.0, 25.0, 50.0):
+        spec = FilterSpec(order=order, ripple_db=ripple_db,
+                          passband_low_ghz=7.125 + guard / 1e3)
+        assert power_response(spec, freqs).tobytes() == _restated_response(spec, freqs).tobytes()
+        for sensor in sensors:
+            window = worst_victim_window(sensor.channel_span_ghz, 200.0,
+                                         (spec.passband_low_ghz, spec.passband_high_ghz))
+            delta = leakage_fraction(spec, window, spec.bandwidth_mhz).delta
+            assert delta == _restated_delta(spec, window, spec.bandwidth_mhz), (guard, sensor)
+
+
+def test_power_response_leaves_its_input_and_returns_a_float_for_a_scalar():
+    freqs = np.linspace(6.9, 7.6, 701)
+    before = freqs.copy()
+    power_response(SPEC_25, freqs)
+    assert np.array_equal(freqs, before)
+    resp = power_response(SPEC_25, 7.1245)
+    assert type(resp) is float
+    assert resp == _restated_response(SPEC_25, np.array([7.1245]))[0]
+
+
+def test_leakage_memory_is_a_few_grid_arrays():
+    # Peak traced memory of one warm call: the frequency grid and the two
+    # response buffers, not a temporary per step of the formula.
+    leakage_fraction(SPEC_25, B5_WINDOW, 250.0)
+    tracemalloc.start()
+    try:
+        leakage_fraction(SPEC_25, B5_WINDOW, 250.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grid_array = 20001 * np.dtype(float).itemsize  # 200 MHz at the 0.01 MHz step
+    assert peak < 4 * grid_array

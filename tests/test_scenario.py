@@ -7,8 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eesscoex import precoder, scenario
+from eesscoex import filterbank, precoder, scenario
 from eesscoex.airlink import CellConfig, _draw_buffers, _draw_trials, noise_power_w, trial_rng
+from eesscoex.filterbank import worst_victim_window
+from eesscoex.linkbudget import load_sensor_catalog
 from eesscoex.precoder import RfiBudget, SinrTargets, sinr_target, solve_power_min
 from eesscoex.reports import emit_guard_sweep, emit_report, emit_rows
 from eesscoex.scenario import (
@@ -587,22 +589,51 @@ def test_simulate_bad_inputs_raise_before_any_cache_entry(counties, scenario_cac
     assert all(cache.cache_info().currsize == 0 for cache in scenario_caches)
 
 
-@pytest.mark.parametrize("call", [
-    lambda cfg, **kw: simulate(cfg, **kw),
-    lambda cfg, **kw: rfi_grid(cfg, GRID_YEARS, GRID_GUARDS, GRID_RATES, **kw),
-    lambda cfg, **kw: max_feasible_rate(cfg, **kw),
-], ids=["simulate", "rfi_grid", "max_feasible_rate"])
-@pytest.mark.parametrize("sensor_ids, no_counties, message", [
-    (scenario.SENSOR_IDS, True, "^empty county record set$"),
-    (("B5", "B9"), False, "^unknown sensor 'B9'"),
-], ids=["no-counties", "unknown-sensor"])
-def test_bad_inputs_raise_before_any_draw_or_power_batch(monkeypatch, counties, call,
-                                                         sensor_ids, no_counties, message):
+_GRID = (GRID_YEARS, GRID_GUARDS, GRID_RATES)
+_CALLS = {
+    "simulate": lambda cfg, axes, **kw: simulate(cfg, **kw),
+    "rfi_grid": lambda cfg, axes, **kw: rfi_grid(cfg, *axes, **kw),
+    "max_feasible_rate": lambda cfg, axes, **kw: max_feasible_rate(cfg, axes[2], **kw),
+    "sweep_guard_bands": lambda cfg, axes, **kw: sweep_guard_bands(cfg, *axes, **kw),
+}
+# (id, sensor ids, no counties, grid axes, message, the calls that take the bad value)
+_BAD_INPUTS = [
+    ("no-counties", scenario.SENSOR_IDS, True, _GRID, "^empty county record set$", _CALLS),
+    ("unknown-sensor", ("B5", "B9"), False, _GRID, "^unknown sensor 'B9'", _CALLS),
+    ("guard-60", scenario.SENSOR_IDS, False, (GRID_YEARS, (*GRID_GUARDS, 60.0), GRID_RATES),
+     r"^'guard_mhz' must be <= 50, got 60\.0$", ("rfi_grid", "sweep_guard_bands")),
+    ("year-2200", scenario.SENSOR_IDS, False, ((*GRID_YEARS, 2200), GRID_GUARDS, GRID_RATES),
+     r"^'year' must be <= 2100, got 2200$", ("rfi_grid", "sweep_guard_bands")),
+    ("rate-minus-1", scenario.SENSOR_IDS, False, (GRID_YEARS, GRID_GUARDS, (*GRID_RATES, -1)),
+     r"^'rate_bps' must be >= 0, got -1000000\.0$", ("rfi_grid", "max_feasible_rate",
+                                                      "sweep_guard_bands")),
+]
+
+
+@pytest.mark.parametrize("call, sensor_ids, no_counties, axes, message", [
+    pytest.param(_CALLS[name], sensor_ids, no_counties, axes, message, id=f"{case}-{name}")
+    for case, sensor_ids, no_counties, axes, message, names in _BAD_INPUTS for name in names])
+def test_bad_inputs_raise_before_any_draw_or_power_batch(monkeypatch, counties, scenario_caches,
+                                                         call, sensor_ids, no_counties, axes,
+                                                         message):
     counts = _count_calls(monkeypatch, ("draw_channels", "mean_bs_power", "_solve_grams"))
     cfg = ScenarioConfig(trials=5, seed=1, sensor_ids=sensor_ids)
     with pytest.raises(ValueError, match=message):
-        call(cfg, counties=[] if no_counties else counties)
+        call(cfg, axes, counties=[] if no_counties else counties)
     assert counts == {"draw_channels": 0, "mean_bs_power": 0, "_solve_grams": 0}
+    assert all(cache.cache_info().currsize == 0 for cache in scenario_caches)
+
+
+def test_rfi_grid_points_equal_the_replaced_config():
+    cfg = ScenarioConfig(trials=5, seed=1, adoption_factor=1.5, filter_order=5)
+    before = replace(cfg)
+    points = scenario._grid_points(cfg, GRID_YEARS, GRID_GUARDS, GRID_RATES)
+    assert list(points) == [(year, guard, rate) for guard in GRID_GUARDS
+                            for year in GRID_YEARS for rate in GRID_RATES]
+    for (year, guard, rate), point in points.items():
+        assert type(point) is ScenarioConfig
+        assert point == replace(cfg, guard_mhz=float(guard), year=year, rate_bps=rate * 1e6)
+    assert cfg == before
 
 
 def test_rfi_grid_reads_and_fills_power_cache(monkeypatch, counties):
@@ -661,6 +692,23 @@ def test_max_feasible_rate_cap_with_infinite_threshold(counties):
 def test_max_feasible_rate_zero_when_hopeless(counties):
     cfg = ScenarioConfig(trials=5, seed=1, threshold_dbw=-400.0)
     assert max_feasible_rate(cfg, counties=counties) == 0
+
+
+def test_leakage_table_integrates_each_distinct_window_once(monkeypatch):
+    # B1, B3, B4 and B7 share one victim window, so 2 x 4 orders x 11 guards.
+    counts = _count_calls(monkeypatch, ("leakage_fraction",))
+    cfg = ScenarioConfig()
+    rows = leakage_table(cfg, scenario.LEAKAGE_ORDERS, scenario.GUARD_GRID_MHZ)
+    assert counts == {"leakage_fraction": 2 * 4 * 11}
+    assert len(rows) == 5 * 4 * 11
+    catalog = load_sensor_catalog()
+    for row in rows:
+        point = replace(cfg, guard_mhz=row["guard_mhz"], filter_order=row["order"])
+        spec = point.filter_spec
+        window = worst_victim_window(catalog[row["sensor_id"]].channel_span_ghz,
+                                     point.ref_bandwidth_mhz, point.tn_band_ghz)
+        assert row["delta"] == filterbank.leakage_fraction(spec, window,
+                                                           spec.bandwidth_mhz).delta
 
 
 def test_leakage_table_rows():
