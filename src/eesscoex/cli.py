@@ -16,7 +16,7 @@ import sys
 from ._fields import from_json, unique_keys
 from .adoption import scenario_penetration
 from .airlink import CellConfig
-from .deployment import ingest_counties, load_bundled_counties
+from .deployment import build_snapshot, ingest_counties, load_bundled_counties
 from .filterbank import (DEFAULT_SPURIOUS_LIMIT_DBM_MHZ, EDGE_EVAL_FREQ_GHZ,
                          _check_out_of_band, leaked_psd_dbm_per_mhz)
 from .linkbudget import (DEFAULT_EVAL_FREQ_GHZ, build_link_budget, load_sensor_catalog,
@@ -27,7 +27,6 @@ from .scenario import (
     GUARD_GRID_MHZ,
     LEAKAGE_ORDERS,
     ScenarioConfig,
-    deployment_snapshot,
     leakage_table,
     simulate,
     sweep_guard_bands,
@@ -194,20 +193,28 @@ def _cmd_adoption(args, cfg, cell):
 
 def _cmd_deploy(args, cfg, cell):
     records = _counties(args)
-    snapshot = deployment_snapshot(cfg, records)
-    by_fips = {r.fips: r for r in records}
+    header = {
+        "year": cfg.year,
+        "adoption_factor": cfg.adoption_factor,
+        "penetration_per_100": scenario_penetration(
+            cfg.year, cfg.adoption_factor, use_published=cfg.use_published_penetration),
+        "rate_bps": cfg.max_demand_bps,
+        "eta_bps_per_hz": cfg.eta_bps_per_hz,
+        "bandwidth_hz": cfg.bandwidth_hz,
+    }
+    snapshot = build_snapshot(records, cfg.max_demand_bps, cfg.eta_bps_per_hz,
+                              cfg.bandwidth_hz, header["penetration_per_100"])
     rows = [
         {
-            "fips": fips,
-            "name": by_fips[fips].name,
-            "state": by_fips[fips].state,
-            "population": by_fips[fips].population,
-            "land_area_km2": by_fips[fips].land_area_km2,
-            "n_bs": count,
+            "fips": record.fips,
+            "name": record.name,
+            "state": record.state,
+            "population": record.population,
+            "land_area_km2": record.land_area_km2,
+            "n_bs": n_bs,
         }
-        for fips, count in snapshot.counts.items()
+        for record, n_bs in snapshot
     ]
-    header = {k: v for k, v in vars(snapshot).items() if k != "counts"}
     if args.out_dir:
         _print_json(emit_rows(rows, args.out_dir, "deployment", header=header))
     else:

@@ -19,7 +19,6 @@ __all__ = [
     "RowDiagnostic",
     "CountyIngest",
     "IngestError",
-    "DeploymentSnapshot",
     "ingest_counties",
     "load_bundled_counties",
     "bs_count",
@@ -74,15 +73,24 @@ def _read_csv(path) -> csv.DictReader:
 
 
 def _read_gazetteer(path) -> dict:
+    """FIPS -> land area of each well-formed row; a FIPS listed twice aborts,
+    since which of its areas is meant cannot be told."""
     areas = {}
+    seen = {}
     reader = _read_csv(path)
     if reader.fieldnames is None or "fips" not in reader.fieldnames:
         raise IngestError(f"{path}: gazetteer must have a 'fips' column")
-    for row in reader:
+    for line, row in enumerate(reader, start=2):
         try:
-            areas[row["fips"].strip().zfill(5)] = float(row["land_area_km2"])
+            fips = row["fips"].strip().zfill(5)
+            area = float(row["land_area_km2"])
         except (KeyError, TypeError, ValueError):
             continue
+        if fips in seen:
+            raise IngestError(f"{path}: duplicate FIPS {fips} at line {line} "
+                              f"(first seen at line {seen[fips]})")
+        seen[fips] = line
+        areas[fips] = area
     return areas
 
 
@@ -92,7 +100,7 @@ def ingest_counties(county_csv, gazetteer_csv) -> CountyIngest:
     Schema: county CSV fips,name,state,rucc_code,population; gazetteer
     CSV fips,land_area_km2.  Malformed rows and rows without a gazetteer
     area are rejected with per-line diagnostics; non-metro rows (RUCC
-    4-9) are filtered; a duplicate FIPS aborts the ingest.
+    4-9) are filtered; a FIPS that either file lists twice aborts the ingest.
     """
     areas = _read_gazetteer(gazetteer_csv)
     records = []
@@ -171,50 +179,26 @@ def _footprint_count(n_bs, a_sat_km2, a_county_km2):
     return floor(min(a_sat_km2, a_county_km2) / a_county_km2 * n_bs)
 
 
-@dataclass(frozen=True)
-class DeploymentSnapshot:
-    """Per-county BS counts for one (year, scenario, demand) configuration."""
-
-    year: int
-    adoption_factor: float
-    penetration_per_100: float
-    rate_bps: float
-    eta_bps_per_hz: float
-    bandwidth_hz: float
-    counts: dict  # fips -> n_bs, insertion-ordered by FIPS
+def build_snapshot(records, rate_bps: float, eta_bps_per_hz: float, bandwidth_hz: float,
+                   penetration_per_100: float) -> tuple:
+    """Deterministic (record, BS count) pairs for one configuration, in FIPS order."""
+    return tuple((record, bs_count(record, penetration_per_100, rate_bps, eta_bps_per_hz,
+                                   bandwidth_hz))
+                 for record in sorted(records, key=lambda r: r.fips))
 
 
-def build_snapshot(records, year: int, adoption_factor: float, rate_bps: float,
-                   eta_bps_per_hz: float, bandwidth_hz: float,
-                   penetration_per_100: float) -> DeploymentSnapshot:
-    """Deterministic per-county BS counts for one configuration."""
-    counts = {}
-    for record in sorted(records, key=lambda r: r.fips):
-        counts[record.fips] = bs_count(record, penetration_per_100, rate_bps,
-                                       eta_bps_per_hz, bandwidth_hz)
-    return DeploymentSnapshot(
-        year=year,
-        adoption_factor=adoption_factor,
-        penetration_per_100=penetration_per_100,
-        rate_bps=rate_bps,
-        eta_bps_per_hz=eta_bps_per_hz,
-        bandwidth_hz=bandwidth_hz,
-        counts=counts,
-    )
-
-
-def worst_case_footprint(records, snapshot: DeploymentSnapshot, sensor):
+def worst_case_footprint(snapshot, sensor):
     """County maximizing the footprint BS count for a sensor; ties to lowest FIPS.
 
-    Record areas, the sensor's footprint area and the snapshot's counts are
-    checked where they are made, so the count is taken unchecked."""
+    `snapshot` holds `build_snapshot`'s FIPS-ordered pairs, so the first
+    strict maximum is the lowest FIPS.  Record areas, the sensor's footprint
+    area and the counts are checked where they are made, so the count is
+    taken unchecked."""
     best = None
     a_sat = sensor.footprint_area_km2
-    counts = snapshot.counts
-    for record in records:
-        count = _footprint_count(counts[record.fips], a_sat, record.land_area_km2)
-        if (best is None or count > best[1]
-                or (count == best[1] and record.fips < best[0].fips)):
+    for record, n_bs in snapshot:
+        count = _footprint_count(n_bs, a_sat, record.land_area_km2)
+        if best is None or count > best[1]:
             best = (record, count)
     if best is None:
         raise ValueError("empty county record set")

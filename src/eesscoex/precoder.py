@@ -1,8 +1,9 @@
 """RFI-aware minimum-power downlink beamforming under perfect CSI.
 
-Solves min sum_k ||w_k||^2 subject to per-user SINR targets and an
-optional transmit-power budget that folds the satellite-interference cap
-into min(P_BS, I_sat,max / (g_sat * delta)).  The solver runs the
+Solves min sum_k ||w_k||^2 subject to per-user SINR targets.  The kernel
+also holds each solution against a power cap: `RfiBudget` folds the
+satellite-interference cap into min(P_BS, I_sat,max / (g_sat * delta)),
+which the scenario's power batches pass as the cap.  The solver runs the
 uplink-downlink duality fixed point with MMSE beam directions and an
 exact downlink power rescaling, so every feasible solution meets its
 targets with equality; the uplink/downlink power match serves as the
@@ -188,16 +189,15 @@ def _solve_grams(inv_grams, gam, noise_w, p_max_w) -> tuple:
 
 
 def solve_power_min(h: np.ndarray, g: np.ndarray, targets: SinrTargets,
-                    noise_w: float, budget: RfiBudget = None) -> PrecodeSolution:
-    """Minimum-power beamformers hitting every SINR target with equality.
+                    noise_w: float) -> PrecodeSolution:
+    """Minimum-power beamformers hitting every SINR target with equality,
+    under no power cap: a solution is feasible when the fixed point converges.
 
     Args:
         h: (K, N) small-scale channel rows h_k.
         g: (K,) large-scale linear gains.
         targets: per-user linear SINR targets.
         noise_w: receiver noise power sigma^2.
-        budget: optional power budget; when the unconstrained optimum
-            exceeds it the solution is returned with feasible=False.
     """
     h = np.asarray(h)
     g = np.asarray(g, dtype=float)
@@ -219,10 +219,9 @@ def solve_power_min(h: np.ndarray, g: np.ndarray, targets: SinrTargets,
 
     h_eff = h[active] * np.sqrt(g[active])[:, None]
     gram = h_eff.conj() @ h_eff.T  # G[k, j] = h_k^H h_j over the active users
-    p_max_w = budget.p_sum_max_w if budget is not None else np.inf
     p_tx, feasible, converged, iterations, q, p, coeffs = (
         out[0] for out in _solve_grams(np.linalg.inv(gram)[None], gamma[active], noise_w,
-                                       p_max_w))
+                                       np.inf))
     p_tx = float(p_tx)
     duality_gap = abs(p_tx - float(np.sum(q))) / max(p_tx, 1e-300)
 

@@ -55,7 +55,6 @@ __all__ = [
     "RfiReport",
     "GuardSweepRow",
     "draw_channels",
-    "deployment_snapshot",
     "mean_bs_power",
     "aggregate_rfi_dbw",
     "simulate",
@@ -362,23 +361,16 @@ def _penetration(cfg: ScenarioConfig) -> float:
                                 use_published=cfg.use_published_penetration)
 
 
-def deployment_snapshot(cfg: ScenarioConfig, counties: list):
-    """Per-county BS counts sized for the config's peak demand `max_demand_bps`."""
-    return build_snapshot(counties, cfg.year, cfg.adoption_factor,
-                          cfg.max_demand_bps, cfg.eta_bps_per_hz,
-                          cfg.bandwidth_hz, penetration_per_100=_penetration(cfg))
-
-
 @functools.lru_cache(maxsize=256)
 def _footprints(counties: tuple, sensors: tuple, penetration: float,
                 max_demand_bps: float, eta_bps_per_hz: float, bandwidth_hz: float) -> tuple:
     """Each sensor's worst-case (county, BS count), computed once per process
     for each distinct value of what the counts depend on.  Year and adoption
-    factor reach the counts only through the penetration, so the snapshot
-    carries neither and points that share a penetration share an entry."""
-    snapshot = build_snapshot(counties, None, None, max_demand_bps, eta_bps_per_hz,
-                              bandwidth_hz, penetration_per_100=penetration)
-    return tuple(worst_case_footprint(counties, snapshot, sensor) for sensor in sensors)
+    factor reach the counts only through the penetration, so points that
+    share a penetration share an entry."""
+    snapshot = build_snapshot(counties, max_demand_bps, eta_bps_per_hz, bandwidth_hz,
+                              penetration_per_100=penetration)
+    return tuple(worst_case_footprint(snapshot, sensor) for sensor in sensors)
 
 
 def simulate(cfg: ScenarioConfig, cell: CellConfig = None, counties: list = None,
@@ -501,12 +493,12 @@ def max_feasible_rate(cfg: ScenarioConfig, rate_grid_mbps=RATE_GRID_MBPS,
 
 
 def sweep_guard_bands(cfg: ScenarioConfig, years=CANONICAL_YEARS,
-                      guards_mhz=GUARD_GRID_MHZ,
-                      rate_grid_mbps=RATE_GRID_MBPS, cell: CellConfig = None,
+                      guards_mhz=GUARD_GRID_MHZ, cell: CellConfig = None,
                       counties: list = None) -> list:
-    """Max feasible rate per (year, guard); wider guards shrink both the
-    leakage fraction and the usable bandwidth (raising BS counts)."""
-    grid = rfi_grid(cfg, years, guards_mhz, rate_grid_mbps, cell=cell, counties=counties)
+    """Max feasible `RATE_GRID_MBPS` rate per (year, guard); wider guards
+    shrink both the leakage fraction and the usable bandwidth (raising BS
+    counts)."""
+    grid = rfi_grid(cfg, years, guards_mhz, RATE_GRID_MBPS, cell=cell, counties=counties)
     best = _max_rates(grid, cfg.threshold_dbw)
     return [GuardSweepRow(year=year, guard_mhz=float(guard),
                           max_rate_mbps=best.get((year, guard), 0))

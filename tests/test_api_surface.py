@@ -1,11 +1,12 @@
 """The package's public surface: exported names exist, every exported
-function has a user, the entry points the benchmark
-(perfbench/workloads.py) calls keep their keywords, and the README names
-only what exists."""
+function has a user that also passes each of its defaulted parameters, the
+entry points the benchmark (perfbench/workloads.py) calls keep their
+keywords, and the README names only what exists."""
 
 import ast
 import importlib
 import inspect
+import math
 import pkgutil
 import re
 from pathlib import Path
@@ -65,16 +66,54 @@ def test_readme_api_references_resolve():
     assert not missing
 
 
+def _user_files():
+    """The package, the benchmark and the acceptance criteria: the code whose
+    use of a public name makes it API."""
+    return [*Path(eesscoex.__file__).parent.glob("*.py"), *(ROOT / "perfbench").rglob("*.py"),
+            ROOT / "tests" / "test_acceptance.py"]
+
+
+def _exported_functions():
+    for module in _modules():
+        for name in getattr(module, "__all__", ()):
+            if inspect.isfunction(getattr(module, name)):
+                yield f"{module.__name__}.{name}", name, getattr(module, name)
+
+
 def test_every_exported_function_has_a_user():
     # A command, a report, the benchmark or an acceptance criterion must
     # reach each public function; a name only unit tests call is not API.
-    files = [*Path(eesscoex.__file__).parent.glob("*.py"), *(ROOT / "perfbench").rglob("*.py"),
-             ROOT / "tests" / "test_acceptance.py"]
-    used = set().union(*map(_uses, files))
-    unused = [f"{module.__name__}.{name}" for module in _modules()
-              for name in getattr(module, "__all__", ())
-              if inspect.isfunction(getattr(module, name)) and name not in used]
+    used = set().union(*map(_uses, _user_files()))
+    unused = [qualname for qualname, name, _ in _exported_functions() if name not in used]
     assert not unused
+
+
+def _calls(path):
+    """(called name, positional argument count, keyword names) of each call in
+    a file; a `*` argument counts as every position, a `**` one as every keyword."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            keywords = {kw.arg for kw in node.keywords}
+            yield name, math.inf if starred else len(node.args), keywords
+
+
+def test_every_default_parameter_is_passed_by_a_user():
+    # A keyword that no command, report, benchmark or acceptance criterion
+    # sets has one value in use; it belongs in the function's body.
+    calls = [call for path in _user_files() for call in _calls(path)]
+    positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    unset = []
+    for qualname, name, function in _exported_functions():
+        for index, param in enumerate(inspect.signature(function).parameters.values()):
+            if param.default is param.empty:
+                continue
+            if not any(called == name and (param.name in keywords or None in keywords
+                                           or (param.kind in positional and n_args > index))
+                       for called, n_args, keywords in calls):
+                unset.append(f"{qualname}({param.name}=)")
+    assert not unset
 
 
 def test_scenario_keeps_benchmark_entry_points():

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 import eesscoex
 from eesscoex import scenario
+from eesscoex.adoption import scenario_penetration
 from eesscoex.cli import build_parser, main
+from eesscoex.deployment import bs_count, load_bundled_counties
 
 UNKNOWN_SENSOR = "error: unknown sensor 'B9'; have ['B1', 'B3', 'B4', 'B5', 'B7']"
 
@@ -212,6 +214,31 @@ def test_deploy_follows_config_penetration_flag(tmp_path, capsys):
     assert deployed == simulated == adopted == pytest.approx(9.0608, abs=1e-4)
 
 
+def test_deploy_report_is_the_config_and_each_county_count(tmp_path, capsys):
+    path = _write_config(tmp_path, {"scenario": {"use_published_penetration": False,
+                                                 "eta_bps_per_hz": 20}})
+    argv = ["--config", path, "deploy", "--year", "2037", "--guard", "40"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    payload = json.loads(out)
+    cfg = scenario.ScenarioConfig(year=2037, guard_mhz=40.0, eta_bps_per_hz=20.0,
+                                  use_published_penetration=False)
+    penetration = scenario_penetration(2037, cfg.adoption_factor, use_published=False)
+    assert payload["config"] == {
+        "year": 2037, "adoption_factor": cfg.adoption_factor,
+        "penetration_per_100": penetration, "rate_bps": cfg.max_demand_bps,
+        "eta_bps_per_hz": 20.0, "bandwidth_hz": cfg.bandwidth_hz}
+    records = sorted(load_bundled_counties().records, key=lambda r: r.fips)
+    assert payload["rows"] == [
+        {"fips": r.fips, "name": r.name, "state": r.state, "population": r.population,
+         "land_area_km2": r.land_area_km2,
+         "n_bs": bs_count(r, penetration, cfg.max_demand_bps, 20.0, cfg.bandwidth_hz)}
+        for r in records]
+    assert main(["--out-dir", str(tmp_path)] + argv) == 0
+    paths = json.loads(capsys.readouterr().out)
+    assert json.loads(open(paths["json"]).read()) == payload
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep-guard", "--guards", "0:50:0", "--trials", "2"],
     ["sweep-guard", "--guards", "0:50:-5", "--trials", "2"],
@@ -293,6 +320,16 @@ def _write_counties(tmp_path, areas):
     gaz.write_text("fips,land_area_km2\n" + "".join(
         f"{fips},{area}\n" for fips, area in zip(("06037", "53033"), areas)))
     return ["--counties", str(counties), "--gazetteer", str(gaz)]
+
+
+def test_duplicate_gazetteer_fips_exits_2_naming_the_gazetteer(tmp_path, capsys):
+    argv = ["deploy", "--year", "2030"] + _write_counties(tmp_path, ["10510.0", "5478.6"])
+    gaz = tmp_path / "g.csv"
+    gaz.write_text(gaz.read_text() + "06037,10\n")
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        f"error: {gaz}: duplicate FIPS 06037 at line 4 (first seen at line 2)"]
 
 
 @pytest.mark.parametrize("area", ["inf", "nan", "-inf", "0"])

@@ -61,6 +61,17 @@ def test_ingest_duplicate_fips_raises(tmp_path):
         ingest_counties(counties, gaz)
 
 
+@pytest.mark.parametrize("areas", [("10510.0", "10"), ("10", "10510.0")])
+def test_ingest_duplicate_gazetteer_fips_raises(tmp_path, areas):
+    counties = _write(tmp_path / "c.csv",
+                      "fips,name,state,rucc_code,population\n06037,Los Angeles,CA,1,10000000\n")
+    gaz = _write(tmp_path / "g.csv", "fips,land_area_km2\n" + "".join(
+        f"06037,{area}\n" for area in areas))
+    with pytest.raises(IngestError) as info:
+        ingest_counties(counties, gaz)
+    assert str(info.value) == f"{gaz}: duplicate FIPS 06037 at line 3 (first seen at line 2)"
+
+
 def test_ingest_malformed_row_diagnostic(tmp_path):
     counties = _write(tmp_path / "c.csv",
                       "fips,name,state,rucc_code,population\n"
@@ -127,53 +138,54 @@ def test_footprint_never_exceeds_bs_count(n, a_sat, a_county):
 
 
 def test_snapshot_deterministic(counties):
-    a = build_snapshot(counties, 2035, 1.0, 500e6, 50.0, 250e6, 10.0)
-    b = build_snapshot(counties, 2035, 1.0, 500e6, 50.0, 250e6, 10.0)
+    a = build_snapshot(counties, 500e6, 50.0, 250e6, 10.0)
+    b = build_snapshot(counties, 500e6, 50.0, 250e6, 10.0)
     assert a == b
-    assert list(a.counts) == sorted(a.counts)
+    assert [record.fips for record, _ in a] == sorted(record.fips for record in counties)
 
 
 def test_snapshot_monotone_in_year_rate_penetration(counties):
-    base = build_snapshot(counties, 2030, 1.0, 100e6, 50.0, 250e6, 1.0)
-    later = build_snapshot(counties, 2035, 1.0, 100e6, 50.0, 250e6, 10.0)
-    faster = build_snapshot(counties, 2030, 1.0, 500e6, 50.0, 250e6, 1.0)
-    for fips in base.counts:
-        assert later.counts[fips] >= base.counts[fips]
-        assert faster.counts[fips] >= base.counts[fips]
+    base = build_snapshot(counties, 100e6, 50.0, 250e6, 1.0)
+    later = build_snapshot(counties, 100e6, 50.0, 250e6, 10.0)
+    faster = build_snapshot(counties, 500e6, 50.0, 250e6, 1.0)
+    for (county, n), (_, n_later), (_, n_faster) in zip(base, later, faster):
+        assert n_later >= n and n_faster >= n, county.fips
 
 
 def test_worst_case_footprint_is_la(counties, catalog):
     for year in (2030, 2035, 2040):
         for rate in (100e6, 200e6, 300e6, 400e6, 500e6):
-            snapshot = build_snapshot(counties, year, 1.0, rate, 50.0, 250e6,
+            snapshot = build_snapshot(counties, rate, 50.0, 250e6,
                                       scenario_penetration(year, 1.0))
             for sid in catalog:
-                county, count = worst_case_footprint(counties, snapshot, catalog[sid])
+                county, count = worst_case_footprint(snapshot, catalog[sid])
                 assert county.fips == "06037", (year, rate, sid)
                 assert count > 0
 
 
 def test_worst_case_footprint_matches_argmax_oracle(counties, catalog):
-    snapshot = build_snapshot(counties, 2035, 1.0, 500e6, 50.0, 250e6, 10.0)
+    snapshot = build_snapshot(counties, 500e6, 50.0, 250e6, 10.0)
     sensor = catalog["B5"]
-    county, count = worst_case_footprint(counties, snapshot, sensor)
+    county, count = worst_case_footprint(snapshot, sensor)
+    counts = {record.fips: n for record, n in snapshot}
     best = max(
         counties,
-        key=lambda r: (_footprint_count(snapshot.counts[r.fips],
+        key=lambda r: (_footprint_count(counts[r.fips],
                                         sensor.footprint_area_km2,
                                         r.land_area_km2), -int(r.fips)),
     )
     assert county.fips == best.fips
-    assert count == _footprint_count(snapshot.counts[best.fips],
+    assert count == _footprint_count(counts[best.fips],
                                      sensor.footprint_area_km2, best.land_area_km2)
 
 
 def _worst_case_footprint_by_sorted_fips(records, snapshot, sensor):
     # The checked, sorted-FIPS scan worst_case_footprint replaced, kept as its reference.
     by_fips = {r.fips: r for r in records}
+    counts = {record.fips: n for record, n in snapshot}
     best = None
     for fips in sorted(by_fips):
-        count = _footprint_count(snapshot.counts[fips], sensor.footprint_area_km2,
+        count = _footprint_count(counts[fips], sensor.footprint_area_km2,
                                  by_fips[fips].land_area_km2)
         if best is None or count > best[1]:
             best = (by_fips[fips], count)
@@ -184,19 +196,20 @@ def test_worst_case_footprint_matches_sorted_scan_on_bundled_counties(counties, 
     for year in (2030, 2035, 2040):
         for factor in (0.5, 1.0, 1.5):
             for rate in (100e6, 200e6, 300e6, 400e6, 500e6):
-                snapshot = build_snapshot(counties, year, factor, rate, 50.0, 250e6,
-                                          scenario_penetration(year, factor))
+                penetration = scenario_penetration(year, factor)
+                snapshot = build_snapshot(counties, rate, 50.0, 250e6, penetration)
                 for sensor in catalog.values():
                     expected = _worst_case_footprint_by_sorted_fips(counties, snapshot, sensor)
                     for records in (counties, counties[::-1]):
-                        got = worst_case_footprint(records, snapshot, sensor)
+                        got = worst_case_footprint(
+                            build_snapshot(records, rate, 50.0, 250e6, penetration), sensor)
                         assert got == expected and got[0] is expected[0], (year, rate, sensor)
 
 
 def test_worst_case_single_county(catalog):
     records = [LA]
-    snapshot = build_snapshot(records, 2030, 1.0, 100e6, 50.0, 250e6, 1.0)
-    county, _ = worst_case_footprint(records, snapshot, catalog["B5"])
+    snapshot = build_snapshot(records, 100e6, 50.0, 250e6, 1.0)
+    county, _ = worst_case_footprint(snapshot, catalog["B5"])
     assert county.fips == "06037"
 
 
@@ -206,15 +219,15 @@ def test_worst_case_tie_breaks_to_lower_fips(catalog):
     b = CountyRecord(fips="10001", name="B", state="DE", rucc_code=1,
                      population=500_000, land_area_km2=1000.0)
     records = [a, b]
-    snapshot = build_snapshot(records, 2030, 1.0, 100e6, 50.0, 250e6, 1.0)
-    county, _ = worst_case_footprint(records, snapshot, catalog["B1"])
+    snapshot = build_snapshot(records, 100e6, 50.0, 250e6, 1.0)
+    county, _ = worst_case_footprint(snapshot, catalog["B1"])
     assert county.fips == "10001"
 
 
 def test_worst_case_empty_records(catalog):
-    snapshot = build_snapshot([], 2030, 1.0, 100e6, 50.0, 250e6, 1.0)
-    with pytest.raises(ValueError):
-        worst_case_footprint([], snapshot, catalog["B5"])
+    snapshot = build_snapshot([], 100e6, 50.0, 250e6, 1.0)
+    with pytest.raises(ValueError, match="^empty county record set$"):
+        worst_case_footprint(snapshot, catalog["B5"])
 
 
 def test_bundled_sample_sane():

@@ -4,6 +4,7 @@ import pytest
 from eesscoex.precoder import (
     RfiBudget,
     SinrTargets,
+    _solve_grams,
     sinr_target,
     solve_power_min,
 )
@@ -103,29 +104,35 @@ def test_scale_covariance():
 
 
 def test_budget_regimes():
+    # The cap applies where the scenario applies it: `RfiBudget.p_sum_max_w`
+    # is the kernel's per-problem cap.
     h, g, gammas = _instance(3, n=4, k=2)
-    unconstrained = solve_power_min(h, g, SinrTargets(gammas=gammas), 1e-11)
-    p_star = unconstrained.p_tx_w
+    h_eff = h * np.sqrt(g)[:, None]
+    inv_gram = np.linalg.inv(h_eff.conj() @ h_eff.T)[None]
+
+    def solve(budget):
+        p_tx, feasible = _solve_grams(inv_gram, np.array(gammas), 1e-11, budget.p_sum_max_w)[:2]
+        return float(p_tx[0]), bool(feasible[0])
+
+    p_star = solve_power_min(h, g, SinrTargets(gammas=gammas), 1e-11).p_tx_w
 
     # BS-limited: satellite cap above the hardware cap never binds.
     budget = RfiBudget(p_bs_w=2 * p_star, i_sat_max_w=1.0, g_sat_linear=1e-14, delta=1e-4)
-    sol = solve_power_min(h, g, SinrTargets(gammas=gammas), 1e-11, budget=budget)
-    assert sol.feasible and sol.p_tx_w == pytest.approx(p_star, rel=1e-12)
+    p_tx, feasible = solve(budget)
+    assert feasible and p_tx == pytest.approx(p_star, rel=1e-12)
 
     # RFI-limited and infeasible: optimum exceeds the satellite cap.
     tight = RfiBudget(p_bs_w=2 * p_star,
                       i_sat_max_w=0.4 * p_star * 1e-14 * 1e-4,
                       g_sat_linear=1e-14, delta=1e-4)
     assert tight.p_sum_max_w == pytest.approx(0.4 * p_star)
-    sol = solve_power_min(h, g, SinrTargets(gammas=gammas), 1e-11, budget=tight)
-    assert not sol.feasible
+    p_tx, feasible = solve(tight)
+    assert not feasible
     # diagnostics still carry the unconstrained optimum
-    assert sol.p_tx_w == pytest.approx(p_star, rel=1e-12)
+    assert p_tx == pytest.approx(p_star, rel=1e-12)
 
     # Feasible iff optimum within budget (boundary included).
-    boundary = RfiBudget(p_bs_w=p_star)
-    sol = solve_power_min(h, g, SinrTargets(gammas=gammas), 1e-11, budget=boundary)
-    assert sol.feasible
+    assert solve(RfiBudget(p_bs_w=p_star))[1]
 
 
 def test_budget_infinite_without_coupling():

@@ -86,10 +86,11 @@ def test_mean_power_equals_per_trial_reference(rate_bps, budget):
     cell = CellConfig()
     gamma = 2 ** (cfg.rate_bps / cfg.bandwidth_hz) - 1
     noise = noise_power_w(cell.noise_temp_k, cfg.bandwidth_hz)
-    sols = [solve_power_min(h_t, g_t, SinrTargets.uniform(gamma, cell.n_users), noise,
-                            budget=budget)
+    sols = [solve_power_min(h_t, g_t, SinrTargets.uniform(gamma, cell.n_users), noise)
             for h_t, g_t in zip(*_draw(cell, cfg.seed, cfg.trials))]
-    usable = [s.p_tx_w for s in sols if s.feasible and s.converged]
+    # The kernel's cap rule, on the uncapped solutions.
+    usable = [s.p_tx_w for s in sols
+              if s.converged and s.p_tx_w <= budget.p_sum_max_w * (1 + 1e-9)]
     result = mean_bs_power(cfg, cell, budget)
     assert result.mean_p_w == float(np.array(usable).sum() / len(usable))
     assert result.n_feasible == len(usable)
@@ -594,7 +595,7 @@ _CALLS = {
     "simulate": lambda cfg, axes, **kw: simulate(cfg, **kw),
     "rfi_grid": lambda cfg, axes, **kw: rfi_grid(cfg, *axes, **kw),
     "max_feasible_rate": lambda cfg, axes, **kw: max_feasible_rate(cfg, axes[2], **kw),
-    "sweep_guard_bands": lambda cfg, axes, **kw: sweep_guard_bands(cfg, *axes, **kw),
+    "sweep_guard_bands": lambda cfg, axes, **kw: sweep_guard_bands(cfg, *axes[:2], **kw),
 }
 # (id, sensor ids, no counties, grid axes, message, the calls that take the bad value)
 _BAD_INPUTS = [
@@ -605,8 +606,7 @@ _BAD_INPUTS = [
     ("year-2200", scenario.SENSOR_IDS, False, ((*GRID_YEARS, 2200), GRID_GUARDS, GRID_RATES),
      r"^'year' must be <= 2100, got 2200$", ("rfi_grid", "sweep_guard_bands")),
     ("rate-minus-1", scenario.SENSOR_IDS, False, (GRID_YEARS, GRID_GUARDS, (*GRID_RATES, -1)),
-     r"^'rate_bps' must be >= 0, got -1000000\.0$", ("rfi_grid", "max_feasible_rate",
-                                                      "sweep_guard_bands")),
+     r"^'rate_bps' must be >= 0, got -1000000\.0$", ("rfi_grid", "max_feasible_rate")),
 ]
 
 
