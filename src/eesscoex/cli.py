@@ -18,7 +18,7 @@ from .adoption import scenario_penetration
 from .airlink import CellConfig
 from .deployment import build_snapshot, ingest_counties, load_bundled_counties
 from .filterbank import (DEFAULT_SPURIOUS_LIMIT_DBM_MHZ, EDGE_EVAL_FREQ_GHZ,
-                         _check_out_of_band, leaked_psd_dbm_per_mhz)
+                         edge_psd_margin, leaked_psd_dbm_per_mhz)
 from .linkbudget import (DEFAULT_EVAL_FREQ_GHZ, build_link_budget, load_sensor_catalog,
                          lookup_sensor)
 from .reports import _json_safe, emit_guard_sweep, emit_report, emit_rows, format_row, row_dict
@@ -249,16 +249,13 @@ def _cmd_sweep_guard(args, cfg, cell):
 
 def _cmd_compliance(args, cfg, cell):
     spec = cfg.filter_spec
-    # edge_psd_margin's check and expression, over the one PSD that is reported.
-    _check_out_of_band(spec, args.eval_freq)
-    psd = leaked_psd_dbm_per_mhz(spec, cfg.p_bs_dbw, args.eval_freq)
-    margin = float(args.limit - psd)
+    margin = edge_psd_margin(spec, cfg.p_bs_dbw, args.eval_freq, args.limit)
     out = {
         "p_tx_dbw": cfg.p_bs_dbw,
         "guard_mhz": cfg.guard_mhz,
         "order": spec.order,
         "eval_freq_ghz": args.eval_freq,
-        "leaked_psd_dbm_per_mhz": psd,
+        "leaked_psd_dbm_per_mhz": leaked_psd_dbm_per_mhz(spec, cfg.p_bs_dbw, args.eval_freq),
         "limit_dbm_per_mhz": args.limit,
         "margin_db": margin,
         "compliant": margin >= 0,

@@ -61,31 +61,43 @@ class CountyIngest:
     n_nonmetro: int = 0
 
 
-def _read_csv(path) -> csv.DictReader:
-    """The rows of the UTF-8 CSV file `path`; text that is not UTF-8 raises an
-    IngestError naming the file."""
+def _read_csv(path, columns) -> list:
+    """(line, {column: field}) of each row of the UTF-8 CSV file `path`; text
+    that is not UTF-8, a header without every name in `columns`, or a row
+    with more or fewer fields than the header raises an IngestError naming
+    the file."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path}: {exc}") from None
-    return csv.DictReader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, [])
+    if not set(columns).issubset(header):
+        raise IngestError(f"{path}: header must contain {sorted(columns)}")
+    rows = []
+    for fields in reader:
+        if not fields:  # a blank line
+            continue
+        if len(fields) != len(header):
+            raise IngestError(f"{path}: field count {len(fields)} at line {reader.line_num}, "
+                              f"header has {len(header)}")
+        rows.append((reader.line_num, dict(zip(header, fields))))
+    return rows
 
 
 def _read_gazetteer(path) -> dict:
-    """FIPS -> land area of each well-formed row; a FIPS listed twice aborts,
-    since which of its areas is meant cannot be told."""
+    """FIPS -> land area of each row; a FIPS listed twice or an area that is
+    not a number aborts, since which area is meant cannot be told."""
     areas = {}
     seen = {}
-    reader = _read_csv(path)
-    if reader.fieldnames is None or "fips" not in reader.fieldnames:
-        raise IngestError(f"{path}: gazetteer must have a 'fips' column")
-    for line, row in enumerate(reader, start=2):
+    for line, row in _read_csv(path, ("fips", "land_area_km2")):
+        fips = row["fips"].strip().zfill(5)
         try:
-            fips = row["fips"].strip().zfill(5)
             area = float(row["land_area_km2"])
-        except (KeyError, TypeError, ValueError):
-            continue
+        except ValueError:
+            raise IngestError(f"{path}: land area {row['land_area_km2']!r} at line {line} "
+                              "is not a number") from None
         if fips in seen:
             raise IngestError(f"{path}: duplicate FIPS {fips} at line {line} "
                               f"(first seen at line {seen[fips]})")
@@ -100,23 +112,21 @@ def ingest_counties(county_csv, gazetteer_csv) -> CountyIngest:
     Schema: county CSV fips,name,state,rucc_code,population; gazetteer
     CSV fips,land_area_km2.  Malformed rows and rows without a gazetteer
     area are rejected with per-line diagnostics; non-metro rows (RUCC
-    4-9) are filtered; a FIPS that either file lists twice aborts the ingest.
+    4-9) are filtered.  A row whose field count differs from its header, a
+    gazetteer area that is not a number, or a FIPS that either file lists
+    twice aborts the ingest.
     """
     areas = _read_gazetteer(gazetteer_csv)
     records = []
     rejected = []
     seen = {}
     n_nonmetro = 0
-    reader = _read_csv(county_csv)
-    required = {"fips", "name", "state", "rucc_code", "population"}
-    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-        raise IngestError(f"{county_csv}: header must contain {sorted(required)}")
-    for line, row in enumerate(reader, start=2):
-        fips = (row.get("fips") or "").strip().zfill(5)
+    for line, row in _read_csv(county_csv, ("fips", "name", "state", "rucc_code", "population")):
+        fips = row["fips"].strip().zfill(5)
         try:
             rucc = int(row["rucc_code"])
             population = int(row["population"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             rejected.append(RowDiagnostic(line, f"malformed row: {exc}"))
             continue
         if fips in seen:
@@ -132,8 +142,8 @@ def ingest_counties(county_csv, gazetteer_csv) -> CountyIngest:
         try:
             record = CountyRecord(
                 fips=fips,
-                name=(row.get("name") or "").strip(),
-                state=(row.get("state") or "").strip(),
+                name=row["name"].strip(),
+                state=row["state"].strip(),
                 rucc_code=rucc,
                 population=population,
                 land_area_km2=areas[fips],

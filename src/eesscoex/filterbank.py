@@ -217,16 +217,6 @@ def leaked_psd_dbm_per_mhz(spec: FilterSpec, p_tx_dbw: float, f_ghz: float) -> f
         return float(inband_psd + 10.0 * np.log10(power_response(spec, f_ghz)))
 
 
-def _check_out_of_band(spec: FilterSpec, eval_f_ghz: float) -> None:
-    """Raise ValueError for an evaluation frequency inside the passband."""
-    if spec.passband_low_ghz <= eval_f_ghz <= spec.passband_high_ghz:
-        raise ValueError(
-            f"evaluation frequency {eval_f_ghz} GHz lies in the passband "
-            f"[{spec.passband_low_ghz}, {spec.passband_high_ghz}] GHz; the emission "
-            "limit applies outside it"
-        )
-
-
 def edge_psd_margin(spec: FilterSpec, p_tx_dbw: float, eval_f_ghz: float,
                     limit_dbm_mhz: float = DEFAULT_SPURIOUS_LIMIT_DBM_MHZ) -> float:
     """Margin of the leaked PSD against an emission limit (positive = compliant).
@@ -234,6 +224,11 @@ def edge_psd_margin(spec: FilterSpec, p_tx_dbw: float, eval_f_ghz: float,
     The limit applies outside the passband; in band there is no leakage to
     judge, so a frequency there raises ValueError.
     """
-    _check_out_of_band(spec, eval_f_ghz)
+    if spec.passband_low_ghz <= eval_f_ghz <= spec.passband_high_ghz:
+        raise ValueError(
+            f"evaluation frequency {eval_f_ghz} GHz lies in the passband "
+            f"[{spec.passband_low_ghz}, {spec.passband_high_ghz}] GHz; the emission "
+            "limit applies outside it"
+        )
     psd = leaked_psd_dbm_per_mhz(spec, p_tx_dbw, eval_f_ghz)
     return float(limit_dbm_mhz - psd)

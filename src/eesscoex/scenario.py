@@ -29,7 +29,6 @@ penetration and demand sizing.  Each cache is bounded and holds immutable
 values, so reports are unchanged by which points ran before.
 """
 
-import copy
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -229,13 +228,15 @@ def _mean_powers(cfg: ScenarioConfig, cell: CellConfig, batches: list,
                  channels: np.ndarray = None, n_jobs: int = 1) -> list:
     """`MeanPowerResult` of each `_power_batch` in `batches`, each over the
     first `cfg.trials` trials of `channels` (a `draw_channels` stack, drawn
-    here if some batch has a positive target), which is inverted once.  With
-    one worker, whole batches are packed into stacked kernel calls of at most
-    `_CALL_PROBLEMS` problems; with min(n_jobs, trials) > 1 workers, each
-    batch's trials are split into that many blocks, solved in worker
-    processes.  A problem's solve does not depend on the others in its call
-    and each batch is reduced in trial order, so the outcome depends on
-    neither the packing nor `n_jobs`.  A zero target needs no channel."""
+    here if some batch has a positive target), which is inverted once.  The
+    problems, one per (batch, trial) in batch-major order, are cut into
+    kernel calls of one size: with one worker, as many whole batches as fit
+    in `_CALL_PROBLEMS` problems (at least one batch); with
+    min(n_jobs, trials) > 1 workers, ceil(trials / workers) problems, each
+    call solved in a worker process.  A problem's solve does not depend on
+    the call it is in and each batch is reduced in trial order, so the
+    outcome depends on neither the split nor `n_jobs`.  A zero target needs
+    no channel."""
     if channels is not None and len(channels) < cfg.trials:
         raise ValueError(f"need {cfg.trials} precomputed channels, got {len(channels)}")
     zero = MeanPowerResult(mean_p_w=0.0, infeasibility_rate=0.0,
@@ -245,17 +246,14 @@ def _mean_powers(cfg: ScenarioConfig, cell: CellConfig, batches: list,
         return [zero] * len(batches)
     grams = draw_channels(cell, cfg.seed, cfg.trials) if channels is None else channels
     inv_grams = np.linalg.inv(grams[:cfg.trials])
-    # One problem per (batch, trial), batch-major; each call is a span of them.
     params = np.repeat(np.array(solve), cfg.trials, axis=0)
     trial = np.tile(np.arange(cfg.trials), len(solve))
     workers = min(n_jobs, cfg.trials)
-    if workers == 1:
-        starts = range(0, len(params), cfg.trials * max(1, _CALL_PROBLEMS // cfg.trials))
-    else:
-        starts = [first + block[0] for first in range(0, len(params), cfg.trials)
-                  for block in np.array_split(range(cfg.trials), workers)]
-    calls = ((inv_grams[trial[lo:hi]], params[lo:hi, :1], params[lo:hi, 1], params[lo:hi, 2])
-             for lo, hi in zip(starts, [*starts[1:], len(params)]))
+    size = (math.ceil(cfg.trials / workers) if workers > 1
+            else cfg.trials * max(1, _CALL_PROBLEMS // cfg.trials))
+    spans = (slice(lo, lo + size) for lo in range(0, len(params), size))
+    calls = ((inv_grams[trial[span]], params[span, :1], params[span, 1], params[span, 2])
+             for span in spans)
     if workers == 1:
         solved = map(_solve_block, calls)
     else:
@@ -271,10 +269,10 @@ def mean_bs_power(cfg: ScenarioConfig, cell: CellConfig, budget: RfiBudget,
                   n_jobs: int = 1) -> MeanPowerResult:
     """Mean minimum transmit power, under the per-BS cap of `budget`, over
     the feasible trials of the config's `draw_channels` stack: the one-batch
-    case of the grid's power path, its trials solved in min(n_jobs, trials)
-    blocks, in process or over worker processes, and reduced in trial order.
-    Each trial's solve does not depend on the others, so the outcome is
-    independent of `n_jobs`."""
+    case of the grid's power path, its trials solved in one call, or with
+    n_jobs > 1 in blocks of ceil(trials / n_jobs) trials over worker
+    processes, and reduced in trial order.  Each trial's solve does not
+    depend on the others, so the outcome is independent of `n_jobs`."""
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     return _mean_powers(cfg, cell, [_power_batch(cfg, cell, budget)], n_jobs=n_jobs)[0]
@@ -376,7 +374,7 @@ def _footprints(counties: tuple, sensors: tuple, penetration: float,
 def simulate(cfg: ScenarioConfig, cell: CellConfig = None, counties: list = None,
              n_jobs: int = 1, catalog: dict = None, power: MeanPowerResult = None) -> RfiReport:
     """Aggregate RFI per sensor for one scenario grid point; without a
-    `power` batch, one is run over `n_jobs` worker processes."""
+    `power` batch, one is run by `mean_bs_power` with `n_jobs`."""
     cell, counties, catalog, sensors = _inputs(cfg, cell, counties, catalog)
     geometries, budget = _sensor_geometries(sensors, _geometry_key(cfg))
     if power is None:
@@ -416,41 +414,20 @@ def simulate(cfg: ScenarioConfig, cell: CellConfig = None, counties: list = None
     return RfiReport(config=header, rows=rows, worst_sensor_id=worst.sensor_id)
 
 
-def _grid_points(cfg: ScenarioConfig, years, guards_mhz, rates_mbps) -> dict:
-    """`replace(cfg, guard_mhz=float(guard), year=year, rate_bps=rate * 1e6)`
-    keyed (year, guard, rate), for every grid point, guard-major.
-
-    Each distinct axis value is checked once, by `replace` with that one
-    field, so a bad value raises the message it would at any point.  That
-    suffices: year, guard and rate enter no check across fields but the
-    guard's filter spec, which the guard's own `replace` builds.  Each point
-    is then a copy of `cfg` with the three checked values written in.
-    """
-    axes = (("year", years), ("guard_mhz", [float(guard) for guard in guards_mhz]),
-            ("rate_bps", [rate * 1e6 for rate in rates_mbps]))
-    for name, values in axes:
-        for value in dict.fromkeys(values):
-            replace(cfg, **{name: value})
-    points = {}
-    for guard in guards_mhz:
-        for year in years:
-            for rate in rates_mbps:
-                point = copy.copy(cfg)
-                vars(point).update(year=year, guard_mhz=float(guard), rate_bps=rate * 1e6)
-                points[(year, guard, rate)] = point
-    return points
-
-
 def rfi_grid(cfg: ScenarioConfig, years, guards_mhz, rates_mbps, *,
              cell: CellConfig = None, counties: list = None, catalog: dict = None,
              channels: np.ndarray = None, power_cache: dict = None) -> dict:
-    """Reports keyed (year, guard, rate), each from `simulate` given one power
-    batch per (guard, rate) over one shared `draw_channels` Gram stack, read
-    from `power_cache` or, for the keys it lacks, solved together in stacked
-    kernel calls over one inversion of the stack and filled into it."""
+    """Reports keyed (year, guard, rate), guard-major, each from `simulate`
+    given one power batch per (guard, rate) over one shared `draw_channels`
+    Gram stack, read from `power_cache` or, for the keys it lacks, solved
+    together in stacked kernel calls over one inversion of the stack and
+    filled into it.  Every point is built by `replace`, so checked, before
+    any geometry, draw or solve."""
     cell, counties, catalog, sensors = _inputs(cfg, cell, counties, catalog)
     power_cache = {} if power_cache is None else power_cache
-    points = _grid_points(cfg, years, guards_mhz, rates_mbps)
+    points = {(year, guard, rate): replace(cfg, year=year, guard_mhz=float(guard),
+                                           rate_bps=rate * 1e6)
+              for guard in guards_mhz for year in years for rate in rates_mbps}
     missing = {}
     for (_, guard, rate), point in points.items():
         if (guard, rate) not in power_cache and (guard, rate) not in missing:

@@ -127,3 +127,26 @@ def test_scenario_keeps_benchmark_entry_points():
             "power_cache"} <= set(max_rate)
     assert list(inspect.signature(scenario.draw_channels).parameters) == [
         "cell", "seed", "trials"]
+
+
+def _writes_past_the_constructor(path):
+    """`file:line` of each `copy.copy`, `object.__setattr__` or `vars(...).update`
+    call in a file: the ways to set a field that skip `__post_init__`."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        owner, attr = node.func.value, node.func.attr
+        if isinstance(owner, ast.Call):
+            named = (getattr(owner.func, "id", None), attr) == ("vars", "update")
+        else:
+            named = (getattr(owner, "id", None), attr) in {("copy", "copy"),
+                                                           ("object", "__setattr__")}
+        if named:
+            yield f"{path.name}:{node.lineno}"
+
+
+def test_configs_are_built_only_by_their_constructor_or_replace():
+    # A point written into a copied config would skip every field check.
+    writes = [site for path in sorted(Path(eesscoex.__file__).parent.glob("*.py"))
+              for site in _writes_past_the_constructor(path)]
+    assert not writes

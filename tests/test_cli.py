@@ -20,6 +20,8 @@ from eesscoex.adoption import scenario_penetration
 from eesscoex.cli import build_parser, main
 from eesscoex.deployment import bs_count, load_bundled_counties
 
+from test_deployment import UNREADABLE_SOURCES
+
 UNKNOWN_SENSOR = "error: unknown sensor 'B9'; have ['B1', 'B3', 'B4', 'B5', 'B7']"
 
 
@@ -330,6 +332,18 @@ def test_duplicate_gazetteer_fips_exits_2_naming_the_gazetteer(tmp_path, capsys)
     assert code == 2 and out == ""
     assert err.splitlines() == [
         f"error: {gaz}: duplicate FIPS 06037 at line 4 (first seen at line 2)"]
+
+
+@pytest.mark.parametrize("county_text, gazetteer_text, at_fault, message", UNREADABLE_SOURCES)
+def test_unreadable_county_source_exits_2_naming_its_file_and_line(
+        tmp_path, capsys, county_text, gazetteer_text, at_fault, message):
+    (tmp_path / "c.csv").write_text(county_text)
+    (tmp_path / "g.csv").write_text(gazetteer_text)
+    code, out, err = _run(capsys, ["deploy", "--year", "2030",
+                                   "--counties", str(tmp_path / "c.csv"),
+                                   "--gazetteer", str(tmp_path / "g.csv")])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: {tmp_path / at_fault}: {message}"]
 
 
 @pytest.mark.parametrize("area", ["inf", "nan", "-inf", "0"])

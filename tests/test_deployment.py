@@ -100,6 +100,52 @@ def test_ingest_bad_header(tmp_path):
         ingest_counties(counties, gaz)
 
 
+
+COUNTY_HEADER = "fips,name,state,rucc_code,population\n"
+GAZETTEER_HEADER = "fips,land_area_km2\n"
+LA_ROW = "06037,Los Angeles,CA,1,10000000\n"
+LA_AREA = "06037,10510.0\n"
+
+# (county CSV, gazetteer CSV, the file at fault, the message after its path):
+# text the ingest would otherwise misread, or could only blame on the other file.
+UNREADABLE_SOURCES = [
+    pytest.param(COUNTY_HEADER + "06037,Los Angeles,CA,1,10,000,000\n",
+                 GAZETTEER_HEADER + LA_AREA, "c.csv", "field count 7 at line 2, header has 5",
+                 id="county-thousands-separators"),
+    pytest.param(COUNTY_HEADER + LA_ROW + "53033,King,WA,1\n",
+                 GAZETTEER_HEADER + LA_AREA, "c.csv", "field count 4 at line 3, header has 5",
+                 id="county-short-row"),
+    pytest.param(COUNTY_HEADER + LA_ROW, GAZETTEER_HEADER + "06037,10,510\n", "g.csv",
+                 "field count 3 at line 2, header has 2", id="gazetteer-thousands-separators"),
+    pytest.param(COUNTY_HEADER + LA_ROW, GAZETTEER_HEADER + "06037\n", "g.csv",
+                 "field count 1 at line 2, header has 2", id="gazetteer-short-row"),
+    pytest.param(COUNTY_HEADER + LA_ROW, "fips,area\n06037,10510.0\n", "g.csv",
+                 "header must contain ['fips', 'land_area_km2']",
+                 id="gazetteer-without-area-column"),
+    pytest.param(COUNTY_HEADER + LA_ROW, GAZETTEER_HEADER + "06037,10510 km2\n", "g.csv",
+                 "land area '10510 km2' at line 2 is not a number", id="gazetteer-area-unit"),
+    pytest.param(COUNTY_HEADER + LA_ROW, GAZETTEER_HEADER + "53033,5478.6\n06037,\n",
+                 "g.csv", "land area '' at line 3 is not a number", id="gazetteer-empty-area"),
+]
+
+
+@pytest.mark.parametrize("county_text, gazetteer_text, at_fault, message", UNREADABLE_SOURCES)
+def test_ingest_raises_naming_the_unreadable_file_and_line(tmp_path, county_text,
+                                                           gazetteer_text, at_fault, message):
+    counties = _write(tmp_path / "c.csv", county_text)
+    gaz = _write(tmp_path / "g.csv", gazetteer_text)
+    with pytest.raises(IngestError) as info:
+        ingest_counties(counties, gaz)
+    assert str(info.value) == f"{tmp_path / at_fault}: {message}"
+
+
+def test_ingest_line_numbers_count_blank_lines(tmp_path):
+    counties = _write(tmp_path / "c.csv",
+                      COUNTY_HEADER + "\n06037,Los Angeles,CA,1,ten million\n")
+    gaz = _write(tmp_path / "g.csv", GAZETTEER_HEADER + LA_AREA)
+    assert [diag.line for diag in ingest_counties(counties, gaz).rejected] == [3]
+
+
 LA = CountyRecord(fips="06037", name="Los Angeles", state="CA", rucc_code=1,
                   population=10_000_000, land_area_km2=10510.0)
 

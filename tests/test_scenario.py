@@ -328,15 +328,26 @@ def test_mean_power_workers_bounded_by_trials(monkeypatch):
         mean_bs_power(cfg, cell, UNCAPPED, n_jobs=0)
 
 
-def test_mean_power_blocks_reduce_in_trial_order(monkeypatch):
+@pytest.mark.parametrize("trials, n_jobs", [(1, 2), (9, 4), (10, 4), (20, 3), (129, 2)])
+def test_mean_power_blocks_reduce_in_trial_order(monkeypatch, trials, n_jobs):
     started = _inline_executor(monkeypatch)
-    cfg = ScenarioConfig(trials=20, seed=0, rate_bps=500e6)
+    calls = _record_kernel_calls(monkeypatch)
+    cfg = ScenarioConfig(trials=trials, seed=0, rate_bps=500e6)
     cell = CellConfig()
     budget = RfiBudget(p_bs_w=1e-3)  # tight: infeasible trials fall in several blocks
     serial = mean_bs_power(cfg, cell, budget, n_jobs=1)
-    sharded = mean_bs_power(cfg, cell, budget, n_jobs=3)
-    assert started == [3]
-    assert 0 < serial.n_feasible < cfg.trials
+    calls.clear()
+    sharded = mean_bs_power(cfg, cell, budget, n_jobs=n_jobs)
+    assert started == ([min(n_jobs, trials)] if trials > 1 else [])
+    # Blocks of ceil(trials / n_jobs) trials: 10 trials on 4 workers run as 3, 3, 3 and 1.
+    size = math.ceil(trials / n_jobs)
+    assert [len(call[0]) for call in calls] == [
+        min(size, trials - first) for first in range(0, trials, size)]
+    assert len(calls) <= min(n_jobs, trials)
+    # Every trial is solved exactly once: the calls' inverses are the stack's, in order.
+    inverses = np.linalg.inv(draw_channels(cell, cfg.seed, trials))
+    assert np.array_equal(np.concatenate([call[0] for call in calls]), inverses)
+    assert trials == 1 or 0 < serial.n_feasible < trials
     assert repr(sharded) == repr(serial)
 
 
@@ -624,18 +635,6 @@ def test_bad_inputs_raise_before_any_draw_or_power_batch(monkeypatch, counties, 
     assert all(cache.cache_info().currsize == 0 for cache in scenario_caches)
 
 
-def test_rfi_grid_points_equal_the_replaced_config():
-    cfg = ScenarioConfig(trials=5, seed=1, adoption_factor=1.5, filter_order=5)
-    before = replace(cfg)
-    points = scenario._grid_points(cfg, GRID_YEARS, GRID_GUARDS, GRID_RATES)
-    assert list(points) == [(year, guard, rate) for guard in GRID_GUARDS
-                            for year in GRID_YEARS for rate in GRID_RATES]
-    for (year, guard, rate), point in points.items():
-        assert type(point) is ScenarioConfig
-        assert point == replace(cfg, guard_mhz=float(guard), year=year, rate_bps=rate * 1e6)
-    assert cfg == before
-
-
 def test_rfi_grid_reads_and_fills_power_cache(monkeypatch, counties):
     cfg = ScenarioConfig(trials=5, seed=1)
     cache = {}
@@ -654,10 +653,12 @@ def test_rfi_grid_reads_and_fills_power_cache(monkeypatch, counties):
 
 
 def test_rfi_grid_matches_simulate(counties):
-    cfg = ScenarioConfig(trials=5, seed=1)
+    cfg = ScenarioConfig(trials=5, seed=1, adoption_factor=1.5, filter_order=5)
+    before = replace(cfg)
     cache = {}
     grid = rfi_grid(cfg, GRID_YEARS, GRID_GUARDS, GRID_RATES, counties=counties,
                     power_cache=cache)
+    assert cfg == before
     for (year, guard, rate), report in grid.items():
         point = replace(cfg, year=year, guard_mhz=guard, rate_bps=rate * 1e6)
         assert report == simulate(point, counties=counties, power=cache[(guard, rate)])
