@@ -328,8 +328,7 @@ def test_mean_power_workers_bounded_by_trials(monkeypatch):
         mean_bs_power(cfg, cell, UNCAPPED, n_jobs=0)
 
 
-@pytest.mark.parametrize("trials, n_jobs", [(1, 2), (9, 4), (10, 4), (20, 3), (129, 2)])
-def test_mean_power_blocks_reduce_in_trial_order(monkeypatch, trials, n_jobs):
+def _check_blocks_reduce_in_trial_order(monkeypatch, trials, n_jobs):
     started = _inline_executor(monkeypatch)
     calls = _record_kernel_calls(monkeypatch)
     cfg = ScenarioConfig(trials=trials, seed=0, rate_bps=500e6)
@@ -349,6 +348,15 @@ def test_mean_power_blocks_reduce_in_trial_order(monkeypatch, trials, n_jobs):
     assert np.array_equal(np.concatenate([call[0] for call in calls]), inverses)
     assert trials == 1 or 0 < serial.n_feasible < trials
     assert repr(sharded) == repr(serial)
+
+
+def test_mean_power_blocks_reduce_in_trial_order(monkeypatch):
+    _check_blocks_reduce_in_trial_order(monkeypatch, trials=20, n_jobs=3)
+
+
+@pytest.mark.parametrize("trials, n_jobs", [(1, 2), (9, 4), (10, 4), (129, 2)])
+def test_mean_power_blocks_are_equal_spans(monkeypatch, trials, n_jobs):
+    _check_blocks_reduce_in_trial_order(monkeypatch, trials, n_jobs)
 
 
 def test_aggregate_rfi_composition():
