@@ -182,8 +182,7 @@ def _cmd_adoption(args, cfg, cell):
     out = {
         "year": cfg.year,
         "factor": cfg.adoption_factor,
-        "penetration_per_100": scenario_penetration(
-            cfg.year, cfg.adoption_factor, use_published=cfg.use_published_penetration),
+        "penetration_per_100": cfg.penetration_per_100,
         "curve_per_100": scenario_penetration(cfg.year, cfg.adoption_factor,
                                               use_published=False),
     }
@@ -196,8 +195,7 @@ def _cmd_deploy(args, cfg, cell):
     header = {
         "year": cfg.year,
         "adoption_factor": cfg.adoption_factor,
-        "penetration_per_100": scenario_penetration(
-            cfg.year, cfg.adoption_factor, use_published=cfg.use_published_penetration),
+        "penetration_per_100": cfg.penetration_per_100,
         "rate_bps": cfg.max_demand_bps,
         "eta_bps_per_hz": cfg.eta_bps_per_hz,
         "bandwidth_hz": cfg.bandwidth_hz,

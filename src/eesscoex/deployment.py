@@ -58,31 +58,34 @@ class RowDiagnostic:
 class CountyIngest:
     records: list
     rejected: list = field(default_factory=list)
-    n_nonmetro: int = 0
 
 
 def _read_csv(path, columns) -> list:
-    """(line, {column: field}) of each row of the UTF-8 CSV file `path`; text
-    that is not UTF-8, a header without every name in `columns`, or a row
-    with more or fewer fields than the header raises an IngestError naming
-    the file."""
+    """(line, {column: field}) of each row of the UTF-8 CSV file `path`, a
+    leading byte-order mark dropped; text that is not UTF-8, a header without
+    every name in `columns`, a row with more or fewer fields than the header
+    or that the csv module cannot read (a field past its size limit) raises
+    an IngestError naming the file."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path}: {exc}") from None
     reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, [])
-    if not set(columns).issubset(header):
-        raise IngestError(f"{path}: header must contain {sorted(columns)}")
-    rows = []
-    for fields in reader:
-        if not fields:  # a blank line
-            continue
-        if len(fields) != len(header):
-            raise IngestError(f"{path}: field count {len(fields)} at line {reader.line_num}, "
-                              f"header has {len(header)}")
-        rows.append((reader.line_num, dict(zip(header, fields))))
+    try:
+        header = next(reader, [])
+        if not set(columns).issubset(header):
+            raise IngestError(f"{path}: header must contain {sorted(columns)}")
+        rows = []
+        for fields in reader:
+            if not fields:  # a blank line
+                continue
+            if len(fields) != len(header):
+                raise IngestError(f"{path}: field count {len(fields)} at line "
+                                  f"{reader.line_num}, header has {len(header)}")
+            rows.append((reader.line_num, dict(zip(header, fields))))
+    except csv.Error as exc:
+        raise IngestError(f"{path}: {exc} at line {reader.line_num}") from None
     return rows
 
 
@@ -120,7 +123,6 @@ def ingest_counties(county_csv, gazetteer_csv) -> CountyIngest:
     records = []
     rejected = []
     seen = {}
-    n_nonmetro = 0
     for line, row in _read_csv(county_csv, ("fips", "name", "state", "rucc_code", "population")):
         fips = row["fips"].strip().zfill(5)
         try:
@@ -134,7 +136,6 @@ def ingest_counties(county_csv, gazetteer_csv) -> CountyIngest:
                               f"(first seen at line {seen[fips]})")
         seen[fips] = line
         if rucc not in METRO_RUCC_CODES:
-            n_nonmetro += 1
             continue
         if fips not in areas:
             rejected.append(RowDiagnostic(line, f"FIPS {fips}: no land area in gazetteer"))
@@ -153,7 +154,7 @@ def ingest_counties(county_csv, gazetteer_csv) -> CountyIngest:
             continue
         records.append(record)
     records.sort(key=lambda r: r.fips)
-    return CountyIngest(records=records, rejected=rejected, n_nonmetro=n_nonmetro)
+    return CountyIngest(records=records, rejected=rejected)
 
 
 def load_bundled_counties() -> CountyIngest:

@@ -1,13 +1,12 @@
 """RFI-aware minimum-power downlink beamforming under perfect CSI.
 
 Solves min sum_k ||w_k||^2 subject to per-user SINR targets.  The kernel
-also holds each solution against a power cap: `RfiBudget` folds the
-satellite-interference cap into min(P_BS, I_sat,max / (g_sat * delta)),
-which the scenario's power batches pass as the cap.  The solver runs the
-uplink-downlink duality fixed point with MMSE beam directions and an
-exact downlink power rescaling, so every feasible solution meets its
-targets with equality; the uplink/downlink power match serves as the
-optimality certificate.
+also holds each solution against a power cap, which the scenario's power
+batches set to min(P_BS, I_sat,max / (g_sat * delta)) at the most tightly
+coupled sensor.  The solver runs the uplink-downlink duality fixed point
+with MMSE beam directions and an exact downlink power rescaling, so every
+feasible solution meets its targets with equality; the uplink/downlink
+power match serves as the optimality certificate.
 
 All linear algebra stays in the K-dimensional user space: the power solve
 needs only the K x K Gram matrix G, which `solve_power_min` builds, O(N K^2),
@@ -32,7 +31,6 @@ import numpy as np
 
 __all__ = [
     "SinrTargets",
-    "RfiBudget",
     "PrecodeSolution",
     "sinr_target",
     "solve_power_min",
@@ -64,34 +62,6 @@ class SinrTargets:
     @classmethod
     def uniform(cls, gamma: float, n_users: int) -> "SinrTargets":
         return cls(gammas=(gamma,) * n_users)
-
-
-@dataclass(frozen=True)
-class RfiBudget:
-    """Per-BS power budget combining the hardware cap and the RFI cap."""
-
-    p_bs_w: float
-    i_sat_max_w: float = None   # per reference bandwidth, at the sensor
-    g_sat_linear: float = None  # BS->sensor net coupling, linear
-    delta: float = None         # leakage fraction into the victim window
-
-    def __post_init__(self):
-        if self.p_bs_w <= 0:
-            raise ValueError(f"BS power cap must be positive, got {self.p_bs_w}")
-
-    @property
-    def p_sat_max_w(self) -> float:
-        """Transmit power at which the satellite RFI cap binds."""
-        if self.i_sat_max_w is None or self.g_sat_linear is None or self.delta is None:
-            return float("inf")
-        coupling = self.g_sat_linear * self.delta
-        if coupling <= 0:
-            return float("inf")
-        return self.i_sat_max_w / coupling
-
-    @property
-    def p_sum_max_w(self) -> float:
-        return min(self.p_bs_w, self.p_sat_max_w)
 
 
 @dataclass(frozen=True)

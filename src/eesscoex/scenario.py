@@ -22,7 +22,7 @@ problems a call.  `mean_bs_power`
 is its one-batch case; the grid sends every (guard, rate) batch it lacks
 through it at once, over one stack shared across rates, guards and years.
 Two per-process caches, keyed by value, hold the rate-free inputs: sensor
-geometry and RFI budget once for each distinct set of sensor specs and guard
+geometry and power cap once for each distinct set of sensor specs and guard
 settings (integrating each distinct victim window's leakage once), and
 worst-case footprints once for each distinct county set, sensor specs,
 penetration and demand sizing.  Each cache is bounded and holds immutable
@@ -41,7 +41,7 @@ from .airlink import CellConfig, draw_channels, noise_power_w
 from .deployment import build_snapshot, load_bundled_counties, worst_case_footprint
 from .filterbank import FilterSpec, leakage_fraction, worst_victim_window
 from .linkbudget import DEFAULT_G_TX_DB, load_sensor_catalog, lookup_sensor, net_gain_db
-from .precoder import RfiBudget, _solve_grams, sinr_target
+from .precoder import _solve_grams, sinr_target
 
 __all__ = [
     "ALLOCATION_EDGE_GHZ",
@@ -123,15 +123,9 @@ class ScenarioConfig:
                           grid_step_mhz=self.grid_step_mhz)
 
     @property
-    def p_bs_w(self) -> float:
-        return 10.0 ** (self.p_bs_dbw / 10.0)
-
-    @property
-    def i_sat_max_w(self) -> float:
-        try:
-            return 10.0 ** (self.threshold_dbw / 10.0)
-        except OverflowError:
-            return float("inf")
+    def penetration_per_100(self) -> float:
+        return scenario_penetration(self.year, self.adoption_factor,
+                                    use_published=self.use_published_penetration)
 
     def header(self, cell: CellConfig) -> dict:
         """Reproducibility header echoed into every report: every scenario and
@@ -202,10 +196,10 @@ class GuardSweepRow:
 _CALL_PROBLEMS = 128
 
 
-def _power_batch(cfg: ScenarioConfig, cell: CellConfig, budget: RfiBudget) -> tuple:
+def _power_batch(cfg: ScenarioConfig, cell: CellConfig, p_max_w: float) -> tuple:
     """The kernel's per-problem (gamma, noise_w, p_max_w) at the config's rate and guard."""
     return (sinr_target(cfg.rate_bps, cfg.bandwidth_hz),
-            noise_power_w(cell.noise_temp_k, cfg.bandwidth_hz), budget.p_sum_max_w)
+            noise_power_w(cell.noise_temp_k, cfg.bandwidth_hz), p_max_w)
 
 
 def _solve_block(args) -> tuple:
@@ -265,9 +259,9 @@ def _mean_powers(cfg: ScenarioConfig, cell: CellConfig, batches: list,
     return [zero if batch[0] == 0 else _mean_power(*next(outcomes)) for batch in batches]
 
 
-def mean_bs_power(cfg: ScenarioConfig, cell: CellConfig, budget: RfiBudget,
+def mean_bs_power(cfg: ScenarioConfig, cell: CellConfig, p_max_w: float,
                   n_jobs: int = 1) -> MeanPowerResult:
-    """Mean minimum transmit power, under the per-BS cap of `budget`, over
+    """Mean minimum transmit power, under the per-BS cap `p_max_w`, over
     the feasible trials of the config's `draw_channels` stack: the one-batch
     case of the grid's power path, its trials solved in one call, or with
     n_jobs > 1 in blocks of ceil(trials / n_jobs) trials over worker
@@ -275,7 +269,7 @@ def mean_bs_power(cfg: ScenarioConfig, cell: CellConfig, budget: RfiBudget,
     depend on the others, so the outcome is independent of `n_jobs`."""
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-    return _mean_powers(cfg, cell, [_power_batch(cfg, cell, budget)], n_jobs=n_jobs)[0]
+    return _mean_powers(cfg, cell, [_power_batch(cfg, cell, p_max_w)], n_jobs=n_jobs)[0]
 
 
 def aggregate_rfi_dbw(mean_p_tx_w: float, delta: float, net_gain_db: float,
@@ -299,11 +293,10 @@ class _SensorGeometry:
     sensor_id: str
     delta: float
     net_gain_db: float
-    g_sat_linear: float
 
 
 # The ScenarioConfig fields that, with the sensor specs, set a guard's sensor
-# geometry and RFI budget; read raw, since `filter_spec` builds and checks a
+# geometry and power cap; read raw, since `filter_spec` builds and checks a
 # FilterSpec on every access.
 _GEOMETRY_FIELDS = ("guard_mhz", "filter_order", "ripple_db", "grid_step_mhz",
                     "ref_bandwidth_mhz", "use_published_gain", "g_tx_db", "p_bs_dbw",
@@ -317,8 +310,9 @@ def _geometry_key(cfg: ScenarioConfig) -> tuple:
 @functools.lru_cache(maxsize=256)
 def _sensor_geometries(sensors: tuple, fields: tuple) -> tuple:
     """Per-sensor geometry at the `_GEOMETRY_FIELDS` values `fields`, and the
-    per-BS budget binding at the most tightly coupled sensor; computed once
-    per process for each distinct value of the arguments."""
+    per-BS power cap: the hardware cap or, if lower, the RFI threshold over
+    the most tightly coupled sensor's linear gain times leakage fraction.
+    Computed once per process for each distinct value of the arguments."""
     cfg = ScenarioConfig(**dict(zip(_GEOMETRY_FIELDS, fields)))
     spec = cfg.filter_spec
     windows = [worst_victim_window(sensor.channel_span_ghz, cfg.ref_bandwidth_mhz,
@@ -326,19 +320,18 @@ def _sensor_geometries(sensors: tuple, fields: tuple) -> tuple:
     # Sensors that share a victim window share its leakage fraction.
     deltas = {window: leakage_fraction(spec, window, cfg.bandwidth_hz / 1e6).delta
               for window in dict.fromkeys(windows)}
-    out = []
-    for sensor, window in zip(sensors, windows):
-        gain_db = net_gain_db(sensor, use_published=cfg.use_published_gain,
-                              g_tx_db=cfg.g_tx_db)
-        out.append(_SensorGeometry(
-            sensor_id=sensor.sensor_id,
-            delta=deltas[window],
-            net_gain_db=gain_db,
-            g_sat_linear=10.0 ** (gain_db / 10.0),
-        ))
-    worst = max(out, key=lambda s: s.g_sat_linear * s.delta)
-    return tuple(out), RfiBudget(p_bs_w=cfg.p_bs_w, i_sat_max_w=cfg.i_sat_max_w,
-                                 g_sat_linear=worst.g_sat_linear, delta=worst.delta)
+    out = tuple(
+        _SensorGeometry(sensor_id=sensor.sensor_id, delta=deltas[window],
+                        net_gain_db=net_gain_db(sensor, use_published=cfg.use_published_gain,
+                                                g_tx_db=cfg.g_tx_db))
+        for sensor, window in zip(sensors, windows))
+    coupling = max(10.0 ** (geom.net_gain_db / 10.0) * geom.delta for geom in out)
+    try:
+        threshold_w = 10.0 ** (cfg.threshold_dbw / 10.0)
+    except OverflowError:  # a threshold past float range sets no RFI cap
+        threshold_w = math.inf
+    p_max_w = 10.0 ** (cfg.p_bs_dbw / 10.0)
+    return out, min(p_max_w, threshold_w / coupling) if coupling > 0 else p_max_w
 
 
 def _inputs(cfg: ScenarioConfig, cell: CellConfig, counties: list, catalog: dict) -> tuple:
@@ -352,11 +345,6 @@ def _inputs(cfg: ScenarioConfig, cell: CellConfig, counties: list, catalog: dict
     if not counties:
         raise ValueError("empty county record set")
     return cell, counties, catalog, sensors
-
-
-def _penetration(cfg: ScenarioConfig) -> float:
-    return scenario_penetration(cfg.year, cfg.adoption_factor,
-                                use_published=cfg.use_published_penetration)
 
 
 @functools.lru_cache(maxsize=256)
@@ -376,10 +364,10 @@ def simulate(cfg: ScenarioConfig, cell: CellConfig = None, counties: list = None
     """Aggregate RFI per sensor for one scenario grid point; without a
     `power` batch, one is run by `mean_bs_power` with `n_jobs`."""
     cell, counties, catalog, sensors = _inputs(cfg, cell, counties, catalog)
-    geometries, budget = _sensor_geometries(sensors, _geometry_key(cfg))
+    geometries, p_max_w = _sensor_geometries(sensors, _geometry_key(cfg))
     if power is None:
-        power = mean_bs_power(cfg, cell, budget=budget, n_jobs=n_jobs)
-    penetration = _penetration(cfg)
+        power = mean_bs_power(cfg, cell, p_max_w, n_jobs=n_jobs)
+    penetration = cfg.penetration_per_100
     footprints = _footprints(tuple(counties), sensors, penetration, cfg.max_demand_bps,
                              cfg.eta_bps_per_hz, cfg.bandwidth_hz)
     rows = []
@@ -431,8 +419,8 @@ def rfi_grid(cfg: ScenarioConfig, years, guards_mhz, rates_mbps, *,
     missing = {}
     for (_, guard, rate), point in points.items():
         if (guard, rate) not in power_cache and (guard, rate) not in missing:
-            _, budget = _sensor_geometries(sensors, _geometry_key(point))
-            missing[(guard, rate)] = _power_batch(point, cell, budget)
+            _, p_max_w = _sensor_geometries(sensors, _geometry_key(point))
+            missing[(guard, rate)] = _power_batch(point, cell, p_max_w)
     if missing:
         power_cache.update(zip(missing, _mean_powers(cfg, cell, list(missing.values()),
                                                      channels)))

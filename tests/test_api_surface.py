@@ -1,6 +1,6 @@
-"""The package's public surface: exported names exist, every exported
-function has a user that also passes each of its defaulted parameters, the
-entry points the benchmark (perfbench/workloads.py) calls keep their
+"""The package's public surface: exported names exist and have a user,
+the users of an exported function pass each of its defaulted parameters,
+the entry points the benchmark (perfbench/workloads.py) calls keep their
 keywords, and the README names only what exists."""
 
 import ast
@@ -24,14 +24,14 @@ def _modules():
 
 def _uses(path):
     """Names a file uses: loaded names, attributes and whole string constants
-    (getattr and tracer targets), outside `__all__` and each name's own def."""
+    (getattr and tracer targets), outside `__all__` and each name's own def or class."""
     used = set()
 
     def visit(node, own):
         if isinstance(node, ast.Assign) and any(
                 getattr(t, "id", None) == "__all__" for t in node.targets):
             return
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             own = own | {node.name}
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             name = node.id
@@ -73,18 +73,22 @@ def _user_files():
             ROOT / "tests" / "test_acceptance.py"]
 
 
-def _exported_functions():
+def _exported():
     for module in _modules():
         for name in getattr(module, "__all__", ()):
-            if inspect.isfunction(getattr(module, name)):
-                yield f"{module.__name__}.{name}", name, getattr(module, name)
+            yield f"{module.__name__}.{name}", name, getattr(module, name)
+
+
+def _exported_functions():
+    return [export for export in _exported() if inspect.isfunction(export[2])]
 
 
 def test_every_exported_function_has_a_user():
     # A command, a report, the benchmark or an acceptance criterion must
-    # reach each public function; a name only unit tests call is not API.
+    # reach each public name, be it a function, a class or a constant; a
+    # name only unit tests use is not API.
     used = set().union(*map(_uses, _user_files()))
-    unused = [qualname for qualname, name, _ in _exported_functions() if name not in used]
+    unused = [qualname for qualname, name, _ in _exported() if name not in used]
     assert not unused
 
 

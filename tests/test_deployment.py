@@ -1,3 +1,9 @@
+import csv
+import re
+import tempfile
+from importlib import resources
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -35,7 +41,6 @@ def sources(tmp_path):
 def test_ingest_valid_rows(sources):
     result = ingest_counties(*sources)
     assert [r.fips for r in result.records] == ["06037", "30111"]
-    assert result.n_nonmetro == 1
     assert not result.rejected
     la = result.records[0]
     assert (la.name, la.state, la.population) == ("Los Angeles", "CA", 10000000)
@@ -48,7 +53,7 @@ def test_ingest_filters_nonmetro(tmp_path):
     gaz = _write(tmp_path / "g.csv", "fips,land_area_km2\n01001,1539.6\n")
     result = ingest_counties(counties, gaz)
     assert result.records == []
-    assert result.n_nonmetro == 1
+    assert not result.rejected
 
 
 def test_ingest_duplicate_fips_raises(tmp_path):
@@ -126,6 +131,13 @@ UNREADABLE_SOURCES = [
                  "land area '10510 km2' at line 2 is not a number", id="gazetteer-area-unit"),
     pytest.param(COUNTY_HEADER + LA_ROW, GAZETTEER_HEADER + "53033,5478.6\n06037,\n",
                  "g.csv", "land area '' at line 3 is not a number", id="gazetteer-empty-area"),
+    pytest.param(COUNTY_HEADER + "06037," + "x" * 200_000 + ",CA,1,10000000\n",
+                 GAZETTEER_HEADER + LA_AREA, "c.csv",
+                 f"field larger than field limit ({csv.field_size_limit()}) at line 2",
+                 id="county-field-past-csv-limit"),
+    pytest.param(COUNTY_HEADER + LA_ROW, GAZETTEER_HEADER + "06037," + "1" * 200_000 + "\n",
+                 "g.csv", f"field larger than field limit ({csv.field_size_limit()}) at line 2",
+                 id="gazetteer-field-past-csv-limit"),
 ]
 
 
@@ -144,6 +156,102 @@ def test_ingest_line_numbers_count_blank_lines(tmp_path):
                       COUNTY_HEADER + "\n06037,Los Angeles,CA,1,ten million\n")
     gaz = _write(tmp_path / "g.csv", GAZETTEER_HEADER + LA_AREA)
     assert [diag.line for diag in ingest_counties(counties, gaz).rejected] == [3]
+
+
+REJECT, ABORT = "reject", "abort"
+
+
+def _number_text(draw, value, unit, spoilt):
+    """`value` written as a CSV field, and what the ingest must read: the value,
+    REJECT (a rejected row) or ABORT (an IngestError).  An unquoted thousands
+    separator splits the field and aborts; a quoted one or a stray `unit`
+    spoils the number, which gives `spoilt`."""
+    style = draw(st.sampled_from(["plain"] * 20 + ["padded", "thousands", "quoted-thousands",
+                                                   "unit"]))
+    if style == "plain":
+        return str(value), value
+    if style == "padded":
+        return f" {value} ", value
+    grouped = f"{value:,}"
+    if style == "thousands":
+        return grouped, value if "," not in grouped else ABORT
+    if style == "quoted-thousands":
+        return f'"{grouped}"', value if "," not in grouped else spoilt
+    return f"{value} {unit}", spoilt
+
+
+@st.composite
+def county_sources(draw):
+    """County and gazetteer CSV text, with a byte-order mark or not, blank
+    lines, quoted commas, short rows, thousands separators and stray units;
+    and what the ingest must make of them: {fips: (population, area)} of the
+    accepted records, the lines of rejected county rows, and each file's
+    lines that must abort the ingest."""
+    county = ["fips,name,state,rucc_code,population"]
+    gazetteer = ["fips,land_area_km2"]
+    records, rejected, aborts = {}, set(), {"c.csv": set(), "g.csv": set()}
+    for i in range(draw(st.integers(1, 6))):
+        for lines in (county, gazetteer):
+            if draw(st.integers(0, 4)) == 0:
+                lines.append("")
+        fips = f"{1001 + i:05d}"
+        name = draw(st.sampled_from(["Autauga", '"King, WA"', '"Lewis and Clark, MT"']))
+        rucc = draw(st.sampled_from([1, 2, 3, 1, 2, 3, 4, 9]))
+        population, people = _number_text(draw, draw(st.integers(0, 10**7)), "people", REJECT)
+        if draw(st.integers(0, 19)) == 0:  # a short row
+            county.append(f"{fips},{name},CA,{rucc}")
+            aborts["c.csv"].add(len(county))
+        else:
+            county.append(f"{fips},{name},CA,{rucc},{population}")
+            if people == ABORT:
+                aborts["c.csv"].add(len(county))
+        area = None
+        gazetteer_row = draw(st.sampled_from(["number"] * 16 + ["zero", "short", "none"]))
+        if gazetteer_row == "number":
+            text, area = _number_text(draw, draw(st.floats(1.0, 1e5)), "km2", ABORT)
+            gazetteer.append(f"{fips},{text}")
+        elif gazetteer_row == "zero":
+            gazetteer.append(f"{fips},0")
+        elif gazetteer_row == "short":
+            gazetteer.append(fips)
+            area = ABORT
+        if area == ABORT:
+            aborts["g.csv"].add(len(gazetteer))
+        line = len(county)
+        if line in aborts["c.csv"]:
+            continue
+        if people == REJECT:
+            rejected.add(line)
+        elif rucc not in METRO_RUCC_CODES:
+            continue
+        elif area is None:  # no area, or an area of 0
+            rejected.add(line)
+        elif area != ABORT:
+            records[fips] = (people, area)
+    texts = ["\n".join(lines) + "\n" for lines in (county, gazetteer)]
+    boms = [draw(st.sampled_from(["", "\ufeff"])) for _ in texts]
+    return [bom + text for bom, text in zip(boms, texts)], records, rejected, aborts
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(case=county_sources())
+def test_ingest_reads_each_row_as_written_or_names_it(case):
+    texts, records, rejected, aborts = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / name for name in ("c.csv", "g.csv")]
+        for path, text in zip(paths, texts):
+            path.write_text(text, encoding="utf-8")
+        try:
+            result = ingest_counties(*map(str, paths))
+        except IngestError as exc:
+            # The gazetteer is read first, so its faults abort before the county CSV's.
+            at_fault = "g.csv" if aborts["g.csv"] else "c.csv"
+            match = re.fullmatch(rf"{re.escape(tmp)}/{at_fault}: .* at line (\d+)\b.*", str(exc))
+            assert match and int(match.group(1)) in aborts[at_fault], str(exc)
+            return
+    assert not aborts["c.csv"] and not aborts["g.csv"]
+    assert {r.fips: (r.population, r.land_area_km2) for r in result.records} == records
+    assert {diag.line for diag in result.rejected} == rejected
 
 
 LA = CountyRecord(fips="06037", name="Los Angeles", state="CA", rucc_code=1,
@@ -281,7 +389,11 @@ def test_bundled_sample_sane():
     assert all(r.rucc_code in METRO_RUCC_CODES for r in result.records)
     assert "06037" in {r.fips for r in result.records}
     assert len(result.records) >= 20
-    assert result.n_nonmetro >= 1  # sample carries non-metro rows to exercise the filter
+    with resources.files("eesscoex.data").joinpath("counties_metro_sample.csv").open() as fh:
+        nonmetro = {row["fips"] for row in csv.DictReader(fh)
+                    if int(row["rucc_code"]) not in METRO_RUCC_CODES}
+    assert nonmetro  # sample carries non-metro rows to exercise the filter
+    assert not nonmetro & {r.fips for r in result.records}
 
 
 def test_record_validation():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from eesscoex.precoder import (
-    RfiBudget,
     SinrTargets,
     _solve_grams,
     sinr_target,
@@ -104,43 +103,30 @@ def test_scale_covariance():
 
 
 def test_budget_regimes():
-    # The cap applies where the scenario applies it: `RfiBudget.p_sum_max_w`
-    # is the kernel's per-problem cap.
+    # The kernel's per-problem cap is the scenario's power cap: the hardware
+    # cap or, if lower, the RFI cap.
     h, g, gammas = _instance(3, n=4, k=2)
     h_eff = h * np.sqrt(g)[:, None]
     inv_gram = np.linalg.inv(h_eff.conj() @ h_eff.T)[None]
 
-    def solve(budget):
-        p_tx, feasible = _solve_grams(inv_gram, np.array(gammas), 1e-11, budget.p_sum_max_w)[:2]
+    def solve(p_max_w):
+        p_tx, feasible = _solve_grams(inv_gram, np.array(gammas), 1e-11, p_max_w)[:2]
         return float(p_tx[0]), bool(feasible[0])
 
     p_star = solve_power_min(h, g, SinrTargets(gammas=gammas), 1e-11).p_tx_w
 
-    # BS-limited: satellite cap above the hardware cap never binds.
-    budget = RfiBudget(p_bs_w=2 * p_star, i_sat_max_w=1.0, g_sat_linear=1e-14, delta=1e-4)
-    p_tx, feasible = solve(budget)
+    # A cap above the optimum never binds.
+    p_tx, feasible = solve(2 * p_star)
     assert feasible and p_tx == pytest.approx(p_star, rel=1e-12)
 
-    # RFI-limited and infeasible: optimum exceeds the satellite cap.
-    tight = RfiBudget(p_bs_w=2 * p_star,
-                      i_sat_max_w=0.4 * p_star * 1e-14 * 1e-4,
-                      g_sat_linear=1e-14, delta=1e-4)
-    assert tight.p_sum_max_w == pytest.approx(0.4 * p_star)
-    p_tx, feasible = solve(tight)
+    # Infeasible: the optimum exceeds the cap.
+    p_tx, feasible = solve(0.4 * p_star)
     assert not feasible
     # diagnostics still carry the unconstrained optimum
     assert p_tx == pytest.approx(p_star, rel=1e-12)
 
-    # Feasible iff optimum within budget (boundary included).
-    assert solve(RfiBudget(p_bs_w=p_star))[1]
-
-
-def test_budget_infinite_without_coupling():
-    budget = RfiBudget(p_bs_w=0.5)
-    assert budget.p_sat_max_w == float("inf")
-    assert budget.p_sum_max_w == 0.5
-    zero_delta = RfiBudget(p_bs_w=0.5, i_sat_max_w=1e-17, g_sat_linear=1e-14, delta=0.0)
-    assert zero_delta.p_sum_max_w == 0.5
+    # Feasible iff optimum within the cap (boundary included).
+    assert solve(p_star)[1]
 
 
 def test_k_exceeding_n_rejected():

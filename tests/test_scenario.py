@@ -10,8 +10,8 @@ import pytest
 from eesscoex import filterbank, precoder, scenario
 from eesscoex.airlink import CellConfig, _draw_buffers, _draw_trials, noise_power_w, trial_rng
 from eesscoex.filterbank import worst_victim_window
-from eesscoex.linkbudget import load_sensor_catalog
-from eesscoex.precoder import RfiBudget, SinrTargets, sinr_target, solve_power_min
+from eesscoex.linkbudget import load_sensor_catalog, net_gain_db
+from eesscoex.precoder import SinrTargets, sinr_target, solve_power_min
 from eesscoex.reports import emit_guard_sweep, emit_report, emit_rows
 from eesscoex.scenario import (
     GuardSweepRow,
@@ -27,7 +27,7 @@ from eesscoex.scenario import (
     sweep_guard_bands,
 )
 
-UNCAPPED = RfiBudget(p_bs_w=math.inf)
+UNCAPPED = math.inf
 
 
 def _draw(cell, seed, trials):
@@ -60,6 +60,32 @@ def test_config_validation():
         ScenarioConfig(threshold_dbw=float("nan"))
 
 
+@pytest.mark.parametrize("fields, p_max_w, rfi_cap_w", [
+    ({}, 0.316, 1.77),                           # the hardware cap binds
+    ({"guard_mhz": 0.0}, 0.0209, 0.0209),        # the RFI cap binds
+    ({"threshold_dbw": 4000.0}, 0.316, math.inf),  # a threshold past float range: no RFI cap
+])
+def test_power_cap_is_the_lower_of_hardware_and_rfi_caps(catalog, fields, p_max_w, rfi_cap_w):
+    cfg = replace(ScenarioConfig(), **fields)
+    sensors = tuple(catalog[sid] for sid in cfg.sensor_ids)
+    _, cap = scenario._sensor_geometries(sensors, scenario._geometry_key(cfg))
+    # The RFI cap is the threshold over the largest linear net gain times
+    # leakage fraction into the sensor's worst victim window.
+    coupling = max(
+        10.0 ** (net_gain_db(sensor) / 10.0)
+        * filterbank.leakage_fraction(cfg.filter_spec, worst_victim_window(
+            sensor.channel_span_ghz, cfg.ref_bandwidth_mhz, cfg.tn_band_ghz),
+            cfg.bandwidth_hz / 1e6).delta
+        for sensor in sensors)
+    try:
+        rfi_cap = 10.0 ** (cfg.threshold_dbw / 10.0) / coupling
+    except OverflowError:
+        rfi_cap = math.inf
+    assert cap == min(10.0 ** (cfg.p_bs_dbw / 10.0), rfi_cap)
+    assert cap == pytest.approx(p_max_w, rel=2e-3)
+    assert rfi_cap == pytest.approx(rfi_cap_w, rel=2e-3)
+
+
 def test_mean_power_single_user_closed_form():
     cfg = ScenarioConfig(trials=10, seed=7, rate_bps=100e6)
     cell = CellConfig(n_users=1, n_antennas=16, shadowing=False, los_mode="los")
@@ -74,14 +100,14 @@ def test_mean_power_single_user_closed_form():
     assert result.n_feasible == 10
 
 
-@pytest.mark.parametrize("rate_bps, budget", [
+@pytest.mark.parametrize("rate_bps, p_max_w", [
     (100e6, None),
     (500e6, None),
-    (500e6, RfiBudget(p_bs_w=1e-3)),  # tight: some trials infeasible
+    pytest.param(500e6, 1e-3, id="500000000.0-budget2"),  # tight: some trials infeasible
 ])
-def test_mean_power_equals_per_trial_reference(rate_bps, budget):
-    # A None budget is no cap.
-    budget = UNCAPPED if budget is None else budget
+def test_mean_power_equals_per_trial_reference(rate_bps, p_max_w):
+    # A None cap is no cap.
+    p_max_w = UNCAPPED if p_max_w is None else p_max_w
     cfg = ScenarioConfig(trials=12, seed=0, rate_bps=rate_bps)
     cell = CellConfig()
     gamma = 2 ** (cfg.rate_bps / cfg.bandwidth_hz) - 1
@@ -90,12 +116,12 @@ def test_mean_power_equals_per_trial_reference(rate_bps, budget):
             for h_t, g_t in zip(*_draw(cell, cfg.seed, cfg.trials))]
     # The kernel's cap rule, on the uncapped solutions.
     usable = [s.p_tx_w for s in sols
-              if s.converged and s.p_tx_w <= budget.p_sum_max_w * (1 + 1e-9)]
-    result = mean_bs_power(cfg, cell, budget)
+              if s.converged and s.p_tx_w <= p_max_w * (1 + 1e-9)]
+    result = mean_bs_power(cfg, cell, p_max_w)
     assert result.mean_p_w == float(np.array(usable).sum() / len(usable))
     assert result.n_feasible == len(usable)
     assert result.n_unconverged == sum(not s.converged for s in sols)
-    if budget is not UNCAPPED:
+    if p_max_w != UNCAPPED:
         assert 0 < len(usable) < cfg.trials
 
 
@@ -333,10 +359,10 @@ def _check_blocks_reduce_in_trial_order(monkeypatch, trials, n_jobs):
     calls = _record_kernel_calls(monkeypatch)
     cfg = ScenarioConfig(trials=trials, seed=0, rate_bps=500e6)
     cell = CellConfig()
-    budget = RfiBudget(p_bs_w=1e-3)  # tight: infeasible trials fall in several blocks
-    serial = mean_bs_power(cfg, cell, budget, n_jobs=1)
+    p_max_w = 1e-3  # tight: infeasible trials fall in several blocks
+    serial = mean_bs_power(cfg, cell, p_max_w, n_jobs=1)
     calls.clear()
-    sharded = mean_bs_power(cfg, cell, budget, n_jobs=n_jobs)
+    sharded = mean_bs_power(cfg, cell, p_max_w, n_jobs=n_jobs)
     assert started == ([min(n_jobs, trials)] if trials > 1 else [])
     # Blocks of ceil(trials / n_jobs) trials: 10 trials on 4 workers run as 3, 3, 3 and 1.
     size = math.ceil(trials / n_jobs)
@@ -503,8 +529,8 @@ def test_rfi_grid_power_equals_mean_bs_power_of_each_point(monkeypatch, counties
     sensors = tuple(catalog[sid] for sid in cfg.sensor_ids)
     for (guard, rate), power in cache.items():
         point = replace(cfg, guard_mhz=float(guard), rate_bps=rate * 1e6)
-        _, budget = scenario._sensor_geometries(sensors, scenario._geometry_key(point))
-        assert power == mean_bs_power(point, cell, budget)
+        _, p_max_w = scenario._sensor_geometries(sensors, scenario._geometry_key(point))
+        assert power == mean_bs_power(point, cell, p_max_w)
 
 
 @pytest.mark.parametrize("call", [
@@ -554,7 +580,7 @@ def test_simulate_computes_once_per_dependency(monkeypatch, counties, clear_scen
     points = _grid_points(cfg)
     for point in points:
         simulate(point, counties=counties, power=table[(point.guard_mhz, point.rate_bps / 1e6)])
-    penetrations = {scenario._penetration(p) for p in points}
+    penetrations = {p.penetration_per_100 for p in points}
     assert len(penetrations) == 3  # 2030's penetration does not depend on the factor
     assert counts == {"build_snapshot": 3 * len(GRID_GUARDS),
                       "leakage_fraction": 2 * len(GRID_GUARDS),
