@@ -66,7 +66,7 @@ def test_config_validation():
     ({"threshold_dbw": 4000.0}, 0.316, math.inf),  # a threshold past float range: no RFI cap
 ])
 def test_power_cap_is_the_lower_of_hardware_and_rfi_caps(catalog, fields, p_max_w, rfi_cap_w):
-    cfg = replace(ScenarioConfig(), **fields)
+    cfg = ScenarioConfig(**fields)
     sensors = tuple(catalog[sid] for sid in cfg.sensor_ids)
     _, cap = scenario._sensor_geometries(sensors, scenario._geometry_key(cfg))
     # The RFI cap is the threshold over the largest linear net gain times
