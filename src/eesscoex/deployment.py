@@ -90,12 +90,15 @@ def _read_csv(path, columns) -> list:
 
 
 def _read_gazetteer(path) -> dict:
-    """FIPS -> land area of each row; a FIPS listed twice or an area that is
-    not a number aborts, since which area is meant cannot be told."""
+    """FIPS -> land area of each row; a FIPS that is not a 5-digit code or is
+    listed twice, or an area that is not a number, aborts, since which area
+    is meant cannot be told."""
     areas = {}
     seen = {}
     for line, row in _read_csv(path, ("fips", "land_area_km2")):
         fips = row["fips"].strip().zfill(5)
+        if len(fips) != 5 or not fips.isdigit():
+            raise IngestError(f"{path}: FIPS {fips!r} at line {line} is not a 5-digit code")
         try:
             area = float(row["land_area_km2"])
         except ValueError:
@@ -116,8 +119,8 @@ def ingest_counties(county_csv, gazetteer_csv) -> CountyIngest:
     CSV fips,land_area_km2.  Malformed rows and rows without a gazetteer
     area are rejected with per-line diagnostics; non-metro rows (RUCC
     4-9) are filtered.  A row whose field count differs from its header, a
-    gazetteer area that is not a number, or a FIPS that either file lists
-    twice aborts the ingest.
+    gazetteer FIPS that is not a 5-digit code or area that is not a number,
+    or a FIPS that either file lists twice aborts the ingest.
     """
     areas = _read_gazetteer(gazetteer_csv)
     records = []

@@ -15,8 +15,6 @@ from ._fields import bounded, check_fields
 
 __all__ = [
     "FilterSpec",
-    "VictimWindow",
-    "LeakageProfile",
     "power_response",
     "worst_victim_window",
     "leakage_fraction",
@@ -70,35 +68,6 @@ class FilterSpec:
         return (self.passband_high_ghz - self.passband_low_ghz) * 1e3
 
 
-@dataclass(frozen=True)
-class VictimWindow:
-    """Reference-bandwidth sub-band of a sensor allocation."""
-
-    f_low_ghz: float
-    f_high_ghz: float
-
-    def __post_init__(self):
-        if not 0 < self.f_low_ghz < self.f_high_ghz:
-            raise ValueError(f"degenerate window [{self.f_low_ghz}, {self.f_high_ghz}] GHz")
-
-
-@dataclass(frozen=True)
-class LeakageProfile:
-    """Power-leakage fraction of one filter design into one victim window."""
-
-    delta: float
-
-    def __post_init__(self):
-        # Strictly positive for any Chebyshev response; 0 covers the
-        # ideal brick-wall limit.
-        if not 0 <= self.delta < 1:
-            raise ValueError(f"leakage fraction must lie in [0, 1), got {self.delta}")
-
-    @property
-    def delta_db(self) -> float:
-        return float(10.0 * np.log10(self.delta)) if self.delta > 0 else float("-inf")
-
-
 def _response_into(spec: FilterSpec, f: np.ndarray, out: np.ndarray,
                    work: np.ndarray) -> np.ndarray:
     """|H(f)|^2 at the positive frequencies `f` (GHz), written into `out`
@@ -147,8 +116,9 @@ def power_response(spec: FilterSpec, f_ghz):
 
 
 def worst_victim_window(sensor_span_ghz: tuple, ref_bw_mhz: float,
-                        bs_band_ghz: tuple) -> VictimWindow:
-    """Reference-bandwidth sub-band of the sensor span closest to the BS band.
+                        bs_band_ghz: tuple) -> tuple:
+    """Reference-bandwidth sub-band of the sensor span closest to the BS
+    band, as a `(low, high)` tuple in GHz.
 
     With the BS band above the sensor allocation this is always the
     window abutting the span's upper edge.
@@ -167,30 +137,32 @@ def worst_victim_window(sensor_span_ghz: tuple, ref_bw_mhz: float,
         raise ValueError(
             f"BS band [{bs_low}, {bs_high}] GHz must lie above the sensor span"
         )
-    return VictimWindow(f_low_ghz=span_high - width_ghz, f_high_ghz=span_high)
+    return (span_high - width_ghz, span_high)
 
 
-def leakage_fraction(spec: FilterSpec, window: VictimWindow,
-                     bs_bandwidth_mhz: float) -> LeakageProfile:
-    """Fraction of transmit power leaked into `window`.
+def leakage_fraction(spec: FilterSpec, window: tuple, bs_bandwidth_mhz: float) -> float:
+    """Fraction of transmit power leaked into `window`, a `(low, high)`
+    tuple in GHz, as a float in [0, 1).
 
     Trapezoidal integration of the power response over the window on the
     spec's frequency grid, normalized by the occupied BS bandwidth.
     This models adjacent-band leakage only, so the window must not
     overlap the passband.
     """
+    low, high = window
+    if not 0 < low < high:
+        raise ValueError(f"degenerate window [{low}, {high}] GHz")
     if bs_bandwidth_mhz <= 0:
         raise ValueError(f"BS bandwidth must be positive, got {bs_bandwidth_mhz}")
-    if (window.f_high_ghz > spec.passband_low_ghz + 1e-12
-            and window.f_low_ghz < spec.passband_high_ghz - 1e-12):
+    if high > spec.passband_low_ghz + 1e-12 and low < spec.passband_high_ghz - 1e-12:
         raise ValueError(
-            f"victim window [{window.f_low_ghz}, {window.f_high_ghz}] GHz overlaps "
-            f"the passband [{spec.passband_low_ghz}, {spec.passband_high_ghz}] GHz; "
+            f"victim window [{low}, {high}] GHz overlaps the passband "
+            f"[{spec.passband_low_ghz}, {spec.passband_high_ghz}] GHz; "
             "co-channel leakage is out of scope"
         )
     step_ghz = spec.grid_step_mhz / 1e3
-    n = max(int(np.ceil((window.f_high_ghz - window.f_low_ghz) / step_ghz)), 1)
-    freqs = np.linspace(window.f_low_ghz, window.f_high_ghz, n + 1)
+    n = max(int(np.ceil((high - low) / step_ghz)), 1)
+    freqs = np.linspace(low, high, n + 1)
     resp, work = np.empty_like(freqs), np.empty_like(freqs)
     _response_into(spec, freqs, resp, work)
     # np.trapezoid(resp, freqs) in numpy's own order, sum((diff(freqs) *
@@ -201,7 +173,11 @@ def leakage_fraction(spec: FilterSpec, window: VictimWindow,
     np.multiply(area, pair_sum, out=area)
     integral_ghz = np.divide(area, 2.0, out=area).sum()
     delta = float(integral_ghz * 1e3 / bs_bandwidth_mhz)
-    return LeakageProfile(delta=delta)
+    # Strictly positive for any Chebyshev response; 0 covers the ideal
+    # brick-wall limit.
+    if not 0 <= delta < 1:
+        raise ValueError(f"leakage fraction must lie in [0, 1), got {delta}")
+    return delta
 
 
 def leaked_psd_dbm_per_mhz(spec: FilterSpec, p_tx_dbw: float, f_ghz: float) -> float:

@@ -318,7 +318,7 @@ def _sensor_geometries(sensors: tuple, fields: tuple) -> tuple:
     windows = [worst_victim_window(sensor.channel_span_ghz, cfg.ref_bandwidth_mhz,
                                    cfg.tn_band_ghz) for sensor in sensors]
     # Sensors that share a victim window share its leakage fraction.
-    deltas = {window: leakage_fraction(spec, window, cfg.bandwidth_hz / 1e6).delta
+    deltas = {window: leakage_fraction(spec, window, cfg.bandwidth_hz / 1e6)
               for window in dict.fromkeys(windows)}
     out = tuple(
         _SensorGeometry(sensor_id=sensor.sensor_id, delta=deltas[window],
@@ -410,7 +410,13 @@ def rfi_grid(cfg: ScenarioConfig, years, guards_mhz, rates_mbps, *,
     Gram stack, read from `power_cache` or, for the keys it lacks, solved
     together in stacked kernel calls over one inversion of the stack and
     filled into it.  Every point is built by `replace`, so checked, before
-    any geometry, draw or solve."""
+    any geometry, draw or solve.
+
+    `power_cache` is keyed only by (guard, rate), so one cache is valid only
+    for one seed, trial count, cell and set of cap settings: `p_bs_dbw`,
+    `threshold_dbw`, the gain fields and the filter fields.  The cap can bind:
+    at guard 0 with the defaults the RFI cap, 0.0209 W, is below the 0.316 W
+    hardware cap."""
     cell, counties, catalog, sensors = _inputs(cfg, cell, counties, catalog)
     power_cache = {} if power_cache is None else power_cache
     points = {(year, guard, rate): replace(cfg, year=year, guard_mhz=float(guard),
@@ -450,7 +456,10 @@ def max_feasible_rate(cfg: ScenarioConfig, rate_grid_mbps=RATE_GRID_MBPS,
                       channels: np.ndarray = None, catalog: dict = None,
                       power_cache: dict = None) -> int:
     """Largest grid rate keeping the worst sensor at or under threshold; 0 if
-    none.  A `power_cache` shares power batches across calls, as in `rfi_grid`."""
+    none.  A `power_cache` shares power batches across calls, as in `rfi_grid`,
+    and is keyed only by (guard, rate): it is valid only for one seed, trial
+    count, cell and set of cap settings (`p_bs_dbw`, `threshold_dbw`, gain
+    and filter fields)."""
     grid = rfi_grid(cfg, [cfg.year], [cfg.guard_mhz], rate_grid_mbps, cell=cell,
                     counties=counties, catalog=catalog, channels=channels,
                     power_cache=power_cache)
@@ -482,7 +491,7 @@ def leakage_table(cfg: ScenarioConfig, orders, guards_mhz) -> list:
     """
     catalog = load_sensor_catalog()
     rows = []
-    profiles = {}
+    deltas = {}
     for sid in cfg.sensor_ids:
         sensor = lookup_sensor(catalog, sid)
         for order in orders:
@@ -492,14 +501,14 @@ def leakage_table(cfg: ScenarioConfig, orders, guards_mhz) -> list:
                 window = worst_victim_window(sensor.channel_span_ghz,
                                              point.ref_bandwidth_mhz, point.tn_band_ghz)
                 key = (order, float(guard), window)
-                if key not in profiles:
-                    profiles[key] = leakage_fraction(spec, window, spec.bandwidth_mhz)
-                profile = profiles[key]
+                if key not in deltas:
+                    deltas[key] = leakage_fraction(spec, window, spec.bandwidth_mhz)
+                delta = deltas[key]
                 rows.append({
                     "sensor_id": sid,
                     "order": order,
                     "guard_mhz": float(guard),
-                    "delta": profile.delta,
-                    "delta_db": profile.delta_db,
+                    "delta": delta,
+                    "delta_db": float(10.0 * np.log10(delta)) if delta > 0 else float("-inf"),
                 })
     return rows

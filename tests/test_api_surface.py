@@ -1,7 +1,8 @@
 """The package's public surface: exported names exist and have a user,
 the users of an exported function pass each of its defaulted parameters,
 the entry points the benchmark (perfbench/workloads.py) calls keep their
-keywords, and the README names only what exists."""
+keywords, the README names only what exists, and the test oracles
+(tests/oracles.py) stay independent of the package."""
 
 import ast
 import importlib
@@ -154,3 +155,17 @@ def test_configs_are_built_only_by_their_constructor_or_replace():
     writes = [site for path in sorted(Path(eesscoex.__file__).parent.glob("*.py"))
               for site in _writes_past_the_constructor(path)]
     assert not writes
+
+
+def test_oracles_import_nothing_from_the_package():
+    # An oracle that reached the production route would check it against itself.
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)  # a dynamic import's module name
+    assert not [name for name in names if name.split(".")[0] == "eesscoex"]

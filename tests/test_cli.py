@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -798,6 +799,80 @@ def test_any_command_line_exits_0_2_or_3_without_a_traceback(tmp_path_factory, c
         assert out.getvalue() == "", argv
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+
+
+# A few fields of each --config section, each value paired with whether the
+# field's own check accepts it (a JSON integer is a valid float).  The cell's
+# cross-field rules are restated in the test; sizes stay small.
+CONFIG_FIELD_VALUES = {
+    "scenario": {
+        "year": [(2030, True), (2100, True), (2024, False), (2030.0, False), ("2030", False),
+                 (True, False)],
+        "guard_mhz": [(0, True), (12.5, True), (50, True), (-0.5, False), (51, False),
+                      (None, False)],
+        "adoption_factor": [(1, True), (2.5, True), (0, False), ("x", False)],
+        "p_bs_dbw": [(-5, True), (10.5, True), (101, False), (math.nan, False),
+                     (math.inf, False)],
+        "calibration_db": [(0.9, True), (-2, True), (math.nan, False), ([], False)],
+        "use_published_gain": [(False, True), (True, True), (0, False), ("true", False)],
+        "sensor_ids": [(["B5"], True), (["B1", "B7"], True), ([], False), (["B5", "B5"], False),
+                       ("B5", False), ([5], False)],
+    },
+    "cell": {
+        "n_users": [(1, True), (4, True), (0, False), (2.0, False)],
+        "n_antennas": [(4, True), (16, True), (2.5, False)],
+        "r_min_m": [(5, True), (20.5, True), (0, False)],
+        "r_cell_m": [(100, True), (5000, True), (5, True), (5001, False)],
+        "distance_mode": [("uniform-area", True), ("disc", False)],
+        "los_mode": [("nlos", True), ("x", False)],
+        "noise_temp_k": [(300.5, True), (0, False), (1e6, False)],
+    },
+}
+PRINTED_TYPES = {float: float, int: int, bool: bool, str: str, tuple[str, ...]: list}
+
+
+@st.composite
+def config_sections(draw):
+    """A --config payload of up to three fields per section, and the first
+    section a check must reject (None if both are valid)."""
+    payload, bad = {}, None
+    for section, fields in CONFIG_FIELD_VALUES.items():
+        keys = draw(st.lists(st.sampled_from(sorted(fields)), max_size=3, unique=True))
+        picks = {key: draw(st.sampled_from(fields[key])) for key in keys}
+        payload[section] = {key: value for key, (value, _) in picks.items()}
+        valid = all(ok for _, ok in picks.values())
+        if section == "cell" and valid:
+            cell = {**dataclasses.asdict(scenario.CellConfig()), **payload[section]}
+            valid = cell["r_min_m"] < cell["r_cell_m"] and cell["n_antennas"] >= cell["n_users"]
+        if not valid and bad is None:
+            bad = section
+    return payload, bad
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(case=config_sections())
+def test_config_file_value_is_printed_as_written_or_exits_2_naming_its_section(
+        tmp_path_factory, case):
+    payload, bad = case
+    path = tmp_path_factory.mktemp("config") / "config.json"
+    path.write_text(json.dumps(payload))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--config", str(path), "simulate", "--trials", "1"])
+    if bad is not None:
+        assert code == 2 and out.getvalue() == "", payload
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: config section '{bad}': "), (
+            payload, lines)
+        return
+    assert code == 0, (payload, err.getvalue())
+    printed = json.loads(out.getvalue())["config"]
+    for section, values in payload.items():
+        types = {f.name: f.type for f in dataclasses.fields(
+            scenario.ScenarioConfig if section == "scenario" else scenario.CellConfig)}
+        for key, value in values.items():
+            assert printed[key] == value, (section, key)
+            assert type(printed[key]) is PRINTED_TYPES[types[key]], (section, key)
 
 
 def test_a_command_runs_without_importing_scipy(tmp_path):

@@ -129,6 +129,11 @@ UNREADABLE_SOURCES = [
                  id="gazetteer-without-area-column"),
     pytest.param(COUNTY_HEADER + LA_ROW, GAZETTEER_HEADER + "06037,10510 km2\n", "g.csv",
                  "land area '10510 km2' at line 2 is not a number", id="gazetteer-area-unit"),
+    pytest.param(COUNTY_HEADER + LA_ROW + "53033,King,WA,1,2271380\n",
+                 GAZETTEER_HEADER + LA_AREA + "5303x,5478.6\n", "g.csv",
+                 "FIPS '5303x' at line 3 is not a 5-digit code", id="gazetteer-fips-not-digits"),
+    pytest.param(COUNTY_HEADER + LA_ROW, GAZETTEER_HEADER + "060370,10510.0\n", "g.csv",
+                 "FIPS '060370' at line 2 is not a 5-digit code", id="gazetteer-fips-six-digits"),
     pytest.param(COUNTY_HEADER + LA_ROW, GAZETTEER_HEADER + "53033,5478.6\n06037,\n",
                  "g.csv", "land area '' at line 3 is not a number", id="gazetteer-empty-area"),
     pytest.param(COUNTY_HEADER + "06037," + "x" * 200_000 + ",CA,1,10000000\n",
@@ -183,7 +188,8 @@ def _number_text(draw, value, unit, spoilt):
 @st.composite
 def county_sources(draw):
     """County and gazetteer CSV text, with a byte-order mark or not, blank
-    lines, quoted commas, short rows, thousands separators and stray units;
+    lines, quoted commas, short rows, thousands separators, stray units and
+    gazetteer FIPS that are not 5-digit codes;
     and what the ingest must make of them: {fips: (population, area)} of the
     accepted records, the lines of rejected county rows, and each file's
     lines that must abort the ingest."""
@@ -206,7 +212,8 @@ def county_sources(draw):
             if people == ABORT:
                 aborts["c.csv"].add(len(county))
         area = None
-        gazetteer_row = draw(st.sampled_from(["number"] * 16 + ["zero", "short", "none"]))
+        gazetteer_row = draw(st.sampled_from(["number"] * 16 + ["zero", "short", "none",
+                                                                "spoilt-fips"]))
         if gazetteer_row == "number":
             text, area = _number_text(draw, draw(st.floats(1.0, 1e5)), "km2", ABORT)
             gazetteer.append(f"{fips},{text}")
@@ -214,6 +221,9 @@ def county_sources(draw):
             gazetteer.append(f"{fips},0")
         elif gazetteer_row == "short":
             gazetteer.append(fips)
+            area = ABORT
+        elif gazetteer_row == "spoilt-fips":
+            gazetteer.append(f"{fips[:4]}x,1.0")
             area = ABORT
         if area == ABORT:
             aborts["g.csv"].add(len(gazetteer))

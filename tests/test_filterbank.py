@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from eesscoex.filterbank import (
     FilterSpec,
-    LeakageProfile,
-    VictimWindow,
     edge_psd_margin,
     leaked_psd_dbm_per_mhz,
     leakage_fraction,
@@ -18,7 +17,7 @@ from eesscoex.linkbudget import load_sensor_catalog
 from oracles import poly_power_response, simpson_delta
 
 SPEC_25 = FilterSpec(order=7, ripple_db=0.2, passband_low_ghz=7.15, passband_high_ghz=7.40)
-B5_WINDOW = VictimWindow(6.925, 7.125)
+B5_WINDOW = (6.925, 7.125)
 
 
 def test_center_response_unity_odd_order():
@@ -92,19 +91,19 @@ def test_invalid_inputs():
 
 def test_worst_victim_window_b5():
     window = worst_victim_window((6.725, 7.125), 200.0, (7.15, 7.40))
-    assert window.f_low_ghz == pytest.approx(6.925)
-    assert window.f_high_ghz == pytest.approx(7.125)
+    assert window[0] == pytest.approx(6.925)
+    assert window[1] == pytest.approx(7.125)
 
 
 def test_worst_victim_window_b1():
     window = worst_victim_window((6.750, 7.100), 200.0, (7.15, 7.40))
-    assert window.f_low_ghz == pytest.approx(6.900)
-    assert window.f_high_ghz == pytest.approx(7.100)
+    assert window[0] == pytest.approx(6.900)
+    assert window[1] == pytest.approx(7.100)
 
 
 def test_worst_victim_window_exact_span():
     window = worst_victim_window((6.925, 7.125), 200.0, (7.15, 7.40))
-    assert (window.f_low_ghz, window.f_high_ghz) == pytest.approx((6.925, 7.125))
+    assert window == pytest.approx((6.925, 7.125))
 
 
 def test_worst_victim_window_errors():
@@ -115,26 +114,35 @@ def test_worst_victim_window_errors():
 
 
 def test_leakage_matches_quadrature_oracle():
-    profile = leakage_fraction(SPEC_25, B5_WINDOW, 250.0)
+    delta = leakage_fraction(SPEC_25, B5_WINDOW, 250.0)
     ref = simpson_delta(7, 0.2, 7.15, 7.40, 6.925, 7.125, 250.0)
-    assert profile.delta == pytest.approx(ref, rel=1e-3)
-    assert profile.delta == pytest.approx(3.397e-4, rel=2e-3)
+    assert delta == pytest.approx(ref, rel=1e-3)
+    assert delta == pytest.approx(3.397e-4, rel=2e-3)
 
 
 def test_leakage_grid_convergence():
-    coarse = leakage_fraction(SPEC_25, B5_WINDOW, 250.0).delta
+    coarse = leakage_fraction(SPEC_25, B5_WINDOW, 250.0)
     fine_spec = FilterSpec(order=7, ripple_db=0.2, grid_step_mhz=0.005)
-    fine = leakage_fraction(fine_spec, B5_WINDOW, 250.0).delta
+    fine = leakage_fraction(fine_spec, B5_WINDOW, 250.0)
     assert abs(coarse - fine) / fine < 1e-3
 
 
-def test_leakage_brick_wall_is_zero():
-    # A brick-wall filter leaks nothing, which reads as -inf dB.
-    assert LeakageProfile(delta=0.0).delta_db == float("-inf")
+@pytest.mark.parametrize("window", [(7.1, 7.0), (0.0, 7.0)])
+def test_leakage_rejects_a_degenerate_window(window):
+    with pytest.raises(ValueError, match=re.escape(f"degenerate window [{window[0]}, "
+                                                   f"{window[1]}] GHz")):
+        leakage_fraction(SPEC_25, window, 250.0)
+
+
+def test_leakage_rejects_a_fraction_of_one_or_more():
+    # A window abutting the passband, normalized by a 1 MHz bandwidth,
+    # integrates to several times the transmit power.
+    with pytest.raises(ValueError, match=r"^leakage fraction must lie in \[0, 1\), got 7\.9"):
+        leakage_fraction(FilterSpec(passband_low_ghz=7.125), B5_WINDOW, 1.0)
 
 
 def test_leakage_monotone_in_order():
-    deltas = [leakage_fraction(FilterSpec(order=l), B5_WINDOW, 250.0).delta
+    deltas = [leakage_fraction(FilterSpec(order=l), B5_WINDOW, 250.0)
               for l in (3, 5, 7, 9)]
     assert deltas == sorted(deltas, reverse=True)
     assert all(d > 0 for d in deltas)
@@ -145,19 +153,19 @@ def test_leakage_monotone_in_guard():
     for guard in range(0, 55, 5):
         spec = FilterSpec(passband_low_ghz=7.125 + guard / 1e3)
         bw = spec.bandwidth_mhz
-        deltas.append(leakage_fraction(spec, B5_WINDOW, bw).delta)
+        deltas.append(leakage_fraction(spec, B5_WINDOW, bw))
     assert all(a > b for a, b in zip(deltas, deltas[1:]))
 
 
 def test_leakage_rejects_overlapping_window():
     with pytest.raises(ValueError):
-        leakage_fraction(SPEC_25, VictimWindow(7.0, 7.2), 250.0)
+        leakage_fraction(SPEC_25, (7.0, 7.2), 250.0)
 
 
 def test_leakage_window_may_touch_passband():
     spec = FilterSpec(passband_low_ghz=7.125)
-    profile = leakage_fraction(spec, B5_WINDOW, spec.bandwidth_mhz)
-    assert 0 < profile.delta < 1
+    delta = leakage_fraction(spec, B5_WINDOW, spec.bandwidth_mhz)
+    assert 0 < delta < 1
 
 
 def test_edge_psd_and_margin():
@@ -224,9 +232,9 @@ def _restated_response(spec, f):
 
 
 def _restated_delta(spec, window, bs_bandwidth_mhz):
-    n = max(int(np.ceil((window.f_high_ghz - window.f_low_ghz)
-                        / (spec.grid_step_mhz / 1e3))), 1)
-    freqs = np.linspace(window.f_low_ghz, window.f_high_ghz, n + 1)
+    low, high = window
+    n = max(int(np.ceil((high - low) / (spec.grid_step_mhz / 1e3))), 1)
+    freqs = np.linspace(low, high, n + 1)
     return float(np.trapezoid(_restated_response(spec, freqs), freqs) * 1e3
                  / bs_bandwidth_mhz)
 
@@ -244,7 +252,7 @@ def test_leakage_and_response_equal_the_restated_form_bitwise(order, ripple_db):
         for sensor in sensors:
             window = worst_victim_window(sensor.channel_span_ghz, 200.0,
                                          (spec.passband_low_ghz, spec.passband_high_ghz))
-            delta = leakage_fraction(spec, window, spec.bandwidth_mhz).delta
+            delta = leakage_fraction(spec, window, spec.bandwidth_mhz)
             assert delta == _restated_delta(spec, window, spec.bandwidth_mhz), (guard, sensor)
 
 

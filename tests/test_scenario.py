@@ -2,6 +2,7 @@ import collections
 import concurrent.futures
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -75,7 +76,7 @@ def test_power_cap_is_the_lower_of_hardware_and_rfi_caps(catalog, fields, p_max_
         10.0 ** (net_gain_db(sensor) / 10.0)
         * filterbank.leakage_fraction(cfg.filter_spec, worst_victim_window(
             sensor.channel_span_ghz, cfg.ref_bandwidth_mhz, cfg.tn_band_ghz),
-            cfg.bandwidth_hz / 1e6).delta
+            cfg.bandwidth_hz / 1e6)
         for sensor in sensors)
     try:
         rfi_cap = 10.0 ** (cfg.threshold_dbw / 10.0) / coupling
@@ -742,8 +743,7 @@ def test_leakage_table_integrates_each_distinct_window_once(monkeypatch):
         spec = point.filter_spec
         window = worst_victim_window(catalog[row["sensor_id"]].channel_span_ghz,
                                      point.ref_bandwidth_mhz, point.tn_band_ghz)
-        assert row["delta"] == filterbank.leakage_fraction(spec, window,
-                                                           spec.bandwidth_mhz).delta
+        assert row["delta"] == filterbank.leakage_fraction(spec, window, spec.bandwidth_mhz)
 
 
 def test_leakage_table_rows():
@@ -753,6 +753,22 @@ def test_leakage_table_rows():
     assert by_key[(7, 25.0)] < by_key[(7, 0.0)]
     assert by_key[(7, 25.0)] < by_key[(5, 25.0)]
     assert by_key[(7, 25.0)] == pytest.approx(3.397e-4, rel=2e-3)
+
+
+def test_leakage_table_delta_db_is_numpy_log10_bitwise():
+    # math.log10 differs from numpy's log10 in the last bit for some values,
+    # which would move the table's full-precision JSON digits.
+    rows = leakage_table(ScenarioConfig(), scenario.LEAKAGE_ORDERS, scenario.GUARD_GRID_MHZ)
+    for row in rows:
+        assert row["delta_db"] == float(10.0 * np.log10(row["delta"])), row
+
+
+def test_leakage_table_zero_fraction_is_minus_inf_without_a_warning(monkeypatch):
+    monkeypatch.setattr(scenario, "leakage_fraction", lambda *args: 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = leakage_table(ScenarioConfig(sensor_ids=("B5",)), (7,), (25,))
+    assert rows[0]["delta"] == 0.0 and rows[0]["delta_db"] == float("-inf")
 
 
 def test_emit_report_deterministic(tmp_path, counties):
