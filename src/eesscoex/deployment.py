@@ -89,6 +89,16 @@ def _read_csv(path, columns) -> list:
     return rows
 
 
+def _fips(field):
+    """The 5-digit FIPS code a CSV field writes, leading zeros restored (a
+    spreadsheet drops them), or None if the stripped field is not 1 to 5
+    ASCII digits."""
+    code = field.strip()
+    if 0 < len(code) <= 5 and code.isascii() and code.isdigit():
+        return code.zfill(5)
+    return None
+
+
 def _read_gazetteer(path) -> dict:
     """FIPS -> land area of each row; a FIPS that is not a 5-digit code or is
     listed twice, or an area that is not a number, aborts, since which area
@@ -96,9 +106,10 @@ def _read_gazetteer(path) -> dict:
     areas = {}
     seen = {}
     for line, row in _read_csv(path, ("fips", "land_area_km2")):
-        fips = row["fips"].strip().zfill(5)
-        if len(fips) != 5 or not fips.isdigit():
-            raise IngestError(f"{path}: FIPS {fips!r} at line {line} is not a 5-digit code")
+        fips = _fips(row["fips"])
+        if fips is None:
+            raise IngestError(f"{path}: FIPS {row['fips']!r} at line {line} "
+                              "is not a 5-digit code")
         try:
             area = float(row["land_area_km2"])
         except ValueError:
@@ -116,18 +127,23 @@ def ingest_counties(county_csv, gazetteer_csv) -> CountyIngest:
     """Parse the county and land-area sources into metro CountyRecords.
 
     Schema: county CSV fips,name,state,rucc_code,population; gazetteer
-    CSV fips,land_area_km2.  Malformed rows and rows without a gazetteer
-    area are rejected with per-line diagnostics; non-metro rows (RUCC
-    4-9) are filtered.  A row whose field count differs from its header, a
-    gazetteer FIPS that is not a 5-digit code or area that is not a number,
-    or a FIPS that either file lists twice aborts the ingest.
+    CSV fips,land_area_km2.  Malformed rows, rows with a FIPS that is not
+    a 5-digit code and rows without a gazetteer area are rejected with
+    per-line diagnostics; non-metro rows (RUCC 4-9) are filtered.  A row
+    whose field count differs from its header, a gazetteer FIPS that is not
+    a 5-digit code or area that is not a number, or a FIPS that either file
+    lists twice aborts the ingest.  A FIPS of fewer digits is read with its
+    leading zeros restored.
     """
     areas = _read_gazetteer(gazetteer_csv)
     records = []
     rejected = []
     seen = {}
     for line, row in _read_csv(county_csv, ("fips", "name", "state", "rucc_code", "population")):
-        fips = row["fips"].strip().zfill(5)
+        fips = _fips(row["fips"])
+        if fips is None:
+            rejected.append(RowDiagnostic(line, f"FIPS {row['fips']!r}: not a 5-digit code"))
+            continue
         try:
             rucc = int(row["rucc_code"])
             population = int(row["population"])

@@ -360,6 +360,16 @@ def test_non_finite_gazetteer_area_is_a_rejected_row(tmp_path, capsys, area):
     assert all(row["n_footprint"] > 0 and row["rfi_dbw"] != "-inf" for row in rows)
 
 
+def test_blank_county_fips_is_a_rejected_row_named_as_written(tmp_path, capsys):
+    argv = ["deploy", "--year", "2030"] + _write_counties(tmp_path, ["10510.0", "5478.6"])
+    counties = tmp_path / "c.csv"
+    counties.write_text(counties.read_text() + ",San Diego,CA,1,3269973\n")
+    code, out, err = _run(capsys, argv)
+    assert code == 0
+    assert err.splitlines() == ["warning: line 4: FIPS '': not a 5-digit code"]
+    assert {row["fips"] for row in json.loads(out)["rows"]} == {"06037", "53033"}
+
+
 @pytest.mark.parametrize("command", ["deploy --year 2030", "simulate --trials 2",
                                      "sweep-guard --years 2030 --guards 25:25:1 --trials 2"])
 def test_no_surviving_county_is_one_error_line(tmp_path, capsys, command):

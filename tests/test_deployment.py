@@ -22,7 +22,7 @@ from eesscoex.deployment import (
 
 
 def _write(path, text):
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -89,6 +89,24 @@ def test_ingest_malformed_row_diagnostic(tmp_path):
     assert result.rejected[0].line == 2
 
 
+@pytest.mark.parametrize("fips", ["", "  ", "060370", "6037x", "0603\u0667"])
+def test_ingest_rejects_a_county_fips_that_is_not_a_5_digit_code_as_written(tmp_path, fips):
+    counties = _write(tmp_path / "c.csv", "fips,name,state,rucc_code,population\n"
+                      f"{fips},San Diego,CA,1,3269973\n53033,King,WA,1,2271380\n")
+    gaz = _write(tmp_path / "g.csv", "fips,land_area_km2\n06037,10510.0\n53033,5478.6\n")
+    result = ingest_counties(counties, gaz)
+    assert [r.fips for r in result.records] == ["53033"]
+    assert [(d.line, d.reason) for d in result.rejected] == [
+        (2, f"FIPS {fips!r}: not a 5-digit code")]
+
+
+def test_ingest_restores_the_leading_zeros_of_a_short_fips(tmp_path):
+    counties = _write(tmp_path / "c.csv", "fips,name,state,rucc_code,population\n"
+                      "6037,Los Angeles,CA,1,10000000\n")
+    gaz = _write(tmp_path / "g.csv", "fips,land_area_km2\n 6037 ,10510.0\n")
+    assert [r.fips for r in ingest_counties(counties, gaz).records] == ["06037"]
+
+
 def test_ingest_missing_area_rejected(tmp_path):
     counties = _write(tmp_path / "c.csv",
                       "fips,name,state,rucc_code,population\n06037,Los Angeles,CA,1,10000000\n")
@@ -134,6 +152,10 @@ UNREADABLE_SOURCES = [
                  "FIPS '5303x' at line 3 is not a 5-digit code", id="gazetteer-fips-not-digits"),
     pytest.param(COUNTY_HEADER + LA_ROW, GAZETTEER_HEADER + "060370,10510.0\n", "g.csv",
                  "FIPS '060370' at line 2 is not a 5-digit code", id="gazetteer-fips-six-digits"),
+    pytest.param(COUNTY_HEADER + LA_ROW, GAZETTEER_HEADER + LA_AREA + ",10807.4\n", "g.csv",
+                 "FIPS '' at line 3 is not a 5-digit code", id="gazetteer-fips-blank"),
+    pytest.param(COUNTY_HEADER + LA_ROW, GAZETTEER_HEADER + " ,10807.4\n" + LA_AREA, "g.csv",
+                 "FIPS ' ' at line 2 is not a 5-digit code", id="gazetteer-fips-spaces"),
     pytest.param(COUNTY_HEADER + LA_ROW, GAZETTEER_HEADER + "53033,5478.6\n06037,\n",
                  "g.csv", "land area '' at line 3 is not a number", id="gazetteer-empty-area"),
     pytest.param(COUNTY_HEADER + "06037," + "x" * 200_000 + ",CA,1,10000000\n",
@@ -189,7 +211,7 @@ def _number_text(draw, value, unit, spoilt):
 def county_sources(draw):
     """County and gazetteer CSV text, with a byte-order mark or not, blank
     lines, quoted commas, short rows, thousands separators, stray units and
-    gazetteer FIPS that are not 5-digit codes;
+    FIPS that are not 5-digit codes (blank ones among them);
     and what the ingest must make of them: {fips: (population, area)} of the
     accepted records, the lines of rejected county rows, and each file's
     lines that must abort the ingest."""
@@ -204,16 +226,17 @@ def county_sources(draw):
         name = draw(st.sampled_from(["Autauga", '"King, WA"', '"Lewis and Clark, MT"']))
         rucc = draw(st.sampled_from([1, 2, 3, 1, 2, 3, 4, 9]))
         population, people = _number_text(draw, draw(st.integers(0, 10**7)), "people", REJECT)
+        county_fips = draw(st.sampled_from([fips] * 17 + ["", " ", f"{fips[:4]}x"]))
         if draw(st.integers(0, 19)) == 0:  # a short row
-            county.append(f"{fips},{name},CA,{rucc}")
+            county.append(f"{county_fips},{name},CA,{rucc}")
             aborts["c.csv"].add(len(county))
         else:
-            county.append(f"{fips},{name},CA,{rucc},{population}")
+            county.append(f"{county_fips},{name},CA,{rucc},{population}")
             if people == ABORT:
                 aborts["c.csv"].add(len(county))
         area = None
         gazetteer_row = draw(st.sampled_from(["number"] * 16 + ["zero", "short", "none",
-                                                                "spoilt-fips"]))
+                                                                "spoilt-fips", "blank-fips"]))
         if gazetteer_row == "number":
             text, area = _number_text(draw, draw(st.floats(1.0, 1e5)), "km2", ABORT)
             gazetteer.append(f"{fips},{text}")
@@ -225,12 +248,15 @@ def county_sources(draw):
         elif gazetteer_row == "spoilt-fips":
             gazetteer.append(f"{fips[:4]}x,1.0")
             area = ABORT
+        elif gazetteer_row == "blank-fips":
+            gazetteer.append(draw(st.sampled_from(["", " "])) + ",1.0")
+            area = ABORT
         if area == ABORT:
             aborts["g.csv"].add(len(gazetteer))
         line = len(county)
         if line in aborts["c.csv"]:
             continue
-        if people == REJECT:
+        if people == REJECT or county_fips != fips:
             rejected.add(line)
         elif rucc not in METRO_RUCC_CODES:
             continue

@@ -1,16 +1,22 @@
 import csv
 import dataclasses
+import io
 import json
 import math
 import tempfile
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eesscoex.reports import _json_safe, emit_rows, format_row, row_dict
+from eesscoex import reports
+from eesscoex.reports import _json_safe, emit_report, emit_rows, format_row, row_dict
 from eesscoex.scenario import GuardSweepRow, ScenarioConfig, simulate
+
+BLOCK = reports._BLOCK_ROWS
 
 _SCALARS = st.one_of(
     st.floats(),
@@ -31,22 +37,146 @@ _HEADERS = st.dictionaries(
 )
 
 
+# Equal values of other signs or types (0.0 and -0.0; 1, 1.0 and True; a
+# float and an np.float64), and one NaN object, reused as a repeated value is.
+_NAN = math.nan
+_ALIKE = st.sampled_from([0.0, -0.0, 1, 1.0, True, _NAN, np.float64(1.0), np.float64(-0.0),
+                          2.5, np.float64(2.5), -math.inf])
+_POOLS = st.one_of(
+    st.lists(st.one_of(_ALIKE, _SCALARS), min_size=1, max_size=5),
+    st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from([0.0, -0.0])), min_size=1, max_size=5),
+    st.lists(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, _NAN])), min_size=1, max_size=5),
+    st.lists(st.integers(min_value=-(2**70), max_value=2**70), min_size=1, max_size=5),
+    st.lists(st.text(max_size=4), min_size=1, max_size=5),
+)
+
+
 @st.composite
 def _rows(draw):
+    """Rows whose every column draws from a small pool of its own, so a
+    column repeats values, of one exact type or of several."""
     columns = draw(st.lists(st.text(max_size=8), min_size=1, max_size=6, unique=True))
-    n_rows = draw(st.integers(min_value=1, max_value=4))
-    return [{key: draw(_SCALARS) for key in columns} for _ in range(n_rows)]
+    pools = {key: draw(_POOLS) for key in columns}
+    n_rows = draw(st.integers(min_value=1, max_value=9))
+    return [{key: draw(st.sampled_from(pools[key])) for key in columns} for _ in range(n_rows)]
+
+
+def _per_row_csv(rows, header):
+    """The CSV file as the per-row path writes it: one `# key=value` line per
+    header key in sorted order, the column line, then `format_row` of each row."""
+    text = io.StringIO(newline="")
+    for key in sorted(header):
+        text.write(f"# {key}={_json_safe(header[key])}\n")
+    writer = csv.writer(text)
+    writer.writerow(list(rows[0]))
+    for row in rows:
+        writer.writerow(format_row(row))
+    return text.getvalue().encode("utf-8")
+
+
+def _stdlib_json(rows, header):
+    return (json.dumps({"config": _json_safe(header), "rows": _json_safe(rows)},
+                       indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def _emitted(rows, out_dir, header=None, block=BLOCK):
+    """The bytes of the CSV and JSON files `emit_rows` writes in blocks of `block` rows."""
+    with mock.patch.object(reports, "_BLOCK_ROWS", block):
+        paths = emit_rows(rows, out_dir, "t", header=header)
+    with open(paths["csv"], "rb") as csv_fh, open(paths["json"], "rb") as json_fh:
+        return csv_fh.read(), json_fh.read()
+
+
+_BLOCKS = st.sampled_from([1, 2, 3, BLOCK])
 
 
 @settings(max_examples=150, deadline=None)
-@given(rows=_rows(), header=_HEADERS)
-def test_json_file_is_the_stdlib_indent_2_encoding(rows, header):
-    expected = json.dumps({"config": _json_safe(header), "rows": _json_safe(rows)},
-                          indent=2, sort_keys=True) + "\n"
+@given(rows=_rows(), header=_HEADERS, block=_BLOCKS)
+def test_json_file_is_the_stdlib_indent_2_encoding(rows, header, block):
     with tempfile.TemporaryDirectory() as out_dir:
-        paths = emit_rows(rows, out_dir, "t", header=header)
-        with open(paths["json"], "rb") as fh:
-            assert fh.read() == expected.encode("utf-8")
+        assert _emitted(rows, out_dir, header, block)[1] == _stdlib_json(rows, header)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=_rows(), header=_HEADERS, block=_BLOCKS)
+def test_csv_file_is_the_per_row_csv(rows, header, block):
+    with tempfile.TemporaryDirectory() as out_dir:
+        assert _emitted(rows, out_dir, header, block)[0] == _per_row_csv(rows, header)
+
+
+def _table(n_rows):
+    """`n_rows` report-like rows: repeated names, counts and flags, floats with
+    both zeros, with and without NaN and infinities, and one column of
+    distinct floats."""
+    specials = [0.0, -0.0, 1.5, math.nan, math.inf, -math.inf, 1.5]
+    return [{"sensor_id": f"B{i % 5}", "n_footprint": i % 3, "rfi_dbw": -166.0 + i / 7,
+             "delta": specials[i % 7], "margin_db": specials[i % 3], "feasible": i % 4 == 0,
+             "note": None if i % 2 else "é"}
+            for i in range(n_rows)]
+
+
+@pytest.mark.parametrize("n_rows", [BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_rows_across_block_boundaries_are_the_per_row_files(tmp_path, n_rows):
+    rows = _table(n_rows)
+    header = {"trials": 4}
+    assert _emitted(rows, tmp_path, header) == (_per_row_csv(rows, header),
+                                                _stdlib_json(rows, header))
+
+
+_SPOIL = {"columns": lambda row: {"x": 1, **row},
+          "a report row must be flat": lambda row: {**row, "delta": [1.0]}}
+
+
+@pytest.mark.parametrize("spoilt", [
+    {BLOCK + 3: "columns"},
+    {BLOCK + 3: "a report row must be flat"},
+    {BLOCK + 2: "a report row must be flat", BLOCK + 5: "columns"},
+    {BLOCK + 2: "columns", BLOCK + 5: "a report row must be flat"},
+])
+def test_a_bad_row_in_the_second_block_is_named_by_its_index(tmp_path, spoilt):
+    rows = _table(2 * BLOCK + 1)
+    for index, fault in spoilt.items():
+        rows[index] = _SPOIL[fault](rows[index])
+    first = min(spoilt)
+    with pytest.raises(ValueError, match=f"^row {first}: {spoilt[first]}"):
+        emit_rows(rows, tmp_path, "t")
+    # Both files stop after the first block, with no closing JSON.
+    csv_lines = (tmp_path / "t.csv").read_bytes().splitlines()
+    assert len(csv_lines) == 1 + BLOCK
+    with pytest.raises(json.JSONDecodeError):
+        json.loads((tmp_path / "t.json").read_text(encoding="utf-8"))
+
+
+def test_emit_report_writes_what_emit_rows_writes_of_row_dict_copies(tmp_path, counties):
+    points = [simulate(ScenarioConfig(trials=2, year=year, rate_bps=rate), counties=counties)
+              for year in (2030, 2040) for rate in (100e6, 300e6)]
+    header = {key: value for key, value in points[0].config.items()
+              if key not in ("year", "rate_bps", "penetration_per_100")}
+    copies = [row_dict(row) for point in points for row in point.rows]
+    for block in (3, BLOCK):
+        with mock.patch.object(reports, "_BLOCK_ROWS", block):
+            paths = emit_report(points, tmp_path / "report")
+            expected = emit_rows(copies, tmp_path / "rows", "rfi_report", header=header)
+        for kind in ("csv", "json"):
+            with open(paths[kind], "rb") as got, open(expected[kind], "rb") as want:
+                assert got.read() == want.read(), (block, kind)
+
+
+def test_emit_memory_scales_with_the_block_not_the_rows(tmp_path):
+    # Peak traced memory beyond the input rows: one block's cells and the
+    # file buffers, the same at 4 blocks as at 16.
+    def overhead(n_blocks):
+        rows = _table(n_blocks * BLOCK)
+        tracemalloc.start()
+        try:
+            emit_rows(rows, tmp_path, "t")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    emit_rows(_table(BLOCK), tmp_path, "t")  # one-time allocations outside the measurement
+    assert overhead(16) == pytest.approx(overhead(4), rel=0.1)
 
 
 def test_json_file_with_an_empty_header():
