@@ -269,38 +269,51 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def build_parser():
-    parser = _ArgumentParser(
-        prog="eesscoex",
-        description="Aggregate adjacent-band RFI from 7.125-7.4 GHz deployments "
-                    "onto passive EESS radiometers",
-    )
-    parser.add_argument("--config", help="JSON file with 'scenario'/'cell' sections")
-    parser.add_argument("--seed", type=int, help="master Monte Carlo seed")
-    parser.add_argument("--out-dir", help="directory for CSV/JSON outputs")
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Command(_ArgumentParser):
+    """A command's parser, which adds its own arguments only when the command
+    line names it: one run builds one command's arguments, not every
+    command's."""
 
-    p = sub.add_parser("link-budget", help="per-sensor propagation budget")
+    def __init__(self, *, add_arguments, **kwargs):
+        super().__init__(**kwargs)
+        self._add_arguments = add_arguments
+
+    def complete(self):
+        """The parser with its arguments added; they are added once."""
+        if self._add_arguments is not None:
+            add, self._add_arguments = self._add_arguments, None
+            add(self)
+        return self
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.complete()
+        return super().parse_known_args(args, namespace)
+
+
+def _link_budget_arguments(p):
     p.add_argument("--sensor", required=True)
     p.add_argument("--freq", type=finite, default=DEFAULT_EVAL_FREQ_GHZ, help="GHz")
     p.add_argument("--g-tx", dest="g_tx_db", type=finite, help="BS gain toward sensor, dB")
     p.add_argument("--catalog", help="alternate sensor catalog JSON")
     p.set_defaults(func=_cmd_link_budget)
 
-    p = sub.add_parser("leakage", help="leakage fractions per order/guard/sensor")
+
+def _leakage_arguments(p):
     p.add_argument("--orders", type=_comma_list(int), default=LEAKAGE_ORDERS)
     p.add_argument("--guards", type=_comma_list(finite), default=GUARD_GRID_MHZ, help="MHz")
     p.add_argument("--sensors", dest="sensor_ids", type=_comma_list(str))
     p.add_argument("--ripple", dest="ripple_db", type=finite, help="passband ripple, dB")
     p.set_defaults(func=_cmd_leakage)
 
-    p = sub.add_parser("adoption", help="penetration for a year and growth scenario")
+
+def _adoption_arguments(p):
     p.add_argument("--scenario", dest="adoption_factor", type=percent, metavar="PERCENT",
                    help="percent of baseline b3")
     p.add_argument("--year", type=int, required=True)
     p.set_defaults(func=_cmd_adoption)
 
-    p = sub.add_parser("deploy", help="per-county BS counts")
+
+def _deploy_arguments(p):
     p.add_argument("--year", type=int, required=True)
     p.add_argument("--rate", dest="max_demand_bps", type=finite,
                    help="sizing rate per user, bps")
@@ -311,7 +324,8 @@ def build_parser():
     p.add_argument("--gazetteer", help="land-area CSV (fips,land_area_km2)")
     p.set_defaults(func=_cmd_deploy)
 
-    p = sub.add_parser("simulate", help="aggregate RFI per sensor")
+
+def _simulate_arguments(p):
     p.add_argument("--year", type=int)
     p.add_argument("--rate", dest="rate_bps", type=finite, help="user rate, bps")
     p.add_argument("--scenario", dest="adoption_factor", type=percent, metavar="PERCENT",
@@ -324,7 +338,8 @@ def build_parser():
     p.add_argument("--gazetteer")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("sweep-guard", help="max feasible rate per (year, guard)")
+
+def _sweep_guard_arguments(p):
     p.add_argument("--years", type=_comma_list(int), default=CANONICAL_YEARS)
     p.add_argument("--guards", type=_guard_grid, default=GUARD_GRID_MHZ,
                    help="lo:hi:step in MHz")
@@ -335,7 +350,8 @@ def build_parser():
     p.add_argument("--gazetteer")
     p.set_defaults(func=_cmd_sweep_guard)
 
-    p = sub.add_parser("compliance", help="emission-mask margin at the band edge")
+
+def _compliance_arguments(p):
     p.add_argument("--ptx", dest="p_bs_dbw", type=finite, help="total transmit power, dBW")
     p.add_argument("--guard", dest="guard_mhz", type=finite, help="guard band, MHz")
     p.add_argument("--order", dest="filter_order", type=int, help="filter order")
@@ -344,6 +360,33 @@ def build_parser():
                    help="dBm/MHz")
     p.set_defaults(func=_cmd_compliance)
 
+
+# Each command's name, help line and arguments, in the order `--help` lists them.
+_COMMANDS = (
+    ("link-budget", "per-sensor propagation budget", _link_budget_arguments),
+    ("leakage", "leakage fractions per order/guard/sensor", _leakage_arguments),
+    ("adoption", "penetration for a year and growth scenario", _adoption_arguments),
+    ("deploy", "per-county BS counts", _deploy_arguments),
+    ("simulate", "aggregate RFI per sensor", _simulate_arguments),
+    ("sweep-guard", "max feasible rate per (year, guard)", _sweep_guard_arguments),
+    ("compliance", "emission-mask margin at the band edge", _compliance_arguments),
+)
+
+
+def build_parser():
+    """The command-line parser; each command's arguments are added when it is
+    parsed, or by its parser's `complete`."""
+    parser = _ArgumentParser(
+        prog="eesscoex",
+        description="Aggregate adjacent-band RFI from 7.125-7.4 GHz deployments "
+                    "onto passive EESS radiometers",
+    )
+    parser.add_argument("--config", help="JSON file with 'scenario'/'cell' sections")
+    parser.add_argument("--seed", type=int, help="master Monte Carlo seed")
+    parser.add_argument("--out-dir", help="directory for CSV/JSON outputs")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
+    for name, help_line, add_arguments in _COMMANDS:
+        sub.add_parser(name, help=help_line, add_arguments=add_arguments)
     return parser
 
 

@@ -189,9 +189,17 @@ def emit_report(reports, out_dir):
         raise ValueError("nothing to emit: empty report set")
     if not all(report.rows for report in reports):
         raise ValueError("nothing to emit: report has no sensor rows")
+    # One pass: a report whose config holds every remaining key at an equal
+    # value passes one subset test of the item views, and the keys are
+    # filtered only at a report where some value differs.  A value unequal to
+    # itself (NaN) is never shared, so the identity the view test honours
+    # keeps no key that `==` would drop.
     header = {key: value for key, value in reports[0].config.items()
-              if key not in ("year", "rate_bps", "penetration_per_100")
-              and all(r.config.get(key) == value for r in reports)}
+              if key not in ("year", "rate_bps", "penetration_per_100") and value == value}
+    for report in reports:
+        config = report.config
+        if not header.items() <= config.items():
+            header = {key: value for key, value in header.items() if config.get(key) == value}
     rows = (vars(row) for report in reports for row in report.rows)
     return emit_rows(rows, out_dir, "rfi_report", header=header)
 

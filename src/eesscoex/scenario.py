@@ -11,9 +11,14 @@ the minimum-power precoder, the leakage fraction from the filter design
 at the configured guard band, the cataloged net link gain, and the
 worst-case county footprint count.
 
-`simulate` is the one path from a grid point to its report.  `rfi_grid` is a
-loop of `simulate` calls over years, guards and rates that share power batches;
-`max_feasible_rate` and `sweep_guard_bands` read their answers off it.  A
+A grid of (year, guard, rate) points is composed as one array sum over
+[guard, year, rate, sensor] of dB terms, each taken once per distinct value:
+a power term per (guard, rate), a leakage and a gain term per (guard,
+sensor) and a footprint term per (year, guard, sensor), summed left to right
+as one point's scalars are, so each element is bitwise the one-point sum.
+`simulate` is the one-point case; `rfi_grid` builds each point's report from
+the grid, and `max_feasible_rate` and `sweep_guard_bands` read each point's
+worst sensor off it without building a report or a config per point.  A
 channel is held only as its effective Gram matrix, all the power solve needs,
 drawn from the substream (master seed, trial).  One power path serves every
 batch: it inverts such a stack once and solves the trials of all its batches
@@ -25,13 +30,15 @@ Two per-process caches, keyed by value, hold the rate-free inputs: sensor
 geometry and power cap once for each distinct set of sensor specs and guard
 settings (integrating each distinct victim window's leakage once), and
 worst-case footprints once for each distinct county set, sensor specs,
-penetration and demand sizing.  Each cache is bounded and holds immutable
-values, so reports are unchanged by which points ran before.
+penetration and demand sizing; each also holds its values' dB terms.  Each
+cache is bounded and holds immutable values, so reports are unchanged by
+which points ran before.
 """
 
 import functools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,7 +62,6 @@ __all__ = [
     "GuardSweepRow",
     "draw_channels",
     "mean_bs_power",
-    "aggregate_rfi_dbw",
     "simulate",
     "rfi_grid",
     "max_feasible_rate",
@@ -196,10 +202,11 @@ class GuardSweepRow:
 _CALL_PROBLEMS = 128
 
 
-def _power_batch(cfg: ScenarioConfig, cell: CellConfig, p_max_w: float) -> tuple:
-    """The kernel's per-problem (gamma, noise_w, p_max_w) at the config's rate and guard."""
-    return (sinr_target(cfg.rate_bps, cfg.bandwidth_hz),
-            noise_power_w(cell.noise_temp_k, cfg.bandwidth_hz), p_max_w)
+def _power_batch(rate_bps: float, bandwidth_hz: float, cell: CellConfig,
+                 p_max_w: float) -> tuple:
+    """The kernel's per-problem (gamma, noise_w, p_max_w) at a rate and a guard's bandwidth."""
+    return (sinr_target(rate_bps, bandwidth_hz), noise_power_w(cell.noise_temp_k, bandwidth_hz),
+            p_max_w)
 
 
 def _solve_block(args) -> tuple:
@@ -269,30 +276,60 @@ def mean_bs_power(cfg: ScenarioConfig, cell: CellConfig, p_max_w: float,
     depend on the others, so the outcome is independent of `n_jobs`."""
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-    return _mean_powers(cfg, cell, [_power_batch(cfg, cell, p_max_w)], n_jobs=n_jobs)[0]
+    return _mean_powers(cfg, cell, [_power_batch(cfg.rate_bps, cfg.bandwidth_hz, cell, p_max_w)],
+                        n_jobs=n_jobs)[0]
 
 
-def aggregate_rfi_dbw(mean_p_tx_w: float, delta: float, net_gain_db: float,
-                      n_footprint: int) -> float:
-    """Aggregate received RFI in dBW per reference bandwidth.
-
-    Returns -inf for an empty footprint ("no emitters").
-    """
-    if n_footprint < 0:
-        raise ValueError("footprint count must be >= 0")
-    if n_footprint == 0 or mean_p_tx_w <= 0 or delta <= 0:
-        return float("-inf")
-    return float(10.0 * np.log10(mean_p_tx_w) + 10.0 * np.log10(delta)
-                 + net_gain_db + 10.0 * np.log10(n_footprint))
+def _db(value) -> float:
+    """10 log10 of a positive power, fraction or count by numpy's scalar
+    log10: one term of the RFI sum.  -inf for zero: no power, no leakage or
+    no emitters."""
+    return float(10.0 * np.log10(value)) if value > 0 else -math.inf
 
 
-@dataclass(frozen=True)
-class _SensorGeometry:
-    """Per-sensor quantities that do not depend on rate or year."""
+def _power_db(power: MeanPowerResult) -> float:
+    """A power batch's term of the RFI sum; NaN for a degenerate batch, which has no mean."""
+    return math.nan if power.degenerate else _db(power.mean_p_w)
 
-    sensor_id: str
-    delta: float
-    net_gain_db: float
+
+def _rfi_dbw(power_db, leak_db, gain_db, count_db, calibration_db):
+    """Aggregate received RFI in dBW per reference bandwidth,
+
+        mean P_tx dB + leakage dB + net gain dB + footprint count dB + calibration,
+
+    summed left to right over scalars or numpy arrays broadcast against each
+    other, so each element is bitwise the scalar sum of its terms.  A -inf
+    term (`_db` of zero) makes the sum -inf, and a NaN one (a degenerate
+    batch) NaN."""
+    return (((power_db + leak_db) + gain_db) + count_db) + calibration_db
+
+
+def _worst(rfi_dbw: np.ndarray):
+    """Index of the worst sensor along the last axis: the first maximum, a
+    NaN counting as -inf."""
+    return np.where(np.isnan(rfi_dbw), -np.inf, rfi_dbw).argmax(axis=-1)
+
+
+def _frozen(values) -> np.ndarray:
+    # A cached array is shared by every caller, so it is made read-only.
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+# A NamedTuple, as are `_Footprints` and `_Grid`: its class is built at import
+# in a fifth of a frozen dataclass's time.
+class _Geometry(NamedTuple):
+    """A guard's per-sensor quantities that do not depend on rate or year, in
+    sensor order: the report's columns and the RFI sum's terms.  `delta_db`
+    is reported by `math.log10` and `leak_db` summed by numpy's log10, which
+    may differ in the last bit."""
+
+    sensor_ids: tuple
+    delta: tuple
+    delta_db: tuple
+    leak_db: np.ndarray
+    gain_db: np.ndarray
 
 
 # The ScenarioConfig fields that, with the sensor specs, set a guard's sensor
@@ -309,7 +346,7 @@ def _geometry_key(cfg: ScenarioConfig) -> tuple:
 
 @functools.lru_cache(maxsize=256)
 def _sensor_geometries(sensors: tuple, fields: tuple) -> tuple:
-    """Per-sensor geometry at the `_GEOMETRY_FIELDS` values `fields`, and the
+    """The `_Geometry` at the `_GEOMETRY_FIELDS` values `fields`, and the
     per-BS power cap: the hardware cap or, if lower, the RFI threshold over
     the most tightly coupled sensor's linear gain times leakage fraction.
     Computed once per process for each distinct value of the arguments."""
@@ -318,120 +355,209 @@ def _sensor_geometries(sensors: tuple, fields: tuple) -> tuple:
     windows = [worst_victim_window(sensor.channel_span_ghz, cfg.ref_bandwidth_mhz,
                                    cfg.tn_band_ghz) for sensor in sensors]
     # Sensors that share a victim window share its leakage fraction.
-    deltas = {window: leakage_fraction(spec, window, cfg.bandwidth_hz / 1e6)
-              for window in dict.fromkeys(windows)}
-    out = tuple(
-        _SensorGeometry(sensor_id=sensor.sensor_id, delta=deltas[window],
-                        net_gain_db=net_gain_db(sensor, use_published=cfg.use_published_gain,
-                                                g_tx_db=cfg.g_tx_db))
-        for sensor, window in zip(sensors, windows))
-    coupling = max(10.0 ** (geom.net_gain_db / 10.0) * geom.delta for geom in out)
+    fractions = {window: leakage_fraction(spec, window, cfg.bandwidth_hz / 1e6)
+                 for window in dict.fromkeys(windows)}
+    deltas = tuple(fractions[window] for window in windows)
+    gains = tuple(net_gain_db(sensor, use_published=cfg.use_published_gain, g_tx_db=cfg.g_tx_db)
+                  for sensor in sensors)
+    geometry = _Geometry(
+        sensor_ids=tuple(sensor.sensor_id for sensor in sensors),
+        delta=deltas,
+        delta_db=tuple(10.0 * math.log10(delta) if delta > 0 else float("-inf")
+                       for delta in deltas),
+        leak_db=_frozen([_db(delta) for delta in deltas]),
+        gain_db=_frozen(gains),
+    )
+    coupling = max(10.0 ** (gain / 10.0) * delta for gain, delta in zip(gains, deltas))
     try:
         threshold_w = 10.0 ** (cfg.threshold_dbw / 10.0)
     except OverflowError:  # a threshold past float range sets no RFI cap
         threshold_w = math.inf
     p_max_w = 10.0 ** (cfg.p_bs_dbw / 10.0)
-    return out, min(p_max_w, threshold_w / coupling) if coupling > 0 else p_max_w
+    return geometry, min(p_max_w, threshold_w / coupling) if coupling > 0 else p_max_w
+
+
+class _Counties(tuple):
+    """County records as a cache key, equal record by record by value but
+    hashed on their number and end records only: a lookup hashes two records
+    however many there are, and a call that passes the same records again
+    compares them by identity."""
+
+    def __hash__(self):
+        return hash((len(self), self[:1], self[-1:]))
 
 
 def _inputs(cfg: ScenarioConfig, cell: CellConfig, counties: list, catalog: dict) -> tuple:
-    """The given cell, counties and catalog, or the default cell and bundled
-    data, and the catalog's spec of each of the config's sensors.  Bad input
-    raises here, before any work."""
+    """The given cell and counties, or the default cell and bundled counties,
+    and the spec of each of the config's sensors in the given or bundled
+    catalog.  Bad input raises here, before any work."""
     cell = cell if cell is not None else CellConfig()
     counties = counties if counties is not None else load_bundled_counties().records
     catalog = catalog if catalog is not None else load_sensor_catalog()
     sensors = tuple(lookup_sensor(catalog, sid) for sid in cfg.sensor_ids)
     if not counties:
         raise ValueError("empty county record set")
-    return cell, counties, catalog, sensors
+    return cell, _Counties(counties), sensors
+
+
+class _Footprints(NamedTuple):
+    """Each sensor's worst-case (county, BS count), and the RFI sum's
+    10 log10 of each count."""
+
+    worst: tuple
+    count_db: np.ndarray
 
 
 @functools.lru_cache(maxsize=256)
-def _footprints(counties: tuple, sensors: tuple, penetration: float,
-                max_demand_bps: float, eta_bps_per_hz: float, bandwidth_hz: float) -> tuple:
-    """Each sensor's worst-case (county, BS count), computed once per process
-    for each distinct value of what the counts depend on.  Year and adoption
-    factor reach the counts only through the penetration, so points that
-    share a penetration share an entry."""
+def _footprints(counties: _Counties, sensors: tuple, penetration: float,
+                max_demand_bps: float, eta_bps_per_hz: float, bandwidth_hz: float) -> _Footprints:
+    """The `_Footprints` of the counties, computed once per process for each
+    distinct value of what the counts depend on.  Year and adoption factor
+    reach the counts only through the penetration, so points that share a
+    penetration share an entry."""
     snapshot = build_snapshot(counties, max_demand_bps, eta_bps_per_hz, bandwidth_hz,
                               penetration_per_100=penetration)
-    return tuple(worst_case_footprint(snapshot, sensor) for sensor in sensors)
+    worst = tuple(worst_case_footprint(snapshot, sensor) for sensor in sensors)
+    return _Footprints(worst=worst, count_db=_frozen([_db(n_fp) for _, n_fp in worst]))
+
+
+def _report(header: dict, geometry: _Geometry, footprints: _Footprints,
+            power: MeanPowerResult, rfi_dbw: np.ndarray) -> RfiReport:
+    """The report of one grid point from its header, which is the point's
+    `ScenarioConfig.header` and penetration, and its composed RFI per sensor."""
+    mean_p_tx_dbw = (float("nan") if power.degenerate
+                     else 10.0 * math.log10(power.mean_p_w) if power.mean_p_w
+                     else float("-inf"))
+    rows = [
+        SensorRow(
+            sensor_id=sensor_id,
+            year=header["year"],
+            rate_mbps=header["rate_bps"] / 1e6,
+            guard_mhz=header["guard_mhz"],
+            adoption_factor=header["adoption_factor"],
+            n_footprint=n_fp,
+            delta=delta,
+            delta_db=delta_db,
+            net_gain_db=gain,
+            mean_p_tx_dbw=mean_p_tx_dbw,
+            rfi_dbw=rfi,
+            margin_db=margin,
+            infeasibility_rate=power.infeasibility_rate,
+            worst_county_fips=county.fips,
+            worst_county_name=county.name,
+        )
+        for sensor_id, delta, delta_db, gain, (county, n_fp), rfi, margin in zip(
+            geometry.sensor_ids, geometry.delta, geometry.delta_db, geometry.gain_db.tolist(),
+            footprints.worst, rfi_dbw.tolist(), (header["threshold_dbw"] - rfi_dbw).tolist())
+    ]
+    return RfiReport(config=header, rows=rows,
+                     worst_sensor_id=geometry.sensor_ids[_worst(rfi_dbw)])
 
 
 def simulate(cfg: ScenarioConfig, cell: CellConfig = None, counties: list = None,
              n_jobs: int = 1, catalog: dict = None, power: MeanPowerResult = None) -> RfiReport:
-    """Aggregate RFI per sensor for one scenario grid point; without a
-    `power` batch, one is run by `mean_bs_power` with `n_jobs`."""
-    cell, counties, catalog, sensors = _inputs(cfg, cell, counties, catalog)
-    geometries, p_max_w = _sensor_geometries(sensors, _geometry_key(cfg))
+    """Aggregate RFI per sensor for one scenario grid point, the one-point
+    case of the grid's composition; without a `power` batch, one is run by
+    `mean_bs_power` with `n_jobs`."""
+    cell, counties, sensors = _inputs(cfg, cell, counties, catalog)
+    geometry, p_max_w = _sensor_geometries(sensors, _geometry_key(cfg))
     if power is None:
         power = mean_bs_power(cfg, cell, p_max_w, n_jobs=n_jobs)
     penetration = cfg.penetration_per_100
-    footprints = _footprints(tuple(counties), sensors, penetration, cfg.max_demand_bps,
+    footprints = _footprints(counties, sensors, penetration, cfg.max_demand_bps,
                              cfg.eta_bps_per_hz, cfg.bandwidth_hz)
-    rows = []
-    for geom, (county, n_fp) in zip(geometries, footprints):
-        if power.degenerate:
-            rfi = float("nan")
-        else:
-            rfi = aggregate_rfi_dbw(power.mean_p_w, geom.delta, geom.net_gain_db, n_fp)
-            rfi += cfg.calibration_db
-        rows.append(SensorRow(
-            sensor_id=geom.sensor_id,
-            year=cfg.year,
-            rate_mbps=cfg.rate_bps / 1e6,
-            guard_mhz=cfg.guard_mhz,
-            adoption_factor=cfg.adoption_factor,
-            n_footprint=n_fp,
-            delta=geom.delta,
-            delta_db=10.0 * math.log10(geom.delta) if geom.delta > 0 else float("-inf"),
-            net_gain_db=geom.net_gain_db,
-            mean_p_tx_dbw=(float("nan") if power.degenerate
-                           else 10.0 * math.log10(power.mean_p_w) if power.mean_p_w
-                           else float("-inf")),
-            rfi_dbw=rfi,
-            margin_db=cfg.threshold_dbw - rfi,
-            infeasibility_rate=power.infeasibility_rate,
-            worst_county_fips=county.fips,
-            worst_county_name=county.name,
-        ))
-    worst = max(rows, key=lambda r: r.rfi_dbw if not math.isnan(r.rfi_dbw) else -math.inf)
+    rfi = _rfi_dbw(_power_db(power), geometry.leak_db, geometry.gain_db, footprints.count_db,
+                   cfg.calibration_db)
     header = cfg.header(cell)
     header["penetration_per_100"] = penetration
-    return RfiReport(config=header, rows=rows, worst_sensor_id=worst.sensor_id)
+    return _report(header, geometry, footprints, power, rfi)
+
+
+class _Grid(NamedTuple):
+    """The RFI of every (year, guard, rate) point, composed as one array
+    `rfi` [guard, year, rate, sensor], and the per-axis inputs it was summed
+    from: per guard its checked config and `_Geometry`, per year its
+    penetration, per rate its bps, per (guard, year) the `_Footprints` and
+    per (guard, rate) the power batch."""
+
+    cell: CellConfig
+    guards: dict
+    years: dict
+    rates: dict
+    geometries: list
+    footprints: list
+    powers: list
+    rfi: np.ndarray
+
+
+def _grid(cfg: ScenarioConfig, years, guards_mhz, rates_mbps, cell: CellConfig = None,
+          counties: list = None, catalog: dict = None, channels: np.ndarray = None,
+          power_cache: dict = None) -> _Grid:
+    """The `_Grid` of the axes, given one power batch per (guard, rate) over
+    one shared `draw_channels` Gram stack, read from `power_cache` or, for
+    the keys it lacks, solved together in stacked kernel calls over one
+    inversion of the stack and filled into it.  Each check a point's config
+    makes is of one field or of the guard's filter, so each distinct year,
+    guard and rate is checked once, by `replace`, before any geometry, draw
+    or solve; no config is made per point."""
+    cell, counties, sensors = _inputs(cfg, cell, counties, catalog)
+    at_year = {year: replace(cfg, year=year) for year in years}
+    at_guard = {guard: replace(cfg, guard_mhz=float(guard)) for guard in guards_mhz}
+    rates_bps = {rate: replace(cfg, rate_bps=rate * 1e6).rate_bps for rate in rates_mbps}
+    geometries = [_sensor_geometries(sensors, _geometry_key(point))
+                  for point in at_guard.values()]
+    power_cache = {} if power_cache is None else power_cache
+    missing = {(guard, rate): _power_batch(rate_bps, point.bandwidth_hz, cell, p_max_w)
+               for (guard, point), (_, p_max_w) in zip(at_guard.items(), geometries)
+               for rate, rate_bps in rates_bps.items() if (guard, rate) not in power_cache}
+    if missing:
+        power_cache.update(zip(missing, _mean_powers(cfg, cell, list(missing.values()),
+                                                     channels)))
+    penetrations = {year: point.penetration_per_100 for year, point in at_year.items()}
+    footprints = [[_footprints(counties, sensors, penetration, cfg.max_demand_bps,
+                               cfg.eta_bps_per_hz, point.bandwidth_hz)
+                   for penetration in penetrations.values()]
+                  for point in at_guard.values()]
+    powers = [[power_cache[(guard, rate)] for rate in rates_bps] for guard in at_guard]
+    power_db = np.array([[_power_db(power) for power in row] for row in powers])
+    leak_db = np.array([geometry.leak_db for geometry, _ in geometries])
+    gain_db = np.array([geometry.gain_db for geometry, _ in geometries])
+    count_db = np.array([[entry.count_db for entry in row] for row in footprints])
+    rfi = _rfi_dbw(power_db[:, None, :, None], leak_db[:, None, None, :],
+                   gain_db[:, None, None, :], count_db[:, :, None, :], cfg.calibration_db)
+    return _Grid(cell=cell, guards=at_guard, years=penetrations, rates=rates_bps,
+                 geometries=[geometry for geometry, _ in geometries], footprints=footprints,
+                 powers=powers, rfi=rfi)
 
 
 def rfi_grid(cfg: ScenarioConfig, years, guards_mhz, rates_mbps, *,
-             cell: CellConfig = None, counties: list = None, catalog: dict = None,
-             channels: np.ndarray = None, power_cache: dict = None) -> dict:
-    """Reports keyed (year, guard, rate), guard-major, each from `simulate`
-    given one power batch per (guard, rate) over one shared `draw_channels`
-    Gram stack, read from `power_cache` or, for the keys it lacks, solved
-    together in stacked kernel calls over one inversion of the stack and
-    filled into it.  Every point is built by `replace`, so checked, before
-    any geometry, draw or solve.
+             cell: CellConfig = None, counties: list = None, channels: np.ndarray = None,
+             power_cache: dict = None) -> dict:
+    """Reports keyed (year, guard, rate), guard-major, each built from the
+    grid's composed RFI as `simulate` builds its point's report, and equal
+    to that report given the point's power batch.  The batches are shared
+    over one `draw_channels` Gram stack, read from `power_cache` or solved
+    and filled into it, as in `_grid`.
 
     `power_cache` is keyed only by (guard, rate), so one cache is valid only
     for one seed, trial count, cell and set of cap settings: `p_bs_dbw`,
     `threshold_dbw`, the gain fields and the filter fields.  The cap can bind:
     at guard 0 with the defaults the RFI cap, 0.0209 W, is below the 0.316 W
     hardware cap."""
-    cell, counties, catalog, sensors = _inputs(cfg, cell, counties, catalog)
-    power_cache = {} if power_cache is None else power_cache
-    points = {(year, guard, rate): replace(cfg, year=year, guard_mhz=float(guard),
-                                           rate_bps=rate * 1e6)
-              for guard in guards_mhz for year in years for rate in rates_mbps}
-    missing = {}
-    for (_, guard, rate), point in points.items():
-        if (guard, rate) not in power_cache and (guard, rate) not in missing:
-            _, p_max_w = _sensor_geometries(sensors, _geometry_key(point))
-            missing[(guard, rate)] = _power_batch(point, cell, p_max_w)
-    if missing:
-        power_cache.update(zip(missing, _mean_powers(cfg, cell, list(missing.values()),
-                                                     channels)))
-    return {key: simulate(point, cell, counties, catalog=catalog, power=power_cache[key[1:]])
-            for key, point in points.items()}
+    grid = _grid(cfg, years, guards_mhz, rates_mbps, cell=cell, counties=counties,
+                 channels=channels, power_cache=power_cache)
+    reports = {}
+    for (guard, point), geometry, by_year, powers, rfi_at_guard in zip(
+            grid.guards.items(), grid.geometries, grid.footprints, grid.powers, grid.rfi):
+        header = point.header(grid.cell)
+        for (year, penetration), footprints, rfi_at_year in zip(
+                grid.years.items(), by_year, rfi_at_guard):
+            for (rate, rate_bps), power, rfi in zip(grid.rates.items(), powers, rfi_at_year):
+                reports[(year, guard, rate)] = _report(
+                    {**header, "year": year, "rate_bps": rate_bps,
+                     "penetration_per_100": penetration},
+                    geometry, footprints, power, rfi)
+    return reports
 
 
 def _compliant(rfi_dbw: float, threshold_dbw: float) -> bool:
@@ -442,13 +568,13 @@ def _compliant(rfi_dbw: float, threshold_dbw: float) -> bool:
     return round(rfi_dbw, 1) <= threshold_dbw + 1e-9
 
 
-def _max_rates(grid: dict, threshold_dbw: float) -> dict:
+def _max_rates(grid: _Grid, threshold_dbw: float) -> dict:
     """Largest grid rate per (year, guard) at which the worst sensor complies; 0 if none."""
-    best = {}
-    for (year, guard, rate), report in grid.items():
-        complies = _compliant(report.row(report.worst_sensor_id).rfi_dbw, threshold_dbw)
-        best[(year, guard)] = max(best.get((year, guard), 0), rate if complies else 0)
-    return best
+    worst = np.take_along_axis(grid.rfi, _worst(grid.rfi)[..., None], axis=-1)[..., 0]
+    return {(year, guard): max([0] + [rate for rate, rfi in zip(grid.rates, by_rate)
+                                      if _compliant(rfi, threshold_dbw)])
+            for guard, by_year in zip(grid.guards, worst.tolist())
+            for year, by_rate in zip(grid.years, by_year)}
 
 
 def max_feasible_rate(cfg: ScenarioConfig, rate_grid_mbps=RATE_GRID_MBPS,
@@ -460,9 +586,9 @@ def max_feasible_rate(cfg: ScenarioConfig, rate_grid_mbps=RATE_GRID_MBPS,
     and is keyed only by (guard, rate): it is valid only for one seed, trial
     count, cell and set of cap settings (`p_bs_dbw`, `threshold_dbw`, gain
     and filter fields)."""
-    grid = rfi_grid(cfg, [cfg.year], [cfg.guard_mhz], rate_grid_mbps, cell=cell,
-                    counties=counties, catalog=catalog, channels=channels,
-                    power_cache=power_cache)
+    grid = _grid(cfg, [cfg.year], [cfg.guard_mhz], rate_grid_mbps, cell=cell,
+                 counties=counties, catalog=catalog, channels=channels,
+                 power_cache=power_cache)
     return _max_rates(grid, cfg.threshold_dbw).get((cfg.year, cfg.guard_mhz), 0)
 
 
@@ -472,8 +598,8 @@ def sweep_guard_bands(cfg: ScenarioConfig, years=CANONICAL_YEARS,
     """Max feasible `RATE_GRID_MBPS` rate per (year, guard); wider guards
     shrink both the leakage fraction and the usable bandwidth (raising BS
     counts)."""
-    grid = rfi_grid(cfg, years, guards_mhz, RATE_GRID_MBPS, cell=cell, counties=counties)
-    best = _max_rates(grid, cfg.threshold_dbw)
+    best = _max_rates(_grid(cfg, years, guards_mhz, RATE_GRID_MBPS, cell=cell,
+                            counties=counties), cfg.threshold_dbw)
     return [GuardSweepRow(year=year, guard_mhz=float(guard),
                           max_rate_mbps=best.get((year, guard), 0))
             for year in years for guard in guards_mhz]

@@ -548,7 +548,7 @@ def _parser_actions():
     """(command prog, action) for every argument of the parser and its commands."""
     parser = build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for command in [parser] + list(commands.choices.values()):
+    for command in [parser] + [command.complete() for command in commands.choices.values()]:
         for action in command._actions:
             yield command.prog, action
 

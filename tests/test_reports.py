@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from eesscoex import reports
 from eesscoex.reports import _json_safe, emit_report, emit_rows, format_row, row_dict
-from eesscoex.scenario import GuardSweepRow, ScenarioConfig, simulate
+from eesscoex.scenario import GuardSweepRow, RfiReport, ScenarioConfig, SensorRow, simulate
 
 BLOCK = reports._BLOCK_ROWS
 
@@ -161,6 +161,30 @@ def test_emit_report_writes_what_emit_rows_writes_of_row_dict_copies(tmp_path, c
         for kind in ("csv", "json"):
             with open(paths[kind], "rb") as got, open(expected[kind], "rb") as want:
                 assert got.read() == want.read(), (block, kind)
+
+
+_ROW = SensorRow("B5", 2030, 100.0, 25.0, 1.0, 3, 1e-4, -40.0, -133.0, -5.0, -170.0, 4.0, 0.0,
+                 "06037", "Los Angeles")
+# One NaN object, so that lists holding it compare equal and the NaN alone does not.
+_CONFIG_VALUES = st.sampled_from([math.nan, None, 1, 1.0, 2.5, "a", [1, 2], [1, math.nan]])
+_CONFIGS = st.dictionaries(st.sampled_from(["a", "b", "c", "year", "rate_bps",
+                                            "penetration_per_100"]), _CONFIG_VALUES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(configs=st.lists(_CONFIGS, min_size=1, max_size=4))
+def test_emit_report_header_is_the_first_configs_keys_every_report_equals(configs):
+    shared = {key: value for key, value in configs[0].items()
+              if key not in ("year", "rate_bps", "penetration_per_100")
+              and all(config.get(key) == value for config in configs)}
+    with tempfile.TemporaryDirectory() as out_dir:
+        paths = emit_report([RfiReport(config=config, rows=[_ROW]) for config in configs],
+                            f"{out_dir}/report")
+        expected = emit_rows([row_dict(_ROW)] * len(configs), f"{out_dir}/rows", "rfi_report",
+                             header=shared)
+        for kind in ("csv", "json"):
+            with open(paths[kind], "rb") as got, open(expected[kind], "rb") as want:
+                assert got.read() == want.read(), kind
 
 
 def test_emit_memory_scales_with_the_block_not_the_rows(tmp_path):

@@ -2,14 +2,16 @@ import collections
 import concurrent.futures
 import json
 import math
+import struct
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from eesscoex import filterbank, precoder, scenario
+from eesscoex import cli, filterbank, precoder, scenario
 from eesscoex.airlink import CellConfig, _draw_buffers, _draw_trials, noise_power_w, trial_rng
+from eesscoex.deployment import CountyRecord
 from eesscoex.filterbank import worst_victim_window
 from eesscoex.linkbudget import load_sensor_catalog, net_gain_db
 from eesscoex.precoder import SinrTargets, sinr_target, solve_power_min
@@ -18,7 +20,6 @@ from eesscoex.scenario import (
     GuardSweepRow,
     ScenarioConfig,
     _compliant,
-    aggregate_rfi_dbw,
     draw_channels,
     leakage_table,
     max_feasible_rate,
@@ -386,15 +387,19 @@ def test_mean_power_blocks_are_equal_spans(monkeypatch, trials, n_jobs):
     _check_blocks_reduce_in_trial_order(monkeypatch, trials, n_jobs)
 
 
+def _aggregate(p_w, delta, net_gain_db, n_footprint, calibration_db=0.0):
+    """The composition at one point, from linear power, fraction and count."""
+    return scenario._rfi_dbw(scenario._db(p_w), scenario._db(delta), net_gain_db,
+                             scenario._db(n_footprint), calibration_db)
+
+
 def test_aggregate_rfi_composition():
     p = 10 ** (-5 / 10)
-    assert aggregate_rfi_dbw(p, 1.0, 0.0, 1) == pytest.approx(-5.0)
-    one = aggregate_rfi_dbw(p, 1e-4, -133.79, 1)
-    ten = aggregate_rfi_dbw(p, 1e-4, -133.79, 10)
+    assert _aggregate(p, 1.0, 0.0, 1) == pytest.approx(-5.0)
+    one = _aggregate(p, 1e-4, -133.79, 1)
+    ten = _aggregate(p, 1e-4, -133.79, 10)
     assert ten - one == pytest.approx(10.0)
-    assert aggregate_rfi_dbw(p, 1e-4, -133.79, 0) == float("-inf")
-    with pytest.raises(ValueError):
-        aggregate_rfi_dbw(p, 1e-4, -133.79, -1)
+    assert _aggregate(p, 1e-4, -133.79, 0) == float("-inf")
 
 
 def test_aggregate_year_offset_from_penetration_ratio():
@@ -402,8 +407,8 @@ def test_aggregate_year_offset_from_penetration_ratio():
     # 10 log10(22.5 / 1.0) = 13.52 dB up to floor rounding.
     assert 10 * np.log10(22.5) == pytest.approx(13.52, abs=5e-3)
     p = 1e-4
-    low = aggregate_rfi_dbw(p, 1e-4, -133.79, 76)
-    high = aggregate_rfi_dbw(p, 1e-4, -133.79, 1729)
+    low = _aggregate(p, 1e-4, -133.79, 76)
+    high = _aggregate(p, 1e-4, -133.79, 1729)
     assert high - low == pytest.approx(13.57, abs=0.01)
 
 
@@ -518,8 +523,8 @@ def test_rfi_grid_power_equals_mean_bs_power_of_each_point(monkeypatch, counties
     rates = (0,) + GRID_RATES
     calls = _record_kernel_calls(monkeypatch)
     cache = {}
-    rfi_grid(cfg, GRID_YEARS[:1], GRID_GUARDS, rates, counties=counties, catalog=catalog,
-             channels=channels, power_cache=cache)
+    rfi_grid(cfg, GRID_YEARS[:1], GRID_GUARDS, rates, counties=counties, channels=channels,
+             power_cache=cache)
     # Whole batches share calls up to the cap; a batch as large keeps its own.
     per_call = max(1, scenario._CALL_PROBLEMS // trials)
     solved = len(GRID_GUARDS) * len(GRID_RATES)
@@ -711,6 +716,159 @@ def test_sweep_rows_match_max_feasible_rate(counties):
     for row in rows:
         point = replace(cfg, year=row.year, guard_mhz=row.guard_mhz)
         assert row.max_rate_mbps == max_feasible_rate(point, counties=counties)
+
+
+def _scalar_rfi(power, delta, net_gain_db, n_footprint, calibration_db):
+    """One sensor's RFI as one point's scalar expression, restated."""
+    if power.degenerate:
+        return float("nan")
+    if n_footprint == 0 or power.mean_p_w <= 0 or delta <= 0:
+        rfi = float("-inf")
+    else:
+        rfi = float(10.0 * np.log10(power.mean_p_w) + 10.0 * np.log10(delta)
+                    + net_gain_db + 10.0 * np.log10(n_footprint))
+    return rfi + calibration_db
+
+
+def _bits(values) -> list:
+    # Each float's bytes; every NaN reads alike, since its payload is never reported.
+    return ["nan" if math.isnan(v) else struct.pack("<d", v) for v in values]
+
+
+def _branch(power, delta, n_footprint) -> str:
+    if power.degenerate:
+        return "degenerate"
+    if power.mean_p_w == 0:
+        return "no power"
+    if delta == 0:
+        return "no leakage"
+    return "no emitters" if n_footprint == 0 else "finite"
+
+
+def test_composed_rfi_is_the_scalar_sum_bitwise_in_every_branch(monkeypatch, counties,
+                                                                 catalog):
+    # Land areas 100 times the bundled ones leave B5's 2030 footprints empty.
+    sparse = [replace(county, land_area_km2=100 * county.land_area_km2) for county in counties]
+    cfg = ScenarioConfig(trials=5, seed=1, calibration_db=0.9)
+    years, guards, rates = (2030, 2040), (10.0, 25.0, 40.0), (0, 100, 500)
+    # No leakage reaches B5's window at the 40 MHz guard.
+    band = replace(cfg, guard_mhz=40.0).tn_band_ghz
+    b5_window = worst_victim_window(catalog["B5"].channel_span_ghz, cfg.ref_bandwidth_mhz, band)
+    integrate = scenario.leakage_fraction
+    monkeypatch.setattr(scenario, "leakage_fraction", lambda spec, window, bw: (
+        0.0 if (spec.passband_low_ghz, window) == (band[0], b5_window)
+        else integrate(spec, window, bw)))
+    cache = {(25.0, 500): scenario.MeanPowerResult(mean_p_w=float("nan"), infeasibility_rate=1.0,
+                                                   n_feasible=0, n_unconverged=0)}
+    grid = scenario._grid(cfg, years, guards, rates, counties=sparse, catalog=catalog,
+                          power_cache=cache)
+    reports = rfi_grid(cfg, years, guards, rates, counties=sparse, power_cache=cache)
+    branches = collections.Counter()
+    for g, (guard, geometry) in enumerate(zip(guards, grid.geometries)):
+        for y, (year, footprints) in enumerate(zip(years, grid.footprints[g])):
+            for r, rate in enumerate(rates):
+                power = cache[(guard, rate)]
+                inputs = list(zip(geometry.delta, geometry.gain_db.tolist(),
+                                  (n_fp for _, n_fp in footprints.worst)))
+                expected = [_scalar_rfi(power, delta, gain, n_fp, cfg.calibration_db)
+                            for delta, gain, n_fp in inputs]
+                branches.update(_branch(power, delta, n_fp) for delta, _, n_fp in inputs)
+                assert _bits(grid.rfi[g, y, r].tolist()) == _bits(expected)
+                point = replace(cfg, year=year, guard_mhz=guard, rate_bps=rate * 1e6)
+                one = simulate(point, counties=sparse, catalog=catalog, power=power)
+                for report in (reports[(year, guard, rate)], one):
+                    assert _bits(row.rfi_dbw for row in report.rows) == _bits(expected)
+                    assert _bits(row.margin_db for row in report.rows) == _bits(
+                        cfg.threshold_dbw - rfi for rfi in expected)
+                    worst = max(report.rows, key=lambda row: (
+                        row.rfi_dbw if not math.isnan(row.rfi_dbw) else -math.inf))
+                    assert report.worst_sensor_id == worst.sensor_id
+    assert set(branches) == {"degenerate", "no power", "no leakage", "no emitters", "finite"}
+    assert scenario._max_rates(grid, cfg.threshold_dbw) == _max_rates_of_reports(
+        reports, cfg.threshold_dbw)
+
+
+def test_composed_rfi_of_many_terms_is_the_scalar_sum_bitwise():
+    # Seeded powers, fractions, gains and counts over their ranges in the
+    # sweeps, as (point, sensor) arrays like the grid's.
+    rng = np.random.default_rng(0)
+    powers = 10.0 ** rng.uniform(-6, 0, 400)
+    deltas = 10.0 ** rng.uniform(-12, -1, (400, 5))
+    gains = rng.uniform(-140, -120, (400, 5))
+    counts = rng.integers(1, 100000, (400, 5))
+    composed = scenario._rfi_dbw(
+        np.array([scenario._db(p) for p in powers])[:, None],
+        np.array([[scenario._db(d) for d in row] for row in deltas]), gains,
+        np.array([[scenario._db(n) for n in row] for row in counts]), 0.9)
+    power = [scenario.MeanPowerResult(float(p), 0.0, 1, 0) for p in powers]
+    expected = [[_scalar_rfi(power[i], float(deltas[i, s]), float(gains[i, s]), int(counts[i, s]),
+                             0.9) for s in range(5)] for i in range(400)]
+    assert _bits(composed.ravel().tolist()) == _bits(np.ravel(expected).tolist())
+    # math.log10 differs from numpy's log10 in the last bit of some of these values.
+    values = [*powers.tolist(), *deltas.ravel().tolist(), *counts.ravel().tolist()]
+    assert any(10.0 * math.log10(v) != scenario._db(v) for v in values)
+
+
+@pytest.mark.parametrize("row", [
+    [-170.0, -165.0, -165.0, -168.0],
+    [float("nan"), float("nan"), float("nan")],
+    [float("-inf"), float("-inf")],
+    [float("nan"), float("-inf"), float("nan")],
+    [float("-inf"), float("nan"), -171.0, -171.0],
+    [float("nan"), -170.0, float("nan"), -170.0],
+])
+def test_worst_sensor_is_the_first_maximum_with_nan_as_minus_inf(row):
+    def first_max(values):
+        return max(range(len(values)),
+                   key=lambda i: -math.inf if math.isnan(values[i]) else values[i])
+
+    assert scenario._worst(np.array(row)) == first_max(row)
+    stack = np.array([row, row[::-1]])
+    assert scenario._worst(stack).tolist() == [first_max(row), first_max(row[::-1])]
+
+
+def _max_rates_of_reports(grid: dict, threshold_dbw: float) -> dict:
+    """Largest rate per (year, guard) at which a report's worst sensor complies; 0 if none."""
+    best = {}
+    for (year, guard, rate), report in grid.items():
+        complies = _compliant(report.row(report.worst_sensor_id).rfi_dbw, threshold_dbw)
+        best[(year, guard)] = max(best.get((year, guard), 0), rate if complies else 0)
+    return best
+
+
+@pytest.mark.parametrize("seed, years, guards", [
+    *((seed, scenario.CANONICAL_YEARS, scenario.GUARD_GRID_MHZ) for seed in range(6)),
+    (0, (2030, 2040), cli._guard_grid("10:30:2.5")),
+])
+def test_sweep_is_the_max_rate_of_the_grid_reports(counties, seed, years, guards):
+    cfg = ScenarioConfig(trials=20, seed=seed)
+    reports = rfi_grid(cfg, years, guards, scenario.RATE_GRID_MBPS, counties=counties)
+    best = _max_rates_of_reports(reports, cfg.threshold_dbw)
+    rows = sweep_guard_bands(cfg, years=years, guards_mhz=guards, counties=counties)
+    assert rows == [GuardSweepRow(year=year, guard_mhz=float(guard),
+                                  max_rate_mbps=best[(year, guard)])
+                    for year in years for guard in guards]
+
+
+def test_sweep_builds_no_report_and_no_config_per_point(monkeypatch, counties):
+    counts = _count_calls(monkeypatch, ("simulate", "RfiReport", "replace"))
+    sweep_guard_bands(ScenarioConfig(trials=5, seed=1), years=GRID_YEARS,
+                      guards_mhz=GRID_GUARDS, counties=counties)
+    # One checked config per distinct year, guard and rate.
+    assert counts == {"simulate": 0, "RfiReport": 0,
+                      "replace": len(GRID_YEARS) + len(GRID_GUARDS) + len(scenario.RATE_GRID_MBPS)}
+
+
+def test_warm_footprint_lookup_hashes_two_county_records(monkeypatch, counties):
+    cfg = ScenarioConfig(trials=5, seed=1)
+    power = mean_bs_power(cfg, CellConfig(), UNCAPPED)
+    simulate(cfg, counties=counties, power=power)
+    hashed = []
+    record_hash = CountyRecord.__hash__
+    monkeypatch.setattr(CountyRecord, "__hash__",
+                        lambda record: hashed.append(record) or record_hash(record))
+    simulate(cfg, counties=counties, power=power)
+    assert len(counties) > 2 and len(hashed) == 2
 
 
 def test_compliance_rounding_semantics():
