@@ -12,6 +12,8 @@ from math import exp, log
 
 import numpy as np
 
+from ._fields import bounded, check_fields
+
 __all__ = [
     "AdoptionModel",
     "BASELINE_MODEL",
@@ -29,17 +31,15 @@ __all__ = [
 class AdoptionModel:
     """Anchored Gompertz curve: saturation b1 (per-100), displacement b2, growth b3 (1/yr)."""
 
-    b1: float = 38.100
-    b2: float = 3.272
-    b3: float = 0.186
+    b1: float = bounded(38.100, gt=0)
+    b2: float = bounded(3.272, gt=0)
+    b3: float = bounded(0.186, gt=0)
     anchor_year: float = 2030.0
-    anchor_penetration: float = 1.0
+    anchor_penetration: float = bounded(1.0, gt=0)
 
     def __post_init__(self):
-        if self.b1 <= 0 or self.b2 <= 0 or self.b3 <= 0:
-            raise ValueError(f"Gompertz parameters must be positive, got "
-                             f"({self.b1}, {self.b2}, {self.b3})")
-        if not 0 < self.anchor_penetration < self.b1:
+        check_fields(self)
+        if not self.anchor_penetration < self.b1:
             raise ValueError(
                 f"anchor penetration {self.anchor_penetration} unreachable for "
                 f"saturation {self.b1}"

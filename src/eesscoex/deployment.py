@@ -47,6 +47,11 @@ class CountyRecord:
         if len(self.fips) != 5 or not self.fips.isdigit():
             raise ValueError(f"FIPS must be a 5-digit code, got {self.fips!r}")
 
+    def __hash__(self):
+        # Hashed by FIPS alone, as `SensorSpec` is by its id; equality still
+        # compares every field.
+        return hash(self.fips)
+
 
 @dataclass(frozen=True)
 class RowDiagnostic:

@@ -58,6 +58,11 @@ class SensorSpec:
         if not 0 < lo < hi:
             raise ValueError(f"need 0 < channel low < high GHz, got {self.channel_span_ghz}")
 
+    def __hash__(self):
+        # Specs are cache keys: hash the id alone, while equality still
+        # compares every field, so an edited spec misses the cache.
+        return hash(self.sensor_id)
+
 
 @dataclass(frozen=True)
 class LinkBudget:

@@ -158,8 +158,12 @@ class MeanPowerResult:
         return self.n_feasible == 0
 
 
-@dataclass(frozen=True)
+@dataclass
 class SensorRow:
+    """One sensor's line of a report, in column order.  A plain record, as
+    `RfiReport` is: each report builds its rows fresh, positionally, and
+    nothing hashes or caches them."""
+
     sensor_id: str
     year: int
     rate_mbps: float
@@ -379,9 +383,9 @@ def _sensor_geometries(sensors: tuple, fields: tuple) -> tuple:
 
 class _Counties(tuple):
     """County records as a cache key, equal record by record by value but
-    hashed on their number and end records only: a lookup hashes two records
-    however many there are, and a call that passes the same records again
-    compares them by identity."""
+    hashed on their number and end records only: a lookup hashes two
+    records, each by its FIPS code, however many there are, and a call that
+    passes the same records again compares them by identity."""
 
     def __hash__(self):
         return hash((len(self), self[:1], self[-1:]))
@@ -428,24 +432,11 @@ def _report(header: dict, geometry: _Geometry, footprints: _Footprints,
     mean_p_tx_dbw = (float("nan") if power.degenerate
                      else 10.0 * math.log10(power.mean_p_w) if power.mean_p_w
                      else float("-inf"))
+    year, rate_mbps, guard_mhz, factor = (header["year"], header["rate_bps"] / 1e6,
+                                          header["guard_mhz"], header["adoption_factor"])
     rows = [
-        SensorRow(
-            sensor_id=sensor_id,
-            year=header["year"],
-            rate_mbps=header["rate_bps"] / 1e6,
-            guard_mhz=header["guard_mhz"],
-            adoption_factor=header["adoption_factor"],
-            n_footprint=n_fp,
-            delta=delta,
-            delta_db=delta_db,
-            net_gain_db=gain,
-            mean_p_tx_dbw=mean_p_tx_dbw,
-            rfi_dbw=rfi,
-            margin_db=margin,
-            infeasibility_rate=power.infeasibility_rate,
-            worst_county_fips=county.fips,
-            worst_county_name=county.name,
-        )
+        SensorRow(sensor_id, year, rate_mbps, guard_mhz, factor, n_fp, delta, delta_db, gain,
+                  mean_p_tx_dbw, rfi, margin, power.infeasibility_rate, county.fips, county.name)
         for sensor_id, delta, delta_db, gain, (county, n_fp), rfi, margin in zip(
             geometry.sensor_ids, geometry.delta, geometry.delta_db, geometry.gain_db.tolist(),
             footprints.worst, rfi_dbw.tolist(), (header["threshold_dbw"] - rfi_dbw).tolist())

@@ -110,6 +110,16 @@ def test_invalid_models():
         AdoptionModel(anchor_penetration=40.0)  # above saturation
     with pytest.raises(ValueError):
         scale_scenario(BASELINE_MODEL, 0.0)
+    # A NaN once built a model whose every penetration was NaN, and b1=True
+    # failed only the anchor check, as "saturation True".
+    with pytest.raises(ValueError, match="^'b2' must be a finite number, got nan$"):
+        AdoptionModel(b2=float("nan"))
+    with pytest.raises(ValueError, match="^'b3' must be a finite number, got inf$"):
+        AdoptionModel(b3=float("inf"))
+    with pytest.raises(ValueError, match="^'b1' must be a finite number, got True$"):
+        AdoptionModel(b1=True)
+    with pytest.raises(ValueError, match="^'b3' must be a finite number, got nan$"):
+        scenario_penetration(2035, float("nan"))
 
 
 def _synthetic_series(b1=38.100, b2=3.272, b3=0.186, noise=0.0, seed=None):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from eesscoex._fields import _BOUNDS
+from eesscoex.adoption import AdoptionModel
 from eesscoex.airlink import CellConfig
 from eesscoex.deployment import CountyRecord
 from eesscoex.filterbank import FilterSpec
@@ -17,7 +18,7 @@ from eesscoex.scenario import ScenarioConfig
 B5 = load_sensor_catalog()["B5"]
 LOS_ANGELES = CountyRecord(fips="06037", name="Los Angeles", state="CA", rucc_code=1,
                            population=10_000_000, land_area_km2=10510.0)
-VALID = [ScenarioConfig(), CellConfig(), FilterSpec(), B5, LOS_ANGELES]
+VALID = [ScenarioConfig(), CellConfig(), FilterSpec(), B5, LOS_ANGELES, AdoptionModel()]
 FLOAT_FIELDS = [(obj, f.name) for obj in VALID for f in dataclasses.fields(obj)
                 if f.type is float]
 BOUNDS = [(obj, f.name, op, limit) for obj in VALID for f in dataclasses.fields(obj)

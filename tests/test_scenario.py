@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from eesscoex import cli, filterbank, precoder, scenario
+from eesscoex.adoption import scenario_penetration
 from eesscoex.airlink import CellConfig, _draw_buffers, _draw_trials, noise_power_w, trial_rng
-from eesscoex.deployment import CountyRecord
+from eesscoex.deployment import CountyRecord, build_snapshot, worst_case_footprint
 from eesscoex.filterbank import worst_victim_window
 from eesscoex.linkbudget import load_sensor_catalog, net_gain_db
 from eesscoex.precoder import SinrTargets, sinr_target, solve_power_min
@@ -218,6 +219,29 @@ def test_kernel_converges_in_a_few_newton_steps(rate_bps, guard_mhz):
     assert iterations.max() <= 4
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_min_power_is_at_most_the_zero_forcing_power(seed):
+    # Zero-forcing meets every target, so no trial's minimum power exceeds
+    # sigma^2 gamma tr(G^-1) on its Gram matrix; at N/K = 32 it is only a
+    # little lower.  The band holds the mean ratios measured at seeds 0-3,
+    # 200 trials, guards 0/25/50 and 100/300/500 Mbps: 0.978-0.994.
+    cell = CellConfig()
+    grams = draw_channels(cell, seed, 200)
+    trace = np.real(np.trace(np.linalg.inv(grams), axis1=1, axis2=2))
+    for guard_mhz in (0.0, 25.0, 50.0):
+        for rate_bps in (100e6, 300e6, 500e6):
+            cfg = ScenarioConfig(trials=200, seed=seed, guard_mhz=guard_mhz, rate_bps=rate_bps)
+            gam = sinr_target(cfg.rate_bps, cfg.bandwidth_hz)
+            noise = noise_power_w(cell.noise_temp_k, cfg.bandwidth_hz)
+            zf_w = noise * gam * trace
+            p_tx, feasible = _solve(grams, gam, noise, math.inf)[:2]
+            assert feasible.all()
+            assert (p_tx <= zf_w * (1 + 1e-12)).all()
+            mean = mean_bs_power(cfg, cell, UNCAPPED)
+            assert mean.n_feasible == cfg.trials
+            assert 0.975 <= mean.mean_p_w / zf_w.mean() <= 0.996
+
+
 def _uplink_x(grams, q, noise):
     """x_k(q) = [G (sigma^2 I + diag(q) G)^-1]_kk = [(sigma^2 I + G diag(q))^-1 G]_kk."""
     m = noise * np.eye(grams.shape[1]) + grams * q[:, None, :]
@@ -412,21 +436,50 @@ def test_aggregate_year_offset_from_penetration_ratio():
     assert high - low == pytest.approx(13.57, abs=0.01)
 
 
-def test_simulate_report_contents(counties):
-    cfg = ScenarioConfig(trials=10, seed=2, rate_bps=500e6)
+def test_simulate_report_contents(counties, catalog):
+    # At guard 0 and 1.5 Gbps the power cap leaves 3 of 10 trials infeasible,
+    # and the adoption factor is not 1, so no two number columns agree.
+    cfg = ScenarioConfig(trials=10, seed=2, year=2035, adoption_factor=0.5, guard_mhz=0.0,
+                         rate_bps=1.5e9)
     report = simulate(cfg, counties=counties)
-    assert {r.sensor_id for r in report.rows} == set(cfg.sensor_ids)
-    assert report.worst_sensor_id == "B5"
-    for row in report.rows:
-        assert row.margin_db == pytest.approx(cfg.threshold_dbw - row.rfi_dbw)
-        assert row.worst_county_fips == "06037"
-        assert 0.0 <= row.infeasibility_rate <= 1.0
-        assert row.n_footprint > 0
-        assert row.delta_db == pytest.approx(10 * math.log10(row.delta))
+    sensors = [catalog[sid] for sid in cfg.sensor_ids]
+    _, p_max_w = scenario._sensor_geometries(tuple(sensors), scenario._geometry_key(cfg))
+    power = mean_bs_power(cfg, CellConfig(), p_max_w)
+    assert power.infeasibility_rate == pytest.approx(0.3)
+    penetration = scenario_penetration(cfg.year, cfg.adoption_factor)
+    snapshot = build_snapshot(counties, cfg.max_demand_bps, cfg.eta_bps_per_hz,
+                              cfg.bandwidth_hz, penetration_per_100=penetration)
+    assert [row.sensor_id for row in report.rows] == list(cfg.sensor_ids)
+    for row, sensor in zip(report.rows, sensors):
+        county, n_fp = worst_case_footprint(snapshot, sensor)
+        delta = filterbank.leakage_fraction(cfg.filter_spec, worst_victim_window(
+            sensor.channel_span_ghz, cfg.ref_bandwidth_mhz, cfg.tn_band_ghz),
+            cfg.bandwidth_hz / 1e6)
+        rfi = pytest.approx(10 * math.log10(power.mean_p_w) + 10 * math.log10(delta)
+                            + sensor.published_net_gain_db + 10 * math.log10(n_fp))
+        assert vars(row) == {
+            "sensor_id": sensor.sensor_id,
+            "year": cfg.year,
+            "rate_mbps": cfg.rate_bps / 1e6,
+            "guard_mhz": cfg.guard_mhz,
+            "adoption_factor": cfg.adoption_factor,
+            "n_footprint": n_fp,
+            "delta": delta,
+            "delta_db": 10 * math.log10(delta),
+            "net_gain_db": sensor.published_net_gain_db,
+            "mean_p_tx_dbw": 10 * math.log10(power.mean_p_w),
+            "rfi_dbw": rfi,
+            "margin_db": cfg.threshold_dbw - row.rfi_dbw,
+            "infeasibility_rate": power.infeasibility_rate,
+            "worst_county_fips": county.fips,
+            "worst_county_name": county.name,
+        }
+        assert row.worst_county_fips == "06037" and row.n_footprint > 0
+    assert report.worst_sensor_id == max(report.rows, key=lambda r: r.rfi_dbw).sensor_id == "B5"
     header = report.config
     assert header["seed"] == 2 and header["n_users"] == 8
     assert header["ripple_db"] == 0.2
-    assert header["penetration_per_100"] == 1.0
+    assert header["penetration_per_100"] == penetration == 5.0
 
 
 def test_simulate_calibration_shift(counties):
