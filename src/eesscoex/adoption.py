@@ -12,7 +12,7 @@ from math import exp, log
 
 import numpy as np
 
-from ._fields import bounded, check_fields
+from ._fields import _is_float, bounded, check_fields
 
 __all__ = [
     "AdoptionModel",
@@ -75,8 +75,8 @@ def gompertz(model: AdoptionModel, year):
 
 def scale_scenario(model: AdoptionModel, factor: float) -> AdoptionModel:
     """Rescale the growth rate b3, keeping b1/b2 and re-applying the anchor."""
-    if factor <= 0:
-        raise ValueError(f"scale factor must be positive, got {factor}")
+    if not (_is_float(factor) and factor > 0):
+        raise ValueError(f"'factor' must be a finite number > 0, got {factor!r}")
     return replace(model, b3=factor * model.b3)
 
 

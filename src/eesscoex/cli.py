@@ -169,7 +169,6 @@ def _cmd_leakage(args, cfg, cell):
     if args.out_dir:
         _print_json(emit_rows(rows, args.out_dir, "leakage", header={
             "ripple_db": cfg.ripple_db,
-            "grid_step_mhz": cfg.grid_step_mhz,
             "ref_bandwidth_mhz": cfg.ref_bandwidth_mhz,
         }))
     else:

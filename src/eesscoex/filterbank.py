@@ -24,15 +24,13 @@ __all__ = [
 
 DEFAULT_SPURIOUS_LIMIT_DBM_MHZ = -13.0  # TS 38.104 Category A, carriers > 1 GHz
 EDGE_EVAL_FREQ_GHZ = 7.1245  # mask point 0.5 MHz below the 7.125 GHz allocation edge
+_GRID_STEP_MHZ = 0.01  # trapezoid step of every leakage integral
 
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """Chebyshev Type-I band-pass parameterization.
-
-    `order` is the number of coupled-resonator stages; `grid_step_mhz`
-    sets the trapezoidal integration grid used for leakage fractions.
-    """
+    """Chebyshev Type-I band-pass parameterization; `order` is the number
+    of coupled-resonator stages."""
 
     # The designs studied use 3 to 9 resonators; far past that, cos(order *
     # arccos x) is rounding noise and the leakage reads 0 (a -inf RFI).
@@ -43,9 +41,6 @@ class FilterSpec:
     ripple_db: float = bounded(0.2, ge=0.01, le=10)
     passband_low_ghz: float = bounded(7.150, gt=0)
     passband_high_ghz: float = 7.400
-    # A 1 kHz step integrates a victim window of a few hundred MHz over a
-    # few hundred thousand points; a finer one asks for gigabytes.
-    grid_step_mhz: float = bounded(0.01, ge=1e-3)
 
     def __post_init__(self):
         check_fields(self)
@@ -144,8 +139,8 @@ def leakage_fraction(spec: FilterSpec, window: tuple, bs_bandwidth_mhz: float) -
     """Fraction of transmit power leaked into `window`, a `(low, high)`
     tuple in GHz, as a float in [0, 1).
 
-    Trapezoidal integration of the power response over the window on the
-    spec's frequency grid, normalized by the occupied BS bandwidth.
+    Trapezoidal integration of the power response over the window on a
+    fixed `_GRID_STEP_MHZ` grid, normalized by the occupied BS bandwidth.
     This models adjacent-band leakage only, so the window must not
     overlap the passband.
     """
@@ -160,7 +155,7 @@ def leakage_fraction(spec: FilterSpec, window: tuple, bs_bandwidth_mhz: float) -
             f"[{spec.passband_low_ghz}, {spec.passband_high_ghz}] GHz; "
             "co-channel leakage is out of scope"
         )
-    step_ghz = spec.grid_step_mhz / 1e3
+    step_ghz = _GRID_STEP_MHZ / 1e3
     n = max(int(np.ceil((high - low) / step_ghz)), 1)
     freqs = np.linspace(low, high, n + 1)
     resp, work = np.empty_like(freqs), np.empty_like(freqs)

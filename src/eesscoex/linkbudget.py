@@ -132,11 +132,13 @@ def build_link_budget(sensor: SensorSpec, g_tx_db: float = DEFAULT_G_TX_DB,
     )
 
 
-def net_gain_db(sensor: SensorSpec, use_published: bool = True, **kwargs) -> float:
-    """Catalog net gain (default) or the component-wise recomputation."""
+def net_gain_db(sensor: SensorSpec, use_published: bool = True,
+                g_tx_db: float = DEFAULT_G_TX_DB) -> float:
+    """Catalog net gain (default) or the component-wise recomputation at the
+    BS antenna gain `g_tx_db`."""
     if use_published:
         return sensor.published_net_gain_db
-    return build_link_budget(sensor, **kwargs).net_gain_db
+    return build_link_budget(sensor, g_tx_db=g_tx_db).net_gain_db
 
 
 def _sensor_from_row(row: dict) -> SensorSpec:

@@ -98,7 +98,6 @@ class ScenarioConfig:
     max_demand_bps: float = bounded(500e6, gt=0, le=10e9)  # per-user demand sizing the deployment
     filter_order: int = 7
     ripple_db: float = 0.2
-    grid_step_mhz: float = 0.01
     p_bs_dbw: float = bounded(-5.0, ge=-100, le=100)
     g_tx_db: float = bounded(DEFAULT_G_TX_DB, ge=-100, le=100)
     use_published_gain: bool = True
@@ -111,7 +110,7 @@ class ScenarioConfig:
             raise ValueError("empty sensor set")
         if len(set(self.sensor_ids)) < len(self.sensor_ids):
             raise ValueError(f"'sensor_ids' must not repeat an id, got {list(self.sensor_ids)}")
-        self.filter_spec  # order, ripple and grid step are checked here, for every command
+        self.filter_spec  # order and ripple are checked here, for every command
 
     @property
     def tn_band_ghz(self) -> tuple:
@@ -125,8 +124,7 @@ class ScenarioConfig:
     def filter_spec(self) -> FilterSpec:
         lo, hi = self.tn_band_ghz
         return FilterSpec(order=self.filter_order, ripple_db=self.ripple_db,
-                          passband_low_ghz=lo, passband_high_ghz=hi,
-                          grid_step_mhz=self.grid_step_mhz)
+                          passband_low_ghz=lo, passband_high_ghz=hi)
 
     @property
     def penetration_per_100(self) -> float:
@@ -339,9 +337,8 @@ class _Geometry(NamedTuple):
 # The ScenarioConfig fields that, with the sensor specs, set a guard's sensor
 # geometry and power cap; read raw, since `filter_spec` builds and checks a
 # FilterSpec on every access.
-_GEOMETRY_FIELDS = ("guard_mhz", "filter_order", "ripple_db", "grid_step_mhz",
-                    "ref_bandwidth_mhz", "use_published_gain", "g_tx_db", "p_bs_dbw",
-                    "threshold_dbw")
+_GEOMETRY_FIELDS = ("guard_mhz", "filter_order", "ripple_db", "ref_bandwidth_mhz",
+                    "use_published_gain", "g_tx_db", "p_bs_dbw", "threshold_dbw")
 
 
 def _geometry_key(cfg: ScenarioConfig) -> tuple:
@@ -598,34 +595,15 @@ def sweep_guard_bands(cfg: ScenarioConfig, years=CANONICAL_YEARS,
 
 def leakage_table(cfg: ScenarioConfig, orders, guards_mhz) -> list:
     """Leakage fractions across filter orders and guard widths, per sensor of
-    `cfg`, with its ripple, integration grid and reference bandwidth.
-
-    Each fraction is normalized by the passband width `spec.bandwidth_mhz`;
-    `cfg.bandwidth_hz / 1e6` is the same width but differs in the last bits,
-    which would change the table's digits.  Sensors that share a victim
-    window share its fractions: each distinct (order, guard, window) is
-    integrated once per call.
-    """
+    `cfg`, with its ripple and reference bandwidth.  Each row reads the
+    `_Geometry` every RFI report at its (order, guard) uses: its δ, and
+    numpy's 10 log10 of it."""
     catalog = load_sensor_catalog()
-    rows = []
-    deltas = {}
-    for sid in cfg.sensor_ids:
-        sensor = lookup_sensor(catalog, sid)
-        for order in orders:
-            for guard in guards_mhz:
-                point = replace(cfg, guard_mhz=float(guard), filter_order=order)
-                spec = point.filter_spec
-                window = worst_victim_window(sensor.channel_span_ghz,
-                                             point.ref_bandwidth_mhz, point.tn_band_ghz)
-                key = (order, float(guard), window)
-                if key not in deltas:
-                    deltas[key] = leakage_fraction(spec, window, spec.bandwidth_mhz)
-                delta = deltas[key]
-                rows.append({
-                    "sensor_id": sid,
-                    "order": order,
-                    "guard_mhz": float(guard),
-                    "delta": delta,
-                    "delta_db": float(10.0 * np.log10(delta)) if delta > 0 else float("-inf"),
-                })
-    return rows
+    sensors = tuple(lookup_sensor(catalog, sid) for sid in cfg.sensor_ids)
+    points = [(order, float(guard)) for order in orders for guard in guards_mhz]
+    geometries = [_sensor_geometries(sensors, _geometry_key(
+        replace(cfg, guard_mhz=guard, filter_order=order)))[0] for order, guard in points]
+    return [{"sensor_id": sid, "order": order, "guard_mhz": guard,
+             "delta": geometry.delta[i], "delta_db": float(geometry.leak_db[i])}
+            for i, sid in enumerate(cfg.sensor_ids)
+            for (order, guard), geometry in zip(points, geometries)]

@@ -118,8 +118,19 @@ def test_invalid_models():
         AdoptionModel(b3=float("inf"))
     with pytest.raises(ValueError, match="^'b1' must be a finite number, got True$"):
         AdoptionModel(b1=True)
-    with pytest.raises(ValueError, match="^'b3' must be a finite number, got nan$"):
+    with pytest.raises(ValueError, match="^'factor' must be a finite number > 0, got nan$"):
         scenario_penetration(2035, float("nan"))
+
+
+@pytest.mark.parametrize("factor", [float("nan"), float("inf"), -1.0, 0.0, True])
+def test_scale_factor_must_be_a_finite_positive_number(factor):
+    # Checked before b3 is scaled: a NaN or inf factor once failed as a bad
+    # 'b3', a field the caller never set, and True passed as 1.0.
+    message = f"^'factor' must be a finite number > 0, got {factor!r}$"
+    with pytest.raises(ValueError, match=message):
+        scale_scenario(BASELINE_MODEL, factor)
+    with pytest.raises(ValueError, match=message):
+        scenario_penetration(2035, factor, use_published=False)
 
 
 def _synthetic_series(b1=38.100, b2=3.272, b3=0.186, noise=0.0, seed=None):

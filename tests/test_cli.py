@@ -114,14 +114,17 @@ def test_sweep_guard_header_keeps_only_keys_shared_by_every_guard(tmp_path, caps
     assert csv_keys == shared
 
 
-def test_leakage_header_states_the_grid_it_follows(tmp_path, capsys):
-    path = _write_config(tmp_path, {"scenario": {"grid_step_mhz": 0.05}})
-    assert main(["--config", path, "--out-dir", str(tmp_path), "leakage",
-                 "--orders", "7", "--guards", "25", "--sensors", "B5"]) == 0
+def test_leakage_header_and_config_carry_no_grid_step(tmp_path, capsys):
+    # The trapezoid grid is fixed, so no header states it and no config sets it.
+    assert main(["--out-dir", str(tmp_path), "leakage", "--orders", "7", "--guards", "25",
+                 "--sensors", "B5"]) == 0
     paths = json.loads(capsys.readouterr().out)
     config = json.loads(open(paths["json"]).read())["config"]
-    assert config == {"ripple_db": 0.2, "grid_step_mhz": 0.05, "ref_bandwidth_mhz": 200.0}
-    assert "# grid_step_mhz=0.05\n" in open(paths["csv"]).read()
+    assert config == {"ripple_db": 0.2, "ref_bandwidth_mhz": 200.0}
+    path = _write_config(tmp_path, {"scenario": {"grid_step_mhz": 0.05}})
+    code, out, err = _run(capsys, ["--config", path, "leakage", "--sensors", "B5"])
+    assert (code, out) == (2, "")
+    assert err == "error: config section 'scenario': unknown key 'grid_step_mhz'\n"
 
 
 def test_compliance_command(capsys):
@@ -649,6 +652,7 @@ def test_every_cell_field_is_in_the_header():
                                      "adoption --year 2030", "deploy --year 2030",
                                      "simulate --trials 2", "sweep-guard --trials 2",
                                      "compliance"])
+# grid_step_mhz is no longer a setting: every command rejects the key itself.
 @pytest.mark.parametrize("key, value", [("filter_order", 0), ("ripple_db", 1e6),
                                         ("grid_step_mhz", 1e-7)])
 def test_bad_filter_config_exits_2_on_every_command(tmp_path, capsys, command, key, value):
@@ -782,8 +786,6 @@ def cli_cases(draw):
 @given(case=cli_cases(), out_dir=st.booleans())
 @example(case=(REQUIRED["leakage"], {"scenario": {"ripple_db": 1e6}}, {}), out_dir=False)
 @example(case=(["simulate", "--trials", "2"], {"scenario": {"ripple_db": 1e6}}, {}),
-         out_dir=False)
-@example(case=(["simulate", "--trials", "2"], {"scenario": {"grid_step_mhz": 1e-7}}, {}),
          out_dir=False)
 def test_any_command_line_exits_0_2_or_3_without_a_traceback(tmp_path_factory, case, out_dir):
     argv, config, files = case

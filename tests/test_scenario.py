@@ -1,5 +1,6 @@
 import collections
 import concurrent.futures
+import dataclasses
 import json
 import math
 import struct
@@ -14,7 +15,7 @@ from eesscoex.adoption import scenario_penetration
 from eesscoex.airlink import CellConfig, _draw_buffers, _draw_trials, noise_power_w, trial_rng
 from eesscoex.deployment import CountyRecord, build_snapshot, worst_case_footprint
 from eesscoex.filterbank import worst_victim_window
-from eesscoex.linkbudget import load_sensor_catalog, net_gain_db
+from eesscoex.linkbudget import net_gain_db
 from eesscoex.precoder import SinrTargets, sinr_target, solve_power_min
 from eesscoex.reports import emit_guard_sweep, emit_report, emit_rows
 from eesscoex.scenario import (
@@ -72,21 +73,58 @@ def test_power_cap_is_the_lower_of_hardware_and_rfi_caps(catalog, fields, p_max_
     cfg = ScenarioConfig(**fields)
     sensors = tuple(catalog[sid] for sid in cfg.sensor_ids)
     _, cap = scenario._sensor_geometries(sensors, scenario._geometry_key(cfg))
-    # The RFI cap is the threshold over the largest linear net gain times
-    # leakage fraction into the sensor's worst victim window.
-    coupling = max(
-        10.0 ** (net_gain_db(sensor) / 10.0)
-        * filterbank.leakage_fraction(cfg.filter_spec, worst_victim_window(
-            sensor.channel_span_ghz, cfg.ref_bandwidth_mhz, cfg.tn_band_ghz),
-            cfg.bandwidth_hz / 1e6)
-        for sensor in sensors)
+    *_, rfi_cap, restated_cap = _restated_geometry(cfg, catalog)
+    assert cap == restated_cap
+    assert cap == pytest.approx(p_max_w, rel=2e-3)
+    assert rfi_cap == pytest.approx(rfi_cap_w, rel=2e-3)
+
+
+def _restated_geometry(cfg: ScenarioConfig, catalog) -> tuple:
+    """Each sensor's leakage fraction into its worst victim window and net
+    gain, by sensor id; the RFI cap, the threshold over the largest linear net
+    gain times leakage fraction; and the power cap, the lower of it and the
+    hardware cap."""
+    deltas, gains = {}, {}
+    for sid in cfg.sensor_ids:
+        sensor = catalog[sid]
+        window = worst_victim_window(sensor.channel_span_ghz, cfg.ref_bandwidth_mhz,
+                                     cfg.tn_band_ghz)
+        deltas[sid] = filterbank.leakage_fraction(cfg.filter_spec, window, cfg.bandwidth_hz / 1e6)
+        gains[sid] = net_gain_db(sensor, use_published=cfg.use_published_gain,
+                                 g_tx_db=cfg.g_tx_db)
+    coupling = max(10.0 ** (gains[sid] / 10.0) * deltas[sid] for sid in cfg.sensor_ids)
     try:
         rfi_cap = 10.0 ** (cfg.threshold_dbw / 10.0) / coupling
     except OverflowError:
         rfi_cap = math.inf
-    assert cap == min(10.0 ** (cfg.p_bs_dbw / 10.0), rfi_cap)
-    assert cap == pytest.approx(p_max_w, rel=2e-3)
-    assert rfi_cap == pytest.approx(rfi_cap_w, rel=2e-3)
+    return deltas, gains, rfi_cap, min(10.0 ** (cfg.p_bs_dbw / 10.0), rfi_cap)
+
+
+# A legal value other than the default for every ScenarioConfig field.
+OTHER_FIELD_VALUES = {
+    "year": 2035, "adoption_factor": 1.5, "guard_mhz": 30.0, "rate_bps": 200e6, "trials": 5,
+    "seed": 1, "sensor_ids": tuple(reversed(scenario.SENSOR_IDS)), "threshold_dbw": -160.0,
+    "ref_bandwidth_mhz": 100.0, "eta_bps_per_hz": 20.0, "max_demand_bps": 300e6,
+    "filter_order": 5, "ripple_db": 0.5, "p_bs_dbw": 0.0, "g_tx_db": 10.0,
+    "use_published_gain": False, "use_published_penetration": False, "calibration_db": 1.0,
+}
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_FIELD_VALUES))
+def test_geometry_key_holds_every_field_the_geometry_reads(catalog, name):
+    # The sensor specs reach the geometry as their own argument, so a field
+    # outside the key must leave each sensor's fraction, gain and the caps
+    # alone, with the gains published and recomputed (where g_tx_db counts).
+    assert set(OTHER_FIELD_VALUES) == {f.name for f in dataclasses.fields(ScenarioConfig)}
+    base = ScenarioConfig()
+    other = replace(base, **{name: OTHER_FIELD_VALUES[name]})
+    assert getattr(other, name) != getattr(base, name)
+    in_key = name in scenario._GEOMETRY_FIELDS
+    assert (scenario._geometry_key(other) != scenario._geometry_key(base)) == in_key
+    if not in_key:
+        for published in (True, False):
+            assert (_restated_geometry(replace(other, use_published_gain=published), catalog)
+                    == _restated_geometry(replace(base, use_published_gain=published), catalog))
 
 
 def test_mean_power_single_user_closed_form():
@@ -240,6 +278,29 @@ def test_min_power_is_at_most_the_zero_forcing_power(seed):
             mean = mean_bs_power(cfg, cell, UNCAPPED)
             assert mean.n_feasible == cfg.trials
             assert 0.975 <= mean.mean_p_w / zf_w.mean() <= 0.996
+
+
+def test_mc_rate_slope_matches_the_closed_form():
+    # With the power near the zero-forcing power, the rate enters only through
+    # gamma = 2^(R/B) - 1, so the local slope of the mean power in dB is
+    # (10 / ln 10)(ln 2 / B) 2^(R/B) / gamma per bps.  The Monte Carlo slope,
+    # by central differences at +-1 Mbps, guard 25 and no cap, sits above it
+    # by the MMSE correction: the band holds the excess measured at seeds 0-3,
+    # 200 trials and 100/300/500 Mbps, 0.00492-0.00694.
+    cell = CellConfig()
+    rates_bps = (100e6, 300e6, 500e6)
+    for seed in range(4):
+        cfg = ScenarioConfig(trials=200, seed=seed, guard_mhz=25.0)
+        b_hz = cfg.bandwidth_hz
+        batches = [scenario._power_batch(rate + step, b_hz, cell, UNCAPPED)
+                   for rate in rates_bps for step in (-1e6, 1e6)]
+        powers = scenario._mean_powers(cfg, cell, batches)
+        for rate, low, high in zip(rates_bps, powers[::2], powers[1::2]):
+            assert low.n_feasible == high.n_feasible == cfg.trials
+            mc = 10.0 * (math.log10(high.mean_p_w) - math.log10(low.mean_p_w)) / 2e6
+            closed = (10.0 / math.log(10.0) * math.log(2.0) / b_hz * 2.0 ** (rate / b_hz)
+                      / (2.0 ** (rate / b_hz) - 1.0))
+            assert 0.0049 <= mc / closed - 1.0 <= 0.0070, (seed, rate)
 
 
 def _uplink_x(grams, q, noise):
@@ -941,20 +1002,34 @@ def test_max_feasible_rate_zero_when_hopeless(counties):
     assert max_feasible_rate(cfg, counties=counties) == 0
 
 
-def test_leakage_table_integrates_each_distinct_window_once(monkeypatch):
+def test_leakage_table_integrates_each_distinct_window_once(monkeypatch, catalog):
     # B1, B3, B4 and B7 share one victim window, so 2 x 4 orders x 11 guards.
     counts = _count_calls(monkeypatch, ("leakage_fraction",))
     cfg = ScenarioConfig()
     rows = leakage_table(cfg, scenario.LEAKAGE_ORDERS, scenario.GUARD_GRID_MHZ)
     assert counts == {"leakage_fraction": 2 * 4 * 11}
     assert len(rows) == 5 * 4 * 11
-    catalog = load_sensor_catalog()
+    deltas = {(order, float(guard)): _restated_geometry(
+                  replace(cfg, guard_mhz=float(guard), filter_order=order), catalog)[0]
+              for order in scenario.LEAKAGE_ORDERS for guard in scenario.GUARD_GRID_MHZ}
     for row in rows:
-        point = replace(cfg, guard_mhz=row["guard_mhz"], filter_order=row["order"])
-        spec = point.filter_spec
-        window = worst_victim_window(catalog[row["sensor_id"]].channel_span_ghz,
-                                     point.ref_bandwidth_mhz, point.tn_band_ghz)
-        assert row["delta"] == filterbank.leakage_fraction(spec, window, spec.bandwidth_mhz)
+        assert row["delta"] == deltas[(row["order"], row["guard_mhz"])][row["sensor_id"]], row
+
+
+def test_leakage_table_rows_carry_the_delta_of_every_rfi_report(counties, clear_scenario_caches):
+    cfg = ScenarioConfig(trials=4)
+    rows = leakage_table(cfg, scenario.LEAKAGE_ORDERS, scenario.GUARD_GRID_MHZ)
+    clear_scenario_caches()
+    power = scenario.MeanPowerResult(mean_p_w=1.0, infeasibility_rate=0.0,
+                                     n_feasible=4, n_unconverged=0)
+    reports = {(order, float(guard)): simulate(replace(cfg, guard_mhz=float(guard),
+                                                       filter_order=order),
+                                               counties=counties, power=power)
+               for order in scenario.LEAKAGE_ORDERS for guard in scenario.GUARD_GRID_MHZ}
+    for row in rows:
+        delta = reports[(row["order"], row["guard_mhz"])].row(row["sensor_id"]).delta
+        assert struct.pack("<d", row["delta"]) == struct.pack("<d", delta), row
+        assert row["delta_db"] == scenario._db(delta), row
 
 
 def test_leakage_table_rows():
