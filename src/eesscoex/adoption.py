@@ -164,13 +164,11 @@ def scenario_penetration(year: int, factor: float = 1.0,
     Defaults to the published sensitivity-table values on the canonical
     (factor, year) grid, falling back to the anchored curve elsewhere;
     pass use_published=False to force the curve (same convention as the
-    published link-gain catalog).
+    published link-gain catalog).  Only a finite number is matched against
+    the table, so a bool or non-finite factor meets `scale_scenario`'s check.
     """
-    if use_published:
+    if use_published and _is_float(factor) and float(year).is_integer():
         for fac_key, by_year in SENSITIVITY_TABLE.items():
-            if abs(factor - fac_key) < 1e-9:
-                value = by_year.get(int(year)) if float(year).is_integer() else None
-                if value is not None:
-                    return float(value)
-                break
+            if abs(factor - fac_key) < 1e-9 and int(year) in by_year:
+                return float(by_year[int(year)])
     return float(gompertz(scale_scenario(BASELINE_MODEL, factor), year))

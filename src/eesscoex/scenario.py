@@ -12,10 +12,11 @@ at the configured guard band, the cataloged net link gain, and the
 worst-case county footprint count.
 
 A grid of (year, guard, rate) points is composed as one array sum over
-[guard, year, rate, sensor] of dB terms, each taken once per distinct value:
-a power term per (guard, rate), a leakage and a gain term per (guard,
-sensor) and a footprint term per (year, guard, sensor), summed left to right
-as one point's scalars are, so each element is bitwise the one-point sum.
+[guard, year, rate, sensor] of dB terms, each `_db` (numpy's 10 log10) taken
+once per distinct value: a power term per (guard, rate), a leakage and a gain
+term per (guard, sensor) and a footprint term per (year, guard, sensor),
+summed left to right as one point's scalars are.  Each element is bitwise the
+one-point sum, and a report row prints the very terms its `rfi_dbw` sums.
 `simulate` is the one-point case; `rfi_grid` builds each point's report from
 the grid, and `max_feasible_rate` and `sweep_guard_bands` read each point's
 worst sensor off it without building a report or a config per point.  A
@@ -146,6 +147,8 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class MeanPowerResult:
+    """A power batch's mean power over its feasible trials, and its failure counts."""
+
     mean_p_w: float
     infeasibility_rate: float
     n_feasible: int
@@ -154,6 +157,11 @@ class MeanPowerResult:
     @property
     def degenerate(self) -> bool:
         return self.n_feasible == 0
+
+    @functools.cached_property
+    def mean_p_tx_dbw(self) -> float:
+        """The batch's RFI term, taken once: NaN if degenerate, else `_db` of the mean."""
+        return math.nan if self.degenerate else _db(self.mean_p_w)
 
 
 @dataclass
@@ -289,12 +297,7 @@ def _db(value) -> float:
     return float(10.0 * np.log10(value)) if value > 0 else -math.inf
 
 
-def _power_db(power: MeanPowerResult) -> float:
-    """A power batch's term of the RFI sum; NaN for a degenerate batch, which has no mean."""
-    return math.nan if power.degenerate else _db(power.mean_p_w)
-
-
-def _rfi_dbw(power_db, leak_db, gain_db, count_db, calibration_db):
+def _rfi_dbw(power_db, delta_db, gain_db, count_db, calibration_db):
     """Aggregate received RFI in dBW per reference bandwidth,
 
         mean P_tx dB + leakage dB + net gain dB + footprint count dB + calibration,
@@ -303,7 +306,7 @@ def _rfi_dbw(power_db, leak_db, gain_db, count_db, calibration_db):
     other, so each element is bitwise the scalar sum of its terms.  A -inf
     term (`_db` of zero) makes the sum -inf, and a NaN one (a degenerate
     batch) NaN."""
-    return (((power_db + leak_db) + gain_db) + count_db) + calibration_db
+    return (((power_db + delta_db) + gain_db) + count_db) + calibration_db
 
 
 def _worst(rfi_dbw: np.ndarray):
@@ -323,15 +326,14 @@ def _frozen(values) -> np.ndarray:
 # in a fifth of a frozen dataclass's time.
 class _Geometry(NamedTuple):
     """A guard's per-sensor quantities that do not depend on rate or year, in
-    sensor order: the report's columns and the RFI sum's terms.  `delta_db`
-    is reported by `math.log10` and `leak_db` summed by numpy's log10, which
-    may differ in the last bit."""
+    sensor order, each field named for the report column it fills, the dB
+    ones also terms of the RFI sum; and the guard's per-BS power cap."""
 
     sensor_ids: tuple
     delta: tuple
-    delta_db: tuple
-    leak_db: np.ndarray
-    gain_db: np.ndarray
+    delta_db: np.ndarray
+    net_gain_db: np.ndarray
+    p_max_w: float
 
 
 # The ScenarioConfig fields that, with the sensor specs, set a guard's sensor
@@ -346,11 +348,11 @@ def _geometry_key(cfg: ScenarioConfig) -> tuple:
 
 
 @functools.lru_cache(maxsize=256)
-def _sensor_geometries(sensors: tuple, fields: tuple) -> tuple:
-    """The `_Geometry` at the `_GEOMETRY_FIELDS` values `fields`, and the
-    per-BS power cap: the hardware cap or, if lower, the RFI threshold over
-    the most tightly coupled sensor's linear gain times leakage fraction.
-    Computed once per process for each distinct value of the arguments."""
+def _sensor_geometries(sensors: tuple, fields: tuple) -> _Geometry:
+    """The `_Geometry` at the `_GEOMETRY_FIELDS` values `fields`.  Its power
+    cap is the hardware cap or, if lower, the RFI threshold over the most
+    tightly coupled sensor's linear gain times leakage fraction.  Computed
+    once per process for each distinct value of the arguments."""
     cfg = ScenarioConfig(**dict(zip(_GEOMETRY_FIELDS, fields)))
     spec = cfg.filter_spec
     windows = [worst_victim_window(sensor.channel_span_ghz, cfg.ref_bandwidth_mhz,
@@ -361,21 +363,19 @@ def _sensor_geometries(sensors: tuple, fields: tuple) -> tuple:
     deltas = tuple(fractions[window] for window in windows)
     gains = tuple(net_gain_db(sensor, use_published=cfg.use_published_gain, g_tx_db=cfg.g_tx_db)
                   for sensor in sensors)
-    geometry = _Geometry(
-        sensor_ids=tuple(sensor.sensor_id for sensor in sensors),
-        delta=deltas,
-        delta_db=tuple(10.0 * math.log10(delta) if delta > 0 else float("-inf")
-                       for delta in deltas),
-        leak_db=_frozen([_db(delta) for delta in deltas]),
-        gain_db=_frozen(gains),
-    )
     coupling = max(10.0 ** (gain / 10.0) * delta for gain, delta in zip(gains, deltas))
     try:
         threshold_w = 10.0 ** (cfg.threshold_dbw / 10.0)
     except OverflowError:  # a threshold past float range sets no RFI cap
         threshold_w = math.inf
     p_max_w = 10.0 ** (cfg.p_bs_dbw / 10.0)
-    return geometry, min(p_max_w, threshold_w / coupling) if coupling > 0 else p_max_w
+    return _Geometry(
+        sensor_ids=tuple(sensor.sensor_id for sensor in sensors),
+        delta=deltas,
+        delta_db=_frozen([_db(delta) for delta in deltas]),
+        net_gain_db=_frozen(gains),
+        p_max_w=min(p_max_w, threshold_w / coupling) if coupling > 0 else p_max_w,
+    )
 
 
 class _Counties(tuple):
@@ -426,17 +426,16 @@ def _report(header: dict, geometry: _Geometry, footprints: _Footprints,
             power: MeanPowerResult, rfi_dbw: np.ndarray) -> RfiReport:
     """The report of one grid point from its header, which is the point's
     `ScenarioConfig.header` and penetration, and its composed RFI per sensor."""
-    mean_p_tx_dbw = (float("nan") if power.degenerate
-                     else 10.0 * math.log10(power.mean_p_w) if power.mean_p_w
-                     else float("-inf"))
     year, rate_mbps, guard_mhz, factor = (header["year"], header["rate_bps"] / 1e6,
                                           header["guard_mhz"], header["adoption_factor"])
+    p_dbw, infeasible = power.mean_p_tx_dbw, power.infeasibility_rate
     rows = [
         SensorRow(sensor_id, year, rate_mbps, guard_mhz, factor, n_fp, delta, delta_db, gain,
-                  mean_p_tx_dbw, rfi, margin, power.infeasibility_rate, county.fips, county.name)
+                  p_dbw, rfi, margin, infeasible, county.fips, county.name)
         for sensor_id, delta, delta_db, gain, (county, n_fp), rfi, margin in zip(
-            geometry.sensor_ids, geometry.delta, geometry.delta_db, geometry.gain_db.tolist(),
-            footprints.worst, rfi_dbw.tolist(), (header["threshold_dbw"] - rfi_dbw).tolist())
+            geometry.sensor_ids, geometry.delta, geometry.delta_db.tolist(),
+            geometry.net_gain_db.tolist(), footprints.worst, rfi_dbw.tolist(),
+            (header["threshold_dbw"] - rfi_dbw).tolist())
     ]
     return RfiReport(config=header, rows=rows,
                      worst_sensor_id=geometry.sensor_ids[_worst(rfi_dbw)])
@@ -448,14 +447,14 @@ def simulate(cfg: ScenarioConfig, cell: CellConfig = None, counties: list = None
     case of the grid's composition; without a `power` batch, one is run by
     `mean_bs_power` with `n_jobs`."""
     cell, counties, sensors = _inputs(cfg, cell, counties, catalog)
-    geometry, p_max_w = _sensor_geometries(sensors, _geometry_key(cfg))
+    geometry = _sensor_geometries(sensors, _geometry_key(cfg))
     if power is None:
-        power = mean_bs_power(cfg, cell, p_max_w, n_jobs=n_jobs)
+        power = mean_bs_power(cfg, cell, geometry.p_max_w, n_jobs=n_jobs)
     penetration = cfg.penetration_per_100
     footprints = _footprints(counties, sensors, penetration, cfg.max_demand_bps,
                              cfg.eta_bps_per_hz, cfg.bandwidth_hz)
-    rfi = _rfi_dbw(_power_db(power), geometry.leak_db, geometry.gain_db, footprints.count_db,
-                   cfg.calibration_db)
+    rfi = _rfi_dbw(power.mean_p_tx_dbw, geometry.delta_db, geometry.net_gain_db,
+                   footprints.count_db, cfg.calibration_db)
     header = cfg.header(cell)
     header["penetration_per_100"] = penetration
     return _report(header, geometry, footprints, power, rfi)
@@ -495,8 +494,8 @@ def _grid(cfg: ScenarioConfig, years, guards_mhz, rates_mbps, cell: CellConfig =
     geometries = [_sensor_geometries(sensors, _geometry_key(point))
                   for point in at_guard.values()]
     power_cache = {} if power_cache is None else power_cache
-    missing = {(guard, rate): _power_batch(rate_bps, point.bandwidth_hz, cell, p_max_w)
-               for (guard, point), (_, p_max_w) in zip(at_guard.items(), geometries)
+    missing = {(guard, rate): _power_batch(rate_bps, point.bandwidth_hz, cell, geometry.p_max_w)
+               for (guard, point), geometry in zip(at_guard.items(), geometries)
                for rate, rate_bps in rates_bps.items() if (guard, rate) not in power_cache}
     if missing:
         power_cache.update(zip(missing, _mean_powers(cfg, cell, list(missing.values()),
@@ -507,15 +506,14 @@ def _grid(cfg: ScenarioConfig, years, guards_mhz, rates_mbps, cell: CellConfig =
                    for penetration in penetrations.values()]
                   for point in at_guard.values()]
     powers = [[power_cache[(guard, rate)] for rate in rates_bps] for guard in at_guard]
-    power_db = np.array([[_power_db(power) for power in row] for row in powers])
-    leak_db = np.array([geometry.leak_db for geometry, _ in geometries])
-    gain_db = np.array([geometry.gain_db for geometry, _ in geometries])
+    power_db = np.array([[power.mean_p_tx_dbw for power in row] for row in powers])
+    delta_db = np.array([geometry.delta_db for geometry in geometries])
+    gain_db = np.array([geometry.net_gain_db for geometry in geometries])
     count_db = np.array([[entry.count_db for entry in row] for row in footprints])
-    rfi = _rfi_dbw(power_db[:, None, :, None], leak_db[:, None, None, :],
+    rfi = _rfi_dbw(power_db[:, None, :, None], delta_db[:, None, None, :],
                    gain_db[:, None, None, :], count_db[:, :, None, :], cfg.calibration_db)
     return _Grid(cell=cell, guards=at_guard, years=penetrations, rates=rates_bps,
-                 geometries=[geometry for geometry, _ in geometries], footprints=footprints,
-                 powers=powers, rfi=rfi)
+                 geometries=geometries, footprints=footprints, powers=powers, rfi=rfi)
 
 
 def rfi_grid(cfg: ScenarioConfig, years, guards_mhz, rates_mbps, *,
@@ -596,14 +594,14 @@ def sweep_guard_bands(cfg: ScenarioConfig, years=CANONICAL_YEARS,
 def leakage_table(cfg: ScenarioConfig, orders, guards_mhz) -> list:
     """Leakage fractions across filter orders and guard widths, per sensor of
     `cfg`, with its ripple and reference bandwidth.  Each row reads the
-    `_Geometry` every RFI report at its (order, guard) uses: its δ, and
-    numpy's 10 log10 of it."""
+    `_Geometry` every RFI report at its (order, guard) uses: its δ and the
+    δ's term of the RFI sum."""
     catalog = load_sensor_catalog()
     sensors = tuple(lookup_sensor(catalog, sid) for sid in cfg.sensor_ids)
     points = [(order, float(guard)) for order in orders for guard in guards_mhz]
     geometries = [_sensor_geometries(sensors, _geometry_key(
-        replace(cfg, guard_mhz=guard, filter_order=order)))[0] for order, guard in points]
+        replace(cfg, guard_mhz=guard, filter_order=order))) for order, guard in points]
     return [{"sensor_id": sid, "order": order, "guard_mhz": guard,
-             "delta": geometry.delta[i], "delta_db": float(geometry.leak_db[i])}
+             "delta": geometry.delta[i], "delta_db": float(geometry.delta_db[i])}
             for i, sid in enumerate(cfg.sensor_ids)
             for (order, guard), geometry in zip(points, geometries)]

@@ -3,13 +3,16 @@
 Each oracle deliberately takes a different computational route from the
 production code: Chebyshev polynomials via the three-term recurrence
 instead of the cosh form, leakage integrals via composite Simpson on a
-1 kHz grid, and minimum-power beamforming via bisection on the total
-power with feasibility decided by an eigenvalue-based SINR-balancing
-iteration.
+1 kHz grid, minimum-power beamforming via bisection on the total power
+with feasibility decided by an eigenvalue-based SINR-balancing iteration,
+and the mean inverse large-scale gain by quadrature over distance instead
+of sampling.
 """
 
+import math
+
 import numpy as np
-from scipy.integrate import simpson
+from scipy.integrate import quad, simpson
 
 
 def chebyshev_poly(order, x):
@@ -113,3 +116,59 @@ def min_power_bisection(h, g, gammas, noise_w, rel_tol=1e-7):
         else:
             lo = mid
     return hi
+
+
+# TR 38.901 UMi-Street Canyon: shadowing sigma per link state, effective
+# environment height, and the speed of light its breakpoint uses.
+_SIGMA_LOS_DB, _SIGMA_NLOS_DB = 4.0, 7.82
+_H_E_M, _C_M_S = 1.0, 3.0e8
+
+
+def _umi_los_db(d2d, carrier_ghz, bs_height_m, ut_height_m):
+    dz = bs_height_m - ut_height_m
+    d3d = math.hypot(d2d, dz)
+    d_bp = 4.0 * (bs_height_m - _H_E_M) * (ut_height_m - _H_E_M) * carrier_ghz * 1e9 / _C_M_S
+    if d2d <= d_bp:
+        return 32.4 + 21.0 * math.log10(d3d) + 20.0 * math.log10(carrier_ghz)
+    return (32.4 + 40.0 * math.log10(d3d) + 20.0 * math.log10(carrier_ghz)
+            - 9.5 * math.log10(d_bp ** 2 + dz ** 2))
+
+
+def _umi_nlos_db(d2d, carrier_ghz, bs_height_m, ut_height_m):
+    d3d = math.hypot(d2d, bs_height_m - ut_height_m)
+    nlos = (35.3 * math.log10(d3d) + 22.4 + 21.3 * math.log10(carrier_ghz)
+            - 0.3 * (ut_height_m - 1.5))
+    return max(_umi_los_db(d2d, carrier_ghz, bs_height_m, ut_height_m), nlos)
+
+
+def mean_inverse_gain(r_min_m, r_cell_m, carrier_ghz, bs_height_m, ut_height_m,
+                      tx_gain_users_db, distance_mode, los_mode, shadowing):
+    """E[1/g] of one user's linear large-scale gain g = 10^((G - PL - SF)/10):
+    the integral over the 2-D distance law of the LOS-probability mix of
+    10^((PL - G)/10) times the lognormal moment E[10^(SF/10)] =
+    exp((sigma ln 10 / 10)^2 / 2), broken where the integrand has a kink
+    (18 m, the breakpoint distance)."""
+    def moment(sigma_db):
+        return math.exp((sigma_db * math.log(10.0) / 10.0) ** 2 / 2.0) if shadowing else 1.0
+
+    def p_los(d):
+        if los_mode != "model":
+            return 1.0 if los_mode == "los" else 0.0
+        return 1.0 if d <= 18.0 else 18.0 / d + math.exp(-d / 36.0) * (1.0 - 18.0 / d)
+
+    def density(d):
+        if distance_mode == "uniform-distance":
+            return 1.0 / (r_cell_m - r_min_m)
+        return 2.0 * d / (r_cell_m ** 2 - r_min_m ** 2)
+
+    def integrand(d):
+        los = 10.0 ** ((_umi_los_db(d, carrier_ghz, bs_height_m, ut_height_m)
+                        - tx_gain_users_db) / 10.0) * moment(_SIGMA_LOS_DB)
+        nlos = 10.0 ** ((_umi_nlos_db(d, carrier_ghz, bs_height_m, ut_height_m)
+                         - tx_gain_users_db) / 10.0) * moment(_SIGMA_NLOS_DB)
+        p = p_los(d)
+        return density(d) * (p * los + (1.0 - p) * nlos)
+
+    d_bp = 4.0 * (bs_height_m - _H_E_M) * (ut_height_m - _H_E_M) * carrier_ghz * 1e9 / _C_M_S
+    kinks = [d for d in (18.0, d_bp) if r_min_m < d < r_cell_m]
+    return quad(integrand, r_min_m, r_cell_m, points=kinks or None, epsrel=1e-10, limit=200)[0]

@@ -90,6 +90,7 @@ def test_sensitivity_table_vs_curve():
 
 def test_scenario_penetration_published_default():
     assert scenario_penetration(2035, 1.0) == 10.0
+    assert scenario_penetration(2035, 1) == 10.0  # an int is a number; only a bool is not
     assert scenario_penetration(2040, 0.5) == 10.5
     assert scenario_penetration(2035, 1.5) == 17.0
     # off-grid years and factors fall back to the curve
@@ -125,12 +126,14 @@ def test_invalid_models():
 @pytest.mark.parametrize("factor", [float("nan"), float("inf"), -1.0, 0.0, True])
 def test_scale_factor_must_be_a_finite_positive_number(factor):
     # Checked before b3 is scaled: a NaN or inf factor once failed as a bad
-    # 'b3', a field the caller never set, and True passed as 1.0.
+    # 'b3', a field the caller never set, and True passed as 1.0.  Checked
+    # before the table is read too, where True once matched the factor 1.0.
     message = f"^'factor' must be a finite number > 0, got {factor!r}$"
     with pytest.raises(ValueError, match=message):
         scale_scenario(BASELINE_MODEL, factor)
-    with pytest.raises(ValueError, match=message):
-        scenario_penetration(2035, factor, use_published=False)
+    for published in (True, False):
+        with pytest.raises(ValueError, match=message):
+            scenario_penetration(2035, factor, use_published=published)
 
 
 def _synthetic_series(b1=38.100, b2=3.272, b3=0.186, noise=0.0, seed=None):

@@ -20,6 +20,7 @@ from eesscoex.airlink import (
     umi_los_path_loss_db,
     umi_nlos_path_loss_db,
 )
+from oracles import mean_inverse_gain
 
 CFG = CellConfig()
 MODES = ("uniform-distance", "uniform-area")
@@ -214,6 +215,23 @@ def _cells(**size):
                        **size)
             for distance_mode, los_mode, shadowing in itertools.product(
                 MODES, ("model", "los", "nlos"), (True, False))]
+
+
+@pytest.mark.parametrize("cell", _cells(n_antennas=8), ids=lambda cell: "-".join(
+    (cell.distance_mode, cell.los_mode, "shadowed" if cell.shadowing else "unshadowed")))
+def test_mean_inverse_gain_matches_the_quadrature_oracle(cell):
+    # The zero-forcing power scales with E[1/g].  g's law does not depend on
+    # the array size, so N = 8 keeps 4000 trials cheap; the K users of a
+    # trial draw independently, so the sample holds 4000 K values.
+    trials = 4000
+    u, z, h = _draw_buffers(cell, trials)
+    g, _ = _draw_trials(cell, [trial_rng(0, t) for t in range(trials)], u, z, h)
+    inverse = 1.0 / g.ravel()
+    expected = mean_inverse_gain(cell.r_min_m, cell.r_cell_m, cell.carrier_ghz,
+                                 cell.bs_height_m, cell.ut_height_m, cell.tx_gain_users_db,
+                                 cell.distance_mode, cell.los_mode, cell.shadowing)
+    z_score = (inverse.mean() - expected) / (inverse.std(ddof=1) / np.sqrt(inverse.size))
+    assert abs(z_score) < 4, (expected, inverse.mean(), z_score)
 
 
 def _assert_gram_stack(cell, seed, trials):

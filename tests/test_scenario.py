@@ -72,7 +72,7 @@ def test_config_validation():
 def test_power_cap_is_the_lower_of_hardware_and_rfi_caps(catalog, fields, p_max_w, rfi_cap_w):
     cfg = ScenarioConfig(**fields)
     sensors = tuple(catalog[sid] for sid in cfg.sensor_ids)
-    _, cap = scenario._sensor_geometries(sensors, scenario._geometry_key(cfg))
+    cap = scenario._sensor_geometries(sensors, scenario._geometry_key(cfg)).p_max_w
     *_, rfi_cap, restated_cap = _restated_geometry(cfg, catalog)
     assert cap == restated_cap
     assert cap == pytest.approx(p_max_w, rel=2e-3)
@@ -504,7 +504,7 @@ def test_simulate_report_contents(counties, catalog):
                          rate_bps=1.5e9)
     report = simulate(cfg, counties=counties)
     sensors = [catalog[sid] for sid in cfg.sensor_ids]
-    _, p_max_w = scenario._sensor_geometries(tuple(sensors), scenario._geometry_key(cfg))
+    p_max_w = scenario._sensor_geometries(tuple(sensors), scenario._geometry_key(cfg)).p_max_w
     power = mean_bs_power(cfg, CellConfig(), p_max_w)
     assert power.infeasibility_rate == pytest.approx(0.3)
     penetration = scenario_penetration(cfg.year, cfg.adoption_factor)
@@ -526,9 +526,9 @@ def test_simulate_report_contents(counties, catalog):
             "adoption_factor": cfg.adoption_factor,
             "n_footprint": n_fp,
             "delta": delta,
-            "delta_db": 10 * math.log10(delta),
+            "delta_db": scenario._db(delta),
             "net_gain_db": sensor.published_net_gain_db,
-            "mean_p_tx_dbw": 10 * math.log10(power.mean_p_w),
+            "mean_p_tx_dbw": scenario._db(power.mean_p_w),
             "rfi_dbw": rfi,
             "margin_db": cfg.threshold_dbw - row.rfi_dbw,
             "infeasibility_rate": power.infeasibility_rate,
@@ -649,7 +649,7 @@ def test_rfi_grid_power_equals_mean_bs_power_of_each_point(monkeypatch, counties
     sensors = tuple(catalog[sid] for sid in cfg.sensor_ids)
     for (guard, rate), power in cache.items():
         point = replace(cfg, guard_mhz=float(guard), rate_bps=rate * 1e6)
-        _, p_max_w = scenario._sensor_geometries(sensors, scenario._geometry_key(point))
+        p_max_w = scenario._sensor_geometries(sensors, scenario._geometry_key(point)).p_max_w
         assert power == mean_bs_power(point, cell, p_max_w)
 
 
@@ -882,7 +882,7 @@ def test_composed_rfi_is_the_scalar_sum_bitwise_in_every_branch(monkeypatch, cou
         for y, (year, footprints) in enumerate(zip(years, grid.footprints[g])):
             for r, rate in enumerate(rates):
                 power = cache[(guard, rate)]
-                inputs = list(zip(geometry.delta, geometry.gain_db.tolist(),
+                inputs = list(zip(geometry.delta, geometry.net_gain_db.tolist(),
                                   (n_fp for _, n_fp in footprints.worst)))
                 expected = [_scalar_rfi(power, delta, gain, n_fp, cfg.calibration_db)
                             for delta, gain, n_fp in inputs]
@@ -921,6 +921,53 @@ def test_composed_rfi_of_many_terms_is_the_scalar_sum_bitwise():
     # math.log10 differs from numpy's log10 in the last bit of some of these values.
     values = [*powers.tolist(), *deltas.ravel().tolist(), *counts.ravel().tolist()]
     assert any(10.0 * math.log10(v) != scenario._db(v) for v in values)
+
+
+def _assert_rows_print_the_terms_their_rfi_sums(reports):
+    """Each row's `rfi_dbw` is, bit for bit, its printed dB terms and the
+    calibration summed left to right, as the composition sums them, and its
+    `delta_db` is `_db` of its `delta`."""
+    for report in reports:
+        calibration_db = report.config["calibration_db"]
+        assert _bits(row.rfi_dbw for row in report.rows) == _bits(
+            (((row.mean_p_tx_dbw + row.delta_db) + row.net_gain_db)
+             + scenario._db(row.n_footprint)) + calibration_db for row in report.rows)
+        assert _bits(row.delta_db for row in report.rows) == _bits(
+            scenario._db(row.delta) for row in report.rows)
+
+
+def test_compose_grid_rows_print_the_terms_their_rfi_sums(counties):
+    # The benchmark's compose-grid points at seed 7: 495 simulate points over
+    # a 4-trial power table of 11 guards x 5 rates, and the rfi_grid reports
+    # over the same table.  Three of its batches have a mean power whose
+    # math.log10 is one ulp off numpy's log10.
+    cfg = ScenarioConfig(seed=7, trials=4)
+    guards, rates = scenario.GUARD_GRID_MHZ, scenario.RATE_GRID_MBPS
+    table = {}
+    grid = rfi_grid(cfg, scenario.CANONICAL_YEARS, guards, rates, counties=counties,
+                    power_cache=table)
+    points = [simulate(replace(cfg, year=year, adoption_factor=factor, guard_mhz=float(guard),
+                               rate_bps=rate * 1e6), counties=counties, power=table[(guard, rate)])
+              for year in scenario.CANONICAL_YEARS for factor in (0.5, 1.0, 1.5)
+              for guard in guards for rate in rates]
+    assert len(points) == 495
+    _assert_rows_print_the_terms_their_rfi_sums([*grid.values(), *points])
+
+
+def test_simulate_rows_print_the_terms_their_rfi_sums(counties):
+    point = ScenarioConfig(year=2040, rate_bps=500e6, trials=200)
+    degenerate = scenario.MeanPowerResult(mean_p_w=math.nan, infeasibility_rate=1.0,
+                                          n_feasible=0, n_unconverged=0)
+    reports = [simulate(replace(point, seed=seed), counties=counties) for seed in (0, 7)]
+    # B5's δ at order 5 and guard 10 is where math.log10 and numpy's log10
+    # differ in the last bit; the calibration is the sum's last term.
+    reports.append(simulate(replace(point, trials=4, filter_order=5, guard_mhz=10.0,
+                                    calibration_db=0.9), counties=counties))
+    zero = simulate(replace(point, trials=4, rate_bps=0.0), counties=counties)
+    nan = simulate(point, counties=counties, power=degenerate)
+    assert all(row.mean_p_tx_dbw == row.rfi_dbw == -math.inf for row in zero.rows)
+    assert all(math.isnan(row.mean_p_tx_dbw) and math.isnan(row.rfi_dbw) for row in nan.rows)
+    _assert_rows_print_the_terms_their_rfi_sums([*reports, zero, nan])
 
 
 @pytest.mark.parametrize("row", [
@@ -1027,9 +1074,10 @@ def test_leakage_table_rows_carry_the_delta_of_every_rfi_report(counties, clear_
                                                counties=counties, power=power)
                for order in scenario.LEAKAGE_ORDERS for guard in scenario.GUARD_GRID_MHZ}
     for row in rows:
-        delta = reports[(row["order"], row["guard_mhz"])].row(row["sensor_id"]).delta
-        assert struct.pack("<d", row["delta"]) == struct.pack("<d", delta), row
-        assert row["delta_db"] == scenario._db(delta), row
+        reported = reports[(row["order"], row["guard_mhz"])].row(row["sensor_id"])
+        assert struct.pack("<d", row["delta"]) == struct.pack("<d", reported.delta), row
+        assert row["delta_db"] == scenario._db(reported.delta), row
+        assert struct.pack("<d", row["delta_db"]) == struct.pack("<d", reported.delta_db), row
 
 
 def test_leakage_table_rows():
