@@ -5,7 +5,6 @@ regardless of execution details, so serialization uses sorted keys,
 fixed float formats and no timestamps.
 """
 
-import csv
 import json
 import math
 import os
@@ -86,14 +85,32 @@ def _json_cell(value):
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _csv_cell(text):
+    """A cell's text as the csv module's excel dialect writes it: quoted, its
+    quotes doubled, if it holds a comma, a quote, CR or LF."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_lines(rows, n_columns):
+    """Rows of `_csv_cell` texts as the csv module writes them, each line
+    ended by CRLF; as it does, a lone empty cell is written as ""."""
+    lines = map(",".join, rows)
+    if n_columns == 1:
+        lines = (line or '""' for line in lines)
+    return "\r\n".join(lines) + "\r\n"
+
+
 # Rows are written this many at a time, so memory does not grow with the table.
 _BLOCK_ROWS = 256
 
 
 def _column_cells(key, name, values, kind):
-    """The CSV and JSON cell texts of one column's flat `values`.  When every
-    value is of exactly type `kind` (None if they are not of one type) and
-    equal values of it print alike, each distinct value is formatted once.
+    """The CSV and JSON cell texts of one column's flat `values`, the CSV
+    ones quoted by `_csv_cell`.  When every value is of exactly type `kind`
+    (None if they are not of one type) and equal values of it print alike,
+    each distinct value is formatted and quoted once.
     Equal floats print alike when finite and, since 0.0 == -0.0, when every
     zero has one sign."""
     distinct = dict.fromkeys(values) if kind in (str, int, float) else ()
@@ -106,9 +123,9 @@ def _column_cells(key, name, values, kind):
             or len({math.copysign(1.0, value) for value in values if value == 0.0}) == 1):
         formats = _FLOAT_FORMATS.get(key, "{:.6f}").format, float.__repr__
     else:
-        return ([_format_value(key, value) for value in values],
+        return ([_csv_cell(_format_value(key, value)) for value in values],
                 [name + _json_cell(value) for value in values])
-    csv_text = dict(zip(distinct, map(formats[0], distinct)))
+    csv_text = dict(zip(distinct, map(_csv_cell, map(formats[0], distinct))))
     json_text = dict(zip(distinct, map(name.__add__, map(formats[1], distinct))))
     return map(csv_text.__getitem__, values), map(json_text.__getitem__, values)
 
@@ -159,13 +176,12 @@ def emit_rows(rows, out_dir, basename, header=None):
             _open_out(out_dir, f"{basename}.json") as json_fh:
         for key in sorted(header):
             csv_fh.write(f"# {key}={_json_safe(header[key])}\n")
-        writer = csv.writer(csv_fh)
-        writer.writerow(columns)
+        csv_fh.write(_csv_lines([map(_csv_cell, columns)], len(columns)))
         json_fh.write(f'{{\n  "config": {config},\n  "rows": [\n    {{\n      ')
         start = 0
         while block:
             csv_cells, json_cells = _block_cells(block, columns, names, start)
-            writer.writerows(zip(*csv_cells))
+            csv_fh.write(_csv_lines(zip(*csv_cells), len(columns)))
             if start:
                 json_fh.write(",\n    {\n      ")
             entries = map(",\n      ".join, zip(*(json_cells[i] for i in json_order)))

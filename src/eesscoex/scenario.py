@@ -15,11 +15,12 @@ A grid of (year, guard, rate) points is composed as one array sum over
 [guard, year, rate, sensor] of dB terms, each `_db` (numpy's 10 log10) taken
 once per distinct value: a power term per (guard, rate), a leakage and a gain
 term per (guard, sensor) and a footprint term per (year, guard, sensor),
-summed left to right as one point's scalars are.  Each element is bitwise the
-one-point sum, and a report row prints the very terms its `rfi_dbw` sums.
-`simulate` is the one-point case; `rfi_grid` builds each point's report from
-the grid, and `max_feasible_rate` and `sweep_guard_bands` read each point's
+summed left to right as one point's scalars are.  The array decides the
+sweep verdicts: `max_feasible_rate` and `sweep_guard_bands` read each point's
 worst sensor off it without building a report or a config per point.  A
+report, of `simulate` or of `rfi_grid`, sums its own rows from the same
+cached terms, Python floats, by the same `_rfi_dbw`, so each row is bit for
+bit the array's element and prints the very terms its `rfi_dbw` sums.  A
 channel is held only as its effective Gram matrix, all the power solve needs,
 drawn from the substream (master seed, trial).  One power path serves every
 batch: it inverts such a stack once and solves the trials of all its batches
@@ -315,13 +316,6 @@ def _worst(rfi_dbw: np.ndarray):
     return np.where(np.isnan(rfi_dbw), -np.inf, rfi_dbw).argmax(axis=-1)
 
 
-def _frozen(values) -> np.ndarray:
-    # A cached array is shared by every caller, so it is made read-only.
-    out = np.array(values, dtype=float)
-    out.flags.writeable = False
-    return out
-
-
 # A NamedTuple, as are `_Footprints` and `_Grid`: its class is built at import
 # in a fifth of a frozen dataclass's time.
 class _Geometry(NamedTuple):
@@ -331,8 +325,8 @@ class _Geometry(NamedTuple):
 
     sensor_ids: tuple
     delta: tuple
-    delta_db: np.ndarray
-    net_gain_db: np.ndarray
+    delta_db: tuple
+    net_gain_db: tuple
     p_max_w: float
 
 
@@ -372,8 +366,8 @@ def _sensor_geometries(sensors: tuple, fields: tuple) -> _Geometry:
     return _Geometry(
         sensor_ids=tuple(sensor.sensor_id for sensor in sensors),
         delta=deltas,
-        delta_db=_frozen([_db(delta) for delta in deltas]),
-        net_gain_db=_frozen(gains),
+        delta_db=tuple(map(_db, deltas)),
+        net_gain_db=tuple(map(float, gains)),
         p_max_w=min(p_max_w, threshold_w / coupling) if coupling > 0 else p_max_w,
     )
 
@@ -406,7 +400,7 @@ class _Footprints(NamedTuple):
     10 log10 of each count."""
 
     worst: tuple
-    count_db: np.ndarray
+    count_db: tuple
 
 
 @functools.lru_cache(maxsize=256)
@@ -419,26 +413,31 @@ def _footprints(counties: _Counties, sensors: tuple, penetration: float,
     snapshot = build_snapshot(counties, max_demand_bps, eta_bps_per_hz, bandwidth_hz,
                               penetration_per_100=penetration)
     worst = tuple(worst_case_footprint(snapshot, sensor) for sensor in sensors)
-    return _Footprints(worst=worst, count_db=_frozen([_db(n_fp) for _, n_fp in worst]))
+    return _Footprints(worst=worst, count_db=tuple(_db(n_fp) for _, n_fp in worst))
 
 
 def _report(header: dict, geometry: _Geometry, footprints: _Footprints,
-            power: MeanPowerResult, rfi_dbw: np.ndarray) -> RfiReport:
+            power: MeanPowerResult) -> RfiReport:
     """The report of one grid point from its header, which is the point's
-    `ScenarioConfig.header` and penetration, and its composed RFI per sensor."""
+    `ScenarioConfig.header` and penetration.  Each row's RFI is its cached
+    terms summed by `_rfi_dbw` over Python floats, bitwise the grid's array
+    element, and the worst sensor is `_worst`'s: the first maximum, a NaN
+    counting as -inf."""
     year, rate_mbps, guard_mhz, factor = (header["year"], header["rate_bps"] / 1e6,
                                           header["guard_mhz"], header["adoption_factor"])
     p_dbw, infeasible = power.mean_p_tx_dbw, power.infeasibility_rate
-    rows = [
-        SensorRow(sensor_id, year, rate_mbps, guard_mhz, factor, n_fp, delta, delta_db, gain,
-                  p_dbw, rfi, margin, infeasible, county.fips, county.name)
-        for sensor_id, delta, delta_db, gain, (county, n_fp), rfi, margin in zip(
-            geometry.sensor_ids, geometry.delta, geometry.delta_db.tolist(),
-            geometry.net_gain_db.tolist(), footprints.worst, rfi_dbw.tolist(),
-            (header["threshold_dbw"] - rfi_dbw).tolist())
-    ]
-    return RfiReport(config=header, rows=rows,
-                     worst_sensor_id=geometry.sensor_ids[_worst(rfi_dbw)])
+    threshold_dbw, calibration_db = header["threshold_dbw"], header["calibration_db"]
+    rows, worst_id, worst_rfi = [], geometry.sensor_ids[0], -math.inf
+    for sensor_id, delta, delta_db, gain, (county, n_fp), count_db in zip(
+            geometry.sensor_ids, geometry.delta, geometry.delta_db, geometry.net_gain_db,
+            footprints.worst, footprints.count_db):
+        rfi = _rfi_dbw(p_dbw, delta_db, gain, count_db, calibration_db)
+        rows.append(SensorRow(sensor_id, year, rate_mbps, guard_mhz, factor, n_fp, delta,
+                              delta_db, gain, p_dbw, rfi, threshold_dbw - rfi, infeasible,
+                              county.fips, county.name))
+        if rfi > worst_rfi:  # False for NaN, and for a tie
+            worst_id, worst_rfi = sensor_id, rfi
+    return RfiReport(config=header, rows=rows, worst_sensor_id=worst_id)
 
 
 def simulate(cfg: ScenarioConfig, cell: CellConfig = None, counties: list = None,
@@ -453,11 +452,9 @@ def simulate(cfg: ScenarioConfig, cell: CellConfig = None, counties: list = None
     penetration = cfg.penetration_per_100
     footprints = _footprints(counties, sensors, penetration, cfg.max_demand_bps,
                              cfg.eta_bps_per_hz, cfg.bandwidth_hz)
-    rfi = _rfi_dbw(power.mean_p_tx_dbw, geometry.delta_db, geometry.net_gain_db,
-                   footprints.count_db, cfg.calibration_db)
     header = cfg.header(cell)
     header["penetration_per_100"] = penetration
-    return _report(header, geometry, footprints, power, rfi)
+    return _report(header, geometry, footprints, power)
 
 
 class _Grid(NamedTuple):
@@ -520,10 +517,10 @@ def rfi_grid(cfg: ScenarioConfig, years, guards_mhz, rates_mbps, *,
              cell: CellConfig = None, counties: list = None, channels: np.ndarray = None,
              power_cache: dict = None) -> dict:
     """Reports keyed (year, guard, rate), guard-major, each built from the
-    grid's composed RFI as `simulate` builds its point's report, and equal
-    to that report given the point's power batch.  The batches are shared
-    over one `draw_channels` Gram stack, read from `power_cache` or solved
-    and filled into it, as in `_grid`.
+    grid's inputs as `simulate` builds its point's report, and equal to that
+    report given the point's power batch.  The batches are shared over one
+    `draw_channels` Gram stack, read from `power_cache` or solved and filled
+    into it, as in `_grid`.
 
     `power_cache` is keyed only by (guard, rate), so one cache is valid only
     for one seed, trial count, cell and set of cap settings: `p_bs_dbw`,
@@ -533,16 +530,15 @@ def rfi_grid(cfg: ScenarioConfig, years, guards_mhz, rates_mbps, *,
     grid = _grid(cfg, years, guards_mhz, rates_mbps, cell=cell, counties=counties,
                  channels=channels, power_cache=power_cache)
     reports = {}
-    for (guard, point), geometry, by_year, powers, rfi_at_guard in zip(
-            grid.guards.items(), grid.geometries, grid.footprints, grid.powers, grid.rfi):
+    for (guard, point), geometry, by_year, powers in zip(
+            grid.guards.items(), grid.geometries, grid.footprints, grid.powers):
         header = point.header(grid.cell)
-        for (year, penetration), footprints, rfi_at_year in zip(
-                grid.years.items(), by_year, rfi_at_guard):
-            for (rate, rate_bps), power, rfi in zip(grid.rates.items(), powers, rfi_at_year):
+        for (year, penetration), footprints in zip(grid.years.items(), by_year):
+            for (rate, rate_bps), power in zip(grid.rates.items(), powers):
                 reports[(year, guard, rate)] = _report(
                     {**header, "year": year, "rate_bps": rate_bps,
                      "penetration_per_100": penetration},
-                    geometry, footprints, power, rfi)
+                    geometry, footprints, power)
     return reports
 
 
@@ -602,6 +598,6 @@ def leakage_table(cfg: ScenarioConfig, orders, guards_mhz) -> list:
     geometries = [_sensor_geometries(sensors, _geometry_key(
         replace(cfg, guard_mhz=guard, filter_order=order))) for order, guard in points]
     return [{"sensor_id": sid, "order": order, "guard_mhz": guard,
-             "delta": geometry.delta[i], "delta_db": float(geometry.delta_db[i])}
+             "delta": geometry.delta[i], "delta_db": geometry.delta_db[i]}
             for i, sid in enumerate(cfg.sensor_ids)
             for (order, guard), geometry in zip(points, geometries)]

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eesscoex import reports
@@ -100,6 +100,18 @@ def test_json_file_is_the_stdlib_indent_2_encoding(rows, header, block):
 
 @settings(max_examples=150, deadline=None)
 @given(rows=_rows(), header=_HEADERS, block=_BLOCKS)
+# County names with a comma, with a quote (in a column of mixed types) and
+# with embedded line breaks, and one-column tables, whose empty cells and
+# empty column name csv writes as "".
+@example(rows=[{"fips": "02110", "worst_county_name": "Juneau, City and Borough of"},
+               {"fips": "02020", "worst_county_name": "Anchorage"}], header={}, block=BLOCK)
+@example(rows=[{"worst_county_name": 'Prince of "Wales"', "n": 1},
+               {"worst_county_name": None, "n": 2}], header={}, block=BLOCK)
+@example(rows=[{"worst_county_name": "Kusilvak\r\nCensus Area"},
+               {"worst_county_name": "Kusilvak\nCensus Area"}, {"worst_county_name": "a\rb"}],
+         header={"note": "x"}, block=2)
+@example(rows=[{"": ""}, {"": "x"}, {"": ""}], header={}, block=2)
+@example(rows=[{"name": ""}, {"name": None}], header={}, block=BLOCK)
 def test_csv_file_is_the_per_row_csv(rows, header, block):
     with tempfile.TemporaryDirectory() as out_dir:
         assert _emitted(rows, out_dir, header, block)[0] == _per_row_csv(rows, header)

@@ -882,7 +882,7 @@ def test_composed_rfi_is_the_scalar_sum_bitwise_in_every_branch(monkeypatch, cou
         for y, (year, footprints) in enumerate(zip(years, grid.footprints[g])):
             for r, rate in enumerate(rates):
                 power = cache[(guard, rate)]
-                inputs = list(zip(geometry.delta, geometry.net_gain_db.tolist(),
+                inputs = list(zip(geometry.delta, list(geometry.net_gain_db),
                                   (n_fp for _, n_fp in footprints.worst)))
                 expected = [_scalar_rfi(power, delta, gain, n_fp, cfg.calibration_db)
                             for delta, gain, n_fp in inputs]
@@ -986,6 +986,52 @@ def test_worst_sensor_is_the_first_maximum_with_nan_as_minus_inf(row):
     assert scenario._worst(np.array(row)) == first_max(row)
     stack = np.array([row, row[::-1]])
     assert scenario._worst(stack).tolist() == [first_max(row), first_max(row[::-1])]
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("mean_p_w, delta_db, count_db", [
+    (1.0, (-170.0, -165.0, -165.0, -168.0), (0.0, 0.0, 0.0, 0.0)),  # a tie: the first wins
+    (1.0, (_NAN, -170.0, _NAN, -169.0), (0.0, 0.0, 0.0, 0.0)),      # NaN among finite values
+    (_NAN, (-170.0, -165.0, -168.0), (0.0, 0.0, 0.0)),             # all NaN: a degenerate batch
+    (1.0, (-170.0, -165.0, -168.0), (-_INF, -_INF, -_INF)),        # all -inf: no emitters
+])
+def test_report_worst_sensor_is_the_worst_of_its_rfi_array(mean_p_w, delta_db, count_db):
+    n = len(delta_db)
+    ids = tuple(f"S{i}" for i in range(n))
+    geometry = scenario._Geometry(sensor_ids=ids, delta=(1e-9,) * n, delta_db=delta_db,
+                                  net_gain_db=(-140.0,) * n, p_max_w=1.0)
+    county = CountyRecord(fips="02020", name="Anchorage", state="AK", rucc_code=1,
+                          population=1, land_area_km2=1.0)
+    footprints = scenario._Footprints(worst=((county, 1),) * n, count_db=count_db)
+    power = scenario.MeanPowerResult(mean_p_w=mean_p_w, infeasibility_rate=0.0,
+                                     n_feasible=0 if math.isnan(mean_p_w) else 1,
+                                     n_unconverged=0)
+    header = {**vars(ScenarioConfig(calibration_db=0.9)), "penetration_per_100": 1.0}
+    report = scenario._report(header, geometry, footprints, power)
+    rfi = scenario._rfi_dbw(power.mean_p_tx_dbw, np.array(delta_db), np.array((-140.0,) * n),
+                            np.array(count_db), 0.9)
+    assert _bits(row.rfi_dbw for row in report.rows) == _bits(rfi.tolist())
+    assert _bits(row.margin_db for row in report.rows) == _bits((-166.0 - rfi).tolist())
+    assert report.worst_sensor_id == ids[scenario._worst(rfi)]
+
+
+def test_cached_db_terms_and_report_figures_are_builtin_floats(counties):
+    # A numpy scalar among the cached terms would put numpy calls back on
+    # every report row; both gain paths are checked.
+    cfg = ScenarioConfig(trials=2)
+    for point in (cfg, replace(cfg, use_published_gain=False, guard_mhz=10.0)):
+        grid = scenario._grid(point, [2030, 2040], [point.guard_mhz], [0, 100],
+                              counties=counties)
+        terms = [*grid.geometries[0].delta_db, *grid.geometries[0].net_gain_db,
+                 *(term for entry in grid.footprints[0] for term in entry.count_db)]
+        assert terms and all(type(term) is float for term in terms)
+        assert all(type(power.mean_p_tx_dbw) is float for power in grid.powers[0])
+        report = simulate(point, counties=counties, power=grid.powers[0][1])
+        assert all(type(getattr(row, name)) is float for row in report.rows
+                   for name in ("delta_db", "net_gain_db", "mean_p_tx_dbw", "rfi_dbw",
+                                "margin_db"))
 
 
 def _max_rates_of_reports(grid: dict, threshold_dbw: float) -> dict:
