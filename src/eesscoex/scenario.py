@@ -11,22 +11,19 @@ the minimum-power precoder, the leakage fraction from the filter design
 at the configured guard band, the cataloged net link gain, and the
 worst-case county footprint count.
 
-A grid of (year, guard, rate) points is composed as one array sum over
-[guard, year, rate, sensor] of dB terms, each `_db` (numpy's 10 log10) taken
-once per distinct value: a power term per (guard, rate), a leakage and a gain
-term per (guard, sensor) and a footprint term per (year, guard, sensor),
-summed left to right as one point's scalars are.  The array decides the
-sweep verdicts: `max_feasible_rate` and `sweep_guard_bands` read each point's
-worst sensor off it without building a report or a config per point.  A
-report, of `simulate` or of `rfi_grid`, sums its own rows from the same
-cached terms, Python floats, by the same `_rfi_dbw`, so each row is bit for
-bit the array's element and prints the very terms its `rfi_dbw` sums.  A
-channel is held only as its effective Gram matrix, all the power solve needs,
-drawn from the substream (master seed, trial).  One power path serves every
-batch: it inverts such a stack once and solves the trials of all its batches
-in stacked precoder calls, packing whole batches up to a fixed number of
-problems a call.  `mean_bs_power`
-is its one-batch case; the grid sends every (guard, rate) batch it lacks
+Each sensor's RFI at a (year, guard, rate) point is one sum, by `_rfi_dbw`
+left to right, of dB terms held as Python floats, each `_db` (numpy's
+10 log10) taken once per distinct value: a power term per (guard, rate), a
+leakage and a gain term per (guard, sensor) and a footprint term per (year,
+guard, sensor).  A report, of `simulate` or of `rfi_grid`, prints each row's
+sum and the very terms it sums; the sweep verdicts of `max_feasible_rate` and
+`sweep_guard_bands` are decided from the same sums, without building a report
+or a config per point.  A channel is held only as its effective Gram matrix,
+all the power solve needs, drawn from the substream (master seed, trial).
+One power path serves every batch: it inverts such a stack once and solves
+the trials of all its batches in stacked precoder calls, packing whole
+batches up to a fixed number of problems a call.  `mean_bs_power` is its
+one-batch case; the grid sends every (guard, rate) batch it lacks
 through it at once, over one stack shared across rates, guards and years.
 Two per-process caches, keyed by value, hold the rate-free inputs: sensor
 geometry and power cap once for each distinct set of sensor specs and guard
@@ -40,6 +37,7 @@ which points ran before.
 import functools
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -310,12 +308,6 @@ def _rfi_dbw(power_db, delta_db, gain_db, count_db, calibration_db):
     return (((power_db + delta_db) + gain_db) + count_db) + calibration_db
 
 
-def _worst(rfi_dbw: np.ndarray):
-    """Index of the worst sensor along the last axis: the first maximum, a
-    NaN counting as -inf."""
-    return np.where(np.isnan(rfi_dbw), -np.inf, rfi_dbw).argmax(axis=-1)
-
-
 # A NamedTuple, as are `_Footprints` and `_Grid`: its class is built at import
 # in a fifth of a frozen dataclass's time.
 class _Geometry(NamedTuple):
@@ -420,9 +412,8 @@ def _report(header: dict, geometry: _Geometry, footprints: _Footprints,
             power: MeanPowerResult) -> RfiReport:
     """The report of one grid point from its header, which is the point's
     `ScenarioConfig.header` and penetration.  Each row's RFI is its cached
-    terms summed by `_rfi_dbw` over Python floats, bitwise the grid's array
-    element, and the worst sensor is `_worst`'s: the first maximum, a NaN
-    counting as -inf."""
+    terms summed by `_rfi_dbw` over Python floats, and the worst sensor is
+    the first maximum, a NaN counting as -inf."""
     year, rate_mbps, guard_mhz, factor = (header["year"], header["rate_bps"] / 1e6,
                                           header["guard_mhz"], header["adoption_factor"])
     p_dbw, infeasible = power.mean_p_tx_dbw, power.infeasibility_rate
@@ -458,11 +449,10 @@ def simulate(cfg: ScenarioConfig, cell: CellConfig = None, counties: list = None
 
 
 class _Grid(NamedTuple):
-    """The RFI of every (year, guard, rate) point, composed as one array
-    `rfi` [guard, year, rate, sensor], and the per-axis inputs it was summed
-    from: per guard its checked config and `_Geometry`, per year its
-    penetration, per rate its bps, per (guard, year) the `_Footprints` and
-    per (guard, rate) the power batch."""
+    """The inputs of every (year, guard, rate) point's RFI, per axis: per
+    guard its checked config and `_Geometry`, per year its penetration, per
+    rate its bps, per (guard, year) the `_Footprints` and per (guard, rate)
+    the power batch."""
 
     cell: CellConfig
     guards: dict
@@ -471,7 +461,6 @@ class _Grid(NamedTuple):
     geometries: list
     footprints: list
     powers: list
-    rfi: np.ndarray
 
 
 def _grid(cfg: ScenarioConfig, years, guards_mhz, rates_mbps, cell: CellConfig = None,
@@ -503,14 +492,8 @@ def _grid(cfg: ScenarioConfig, years, guards_mhz, rates_mbps, cell: CellConfig =
                    for penetration in penetrations.values()]
                   for point in at_guard.values()]
     powers = [[power_cache[(guard, rate)] for rate in rates_bps] for guard in at_guard]
-    power_db = np.array([[power.mean_p_tx_dbw for power in row] for row in powers])
-    delta_db = np.array([geometry.delta_db for geometry in geometries])
-    gain_db = np.array([geometry.net_gain_db for geometry in geometries])
-    count_db = np.array([[entry.count_db for entry in row] for row in footprints])
-    rfi = _rfi_dbw(power_db[:, None, :, None], delta_db[:, None, None, :],
-                   gain_db[:, None, None, :], count_db[:, :, None, :], cfg.calibration_db)
     return _Grid(cell=cell, guards=at_guard, years=penetrations, rates=rates_bps,
-                 geometries=geometries, footprints=footprints, powers=powers, rfi=rfi)
+                 geometries=geometries, footprints=footprints, powers=powers)
 
 
 def rfi_grid(cfg: ScenarioConfig, years, guards_mhz, rates_mbps, *,
@@ -550,38 +533,51 @@ def _compliant(rfi_dbw: float, threshold_dbw: float) -> bool:
     return round(rfi_dbw, 1) <= threshold_dbw + 1e-9
 
 
-def _max_rates(grid: _Grid, threshold_dbw: float) -> dict:
-    """Largest grid rate per (year, guard) at which the worst sensor complies; 0 if none."""
-    worst = np.take_along_axis(grid.rfi, _worst(grid.rfi)[..., None], axis=-1)[..., 0]
-    return {(year, guard): max([0] + [rate for rate, rfi in zip(grid.rates, by_rate)
-                                      if _compliant(rfi, threshold_dbw)])
-            for guard, by_year in zip(grid.guards, worst.tolist())
-            for year, by_rate in zip(grid.years, by_year)}
+def _max_rates(grid: _Grid) -> dict:
+    """Largest grid rate per (year, guard) at which the worst sensor complies;
+    0 if none.  Each sensor's RFI is its report row's `rfi_dbw`: the same
+    cached terms summed by `_rfi_dbw`.  `_compliant` is monotone, so the
+    worst sensor complies exactly when every sensor does.  Every term but the
+    power is finite or -inf, so a point's RFI is NaN only for a degenerate
+    batch and then in every row; `max` of them is NaN, which never complies."""
+    best = {}
+    for (guard, point), geometry, by_year, powers in zip(
+            grid.guards.items(), grid.geometries, grid.footprints, grid.powers):
+        for year, footprints in zip(grid.years, by_year):
+            best[(year, guard)] = max([0] + [
+                rate for rate, power in zip(grid.rates, powers)
+                if _compliant(max(map(_rfi_dbw, repeat(power.mean_p_tx_dbw), geometry.delta_db,
+                                      geometry.net_gain_db, footprints.count_db,
+                                      repeat(point.calibration_db))), point.threshold_dbw)])
+    return best
 
 
 def max_feasible_rate(cfg: ScenarioConfig, rate_grid_mbps=RATE_GRID_MBPS,
                       cell: CellConfig = None, counties: list = None,
                       channels: np.ndarray = None, catalog: dict = None,
                       power_cache: dict = None) -> int:
-    """Largest grid rate keeping the worst sensor at or under threshold; 0 if
-    none.  A `power_cache` shares power batches across calls, as in `rfi_grid`,
-    and is keyed only by (guard, rate): it is valid only for one seed, trial
-    count, cell and set of cap settings (`p_bs_dbw`, `threshold_dbw`, gain
-    and filter fields)."""
+    """Largest grid rate keeping the worst sensor at or under threshold, at
+    the 0.1 dB reporting precision; 0 if none.  A degenerate (NaN) point
+    never complies.  A `power_cache` shares power batches across calls, as
+    in `rfi_grid`, and is keyed only by (guard, rate): it is valid only for
+    one seed, trial count, cell and set of cap settings (`p_bs_dbw`,
+    `threshold_dbw`, gain and filter fields)."""
     grid = _grid(cfg, [cfg.year], [cfg.guard_mhz], rate_grid_mbps, cell=cell,
                  counties=counties, catalog=catalog, channels=channels,
                  power_cache=power_cache)
-    return _max_rates(grid, cfg.threshold_dbw).get((cfg.year, cfg.guard_mhz), 0)
+    return _max_rates(grid).get((cfg.year, cfg.guard_mhz), 0)
 
 
 def sweep_guard_bands(cfg: ScenarioConfig, years=CANONICAL_YEARS,
                       guards_mhz=GUARD_GRID_MHZ, cell: CellConfig = None,
                       counties: list = None) -> list:
-    """Max feasible `RATE_GRID_MBPS` rate per (year, guard); wider guards
-    shrink both the leakage fraction and the usable bandwidth (raising BS
-    counts)."""
+    """Max feasible `RATE_GRID_MBPS` rate per (year, guard), decided as in
+    `max_feasible_rate`: the worst sensor at or under threshold at the 0.1 dB
+    reporting precision, a degenerate (NaN) point never complying.  Wider
+    guards shrink both the leakage fraction and the usable bandwidth (raising
+    BS counts)."""
     best = _max_rates(_grid(cfg, years, guards_mhz, RATE_GRID_MBPS, cell=cell,
-                            counties=counties), cfg.threshold_dbw)
+                            counties=counties))
     return [GuardSweepRow(year=year, guard_mhz=float(guard),
                           max_rate_mbps=best.get((year, guard), 0))
             for year in years for guard in guards_mhz]

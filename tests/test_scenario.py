@@ -879,15 +879,14 @@ def test_composed_rfi_is_the_scalar_sum_bitwise_in_every_branch(monkeypatch, cou
     reports = rfi_grid(cfg, years, guards, rates, counties=sparse, power_cache=cache)
     branches = collections.Counter()
     for g, (guard, geometry) in enumerate(zip(guards, grid.geometries)):
-        for y, (year, footprints) in enumerate(zip(years, grid.footprints[g])):
-            for r, rate in enumerate(rates):
+        for year, footprints in zip(years, grid.footprints[g]):
+            for rate in rates:
                 power = cache[(guard, rate)]
                 inputs = list(zip(geometry.delta, list(geometry.net_gain_db),
                                   (n_fp for _, n_fp in footprints.worst)))
                 expected = [_scalar_rfi(power, delta, gain, n_fp, cfg.calibration_db)
                             for delta, gain, n_fp in inputs]
                 branches.update(_branch(power, delta, n_fp) for delta, _, n_fp in inputs)
-                assert _bits(grid.rfi[g, y, r].tolist()) == _bits(expected)
                 point = replace(cfg, year=year, guard_mhz=guard, rate_bps=rate * 1e6)
                 one = simulate(point, counties=sparse, catalog=catalog, power=power)
                 for report in (reports[(year, guard, rate)], one):
@@ -898,8 +897,7 @@ def test_composed_rfi_is_the_scalar_sum_bitwise_in_every_branch(monkeypatch, cou
                         row.rfi_dbw if not math.isnan(row.rfi_dbw) else -math.inf))
                     assert report.worst_sensor_id == worst.sensor_id
     assert set(branches) == {"degenerate", "no power", "no leakage", "no emitters", "finite"}
-    assert scenario._max_rates(grid, cfg.threshold_dbw) == _max_rates_of_reports(
-        reports, cfg.threshold_dbw)
+    assert scenario._max_rates(grid) == _max_rates_of_reports(reports, cfg.threshold_dbw)
 
 
 def test_composed_rfi_of_many_terms_is_the_scalar_sum_bitwise():
@@ -970,25 +968,11 @@ def test_simulate_rows_print_the_terms_their_rfi_sums(counties):
     _assert_rows_print_the_terms_their_rfi_sums([*reports, zero, nan])
 
 
-@pytest.mark.parametrize("row", [
-    [-170.0, -165.0, -165.0, -168.0],
-    [float("nan"), float("nan"), float("nan")],
-    [float("-inf"), float("-inf")],
-    [float("nan"), float("-inf"), float("nan")],
-    [float("-inf"), float("nan"), -171.0, -171.0],
-    [float("nan"), -170.0, float("nan"), -170.0],
-])
-def test_worst_sensor_is_the_first_maximum_with_nan_as_minus_inf(row):
-    def first_max(values):
-        return max(range(len(values)),
-                   key=lambda i: -math.inf if math.isnan(values[i]) else values[i])
-
-    assert scenario._worst(np.array(row)) == first_max(row)
-    stack = np.array([row, row[::-1]])
-    assert scenario._worst(stack).tolist() == [first_max(row), first_max(row[::-1])]
-
-
 _NAN, _INF = float("nan"), float("inf")
+
+
+def _first_max(values) -> int:
+    return max(range(len(values)), key=lambda i: -_INF if math.isnan(values[i]) else values[i])
 
 
 @pytest.mark.parametrize("mean_p_w, delta_db, count_db", [
@@ -996,25 +980,33 @@ _NAN, _INF = float("nan"), float("inf")
     (1.0, (_NAN, -170.0, _NAN, -169.0), (0.0, 0.0, 0.0, 0.0)),      # NaN among finite values
     (_NAN, (-170.0, -165.0, -168.0), (0.0, 0.0, 0.0)),             # all NaN: a degenerate batch
     (1.0, (-170.0, -165.0, -168.0), (-_INF, -_INF, -_INF)),        # all -inf: no emitters
+    # At 1 W and 0 dB counts, each row's RFI is its delta_db.
+    *((1.0, row, (0.0,) * len(row)) for row in [
+        (_NAN, _NAN, _NAN),
+        (-_INF, -_INF),
+        (_NAN, -_INF, _NAN),
+        (-_INF, _NAN, -171.0, -171.0),
+        (_NAN, -170.0, _NAN, -170.0),
+    ]),
 ])
 def test_report_worst_sensor_is_the_worst_of_its_rfi_array(mean_p_w, delta_db, count_db):
     n = len(delta_db)
     ids = tuple(f"S{i}" for i in range(n))
     geometry = scenario._Geometry(sensor_ids=ids, delta=(1e-9,) * n, delta_db=delta_db,
-                                  net_gain_db=(-140.0,) * n, p_max_w=1.0)
+                                  net_gain_db=(0.0,) * n, p_max_w=1.0)
     county = CountyRecord(fips="02020", name="Anchorage", state="AK", rucc_code=1,
                           population=1, land_area_km2=1.0)
     footprints = scenario._Footprints(worst=((county, 1),) * n, count_db=count_db)
     power = scenario.MeanPowerResult(mean_p_w=mean_p_w, infeasibility_rate=0.0,
                                      n_feasible=0 if math.isnan(mean_p_w) else 1,
                                      n_unconverged=0)
-    header = {**vars(ScenarioConfig(calibration_db=0.9)), "penetration_per_100": 1.0}
+    header = {**vars(ScenarioConfig()), "penetration_per_100": 1.0}
     report = scenario._report(header, geometry, footprints, power)
-    rfi = scenario._rfi_dbw(power.mean_p_tx_dbw, np.array(delta_db), np.array((-140.0,) * n),
-                            np.array(count_db), 0.9)
-    assert _bits(row.rfi_dbw for row in report.rows) == _bits(rfi.tolist())
-    assert _bits(row.margin_db for row in report.rows) == _bits((-166.0 - rfi).tolist())
-    assert report.worst_sensor_id == ids[scenario._worst(rfi)]
+    rfi = [scenario._rfi_dbw(power.mean_p_tx_dbw, leak, 0.0, count, 0.0)
+           for leak, count in zip(delta_db, count_db)]
+    assert _bits(row.rfi_dbw for row in report.rows) == _bits(rfi)
+    assert _bits(row.margin_db for row in report.rows) == _bits(-166.0 - v for v in rfi)
+    assert report.worst_sensor_id == ids[_first_max(rfi)]
 
 
 def test_cached_db_terms_and_report_figures_are_builtin_floats(counties):
@@ -1055,6 +1047,18 @@ def test_sweep_is_the_max_rate_of_the_grid_reports(counties, seed, years, guards
     assert rows == [GuardSweepRow(year=year, guard_mhz=float(guard),
                                   max_rate_mbps=best[(year, guard)])
                     for year in years for guard in guards]
+
+
+@pytest.mark.parametrize("call, empty", [
+    (lambda cfg, counties: rfi_grid(cfg, (), (25.0,), (100,), counties=counties), {}),
+    (lambda cfg, counties: rfi_grid(cfg, (2030,), (), (100,), counties=counties), {}),
+    (lambda cfg, counties: rfi_grid(cfg, (2030,), (25.0,), (), counties=counties), {}),
+    (lambda cfg, counties: sweep_guard_bands(cfg, years=(), counties=counties), []),
+    (lambda cfg, counties: sweep_guard_bands(cfg, guards_mhz=(), counties=counties), []),
+    (lambda cfg, counties: max_feasible_rate(cfg, rate_grid_mbps=(), counties=counties), 0),
+], ids=["grid-years", "grid-guards", "grid-rates", "sweep-years", "sweep-guards", "rate-rates"])
+def test_an_empty_axis_gives_an_empty_result(counties, call, empty):
+    assert call(ScenarioConfig(trials=2), counties) == empty
 
 
 def test_sweep_builds_no_report_and_no_config_per_point(monkeypatch, counties):
