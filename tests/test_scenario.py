@@ -988,6 +988,7 @@ def _first_max(values) -> int:
         (-_INF, _NAN, -171.0, -171.0),
         (_NAN, -170.0, _NAN, -170.0),
     ]),
+    (1.0, (-168.0, -165.0, -165.0, -170.0), (0.0, 0.0, 0.0, 0.0)),  # the tie reversed
 ])
 def test_report_worst_sensor_is_the_worst_of_its_rfi_array(mean_p_w, delta_db, count_db):
     n = len(delta_db)
